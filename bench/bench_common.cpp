@@ -40,7 +40,6 @@ RunnerConfig make_runner_config(const BenchParams& p) {
   cfg.pmem.fence_latency_ns = p.fence_latency_ns;
   cfg.pmem.nvm_store_latency_ns = p.nvm_store_latency_ns;
   cfg.pmem.track_store_order = false;  // no crash adversary in benchmarks
-  cfg.pmem.group_commit = p.group_commit;
   cfg.pmem.wc_block_lines = p.wc_block_lines;
   cfg.htm.seed = p.seed;
   cfg.htm.spurious_abort_prob = p.spurious_abort_prob;
@@ -86,7 +85,6 @@ BenchResult run_structure_bench(const BenchParams& p) {
   const std::uint64_t flushes_before = runner.pool().flush_count();
   const std::uint64_t fences_before = runner.pool().fence_count();
   const std::uint64_t dedup_before = runner.pool().flush_dedup_count();
-  const std::uint64_t combined_before = runner.pool().fence_combined_count();
 
   workload::WorkloadSpec spec;
   spec.read_pct = p.read_pct;
@@ -102,7 +100,6 @@ BenchResult run_structure_bench(const BenchParams& p) {
   const std::uint64_t flushes_measured = runner.pool().flush_count() - flushes_before;
   const std::uint64_t fences_measured = runner.pool().fence_count() - fences_before;
   const std::uint64_t dedup_measured = runner.pool().flush_dedup_count() - dedup_before;
-  const std::uint64_t combined_measured = runner.pool().fence_combined_count() - combined_before;
   double serialized_frac = 0;
   if (p.kind == TmKind::kSpht) {
     serialized_frac = static_cast<double>(dynamic_cast<SphtTm&>(tm).global_lock_held_ns()) /
@@ -133,8 +130,6 @@ BenchResult run_structure_bench(const BenchParams& p) {
     r.fences_per_op = static_cast<double>(fences_measured) / static_cast<double>(r.total_ops);
     r.flush_dedup_per_op =
         static_cast<double>(dedup_measured) / static_cast<double>(r.total_ops);
-    r.fences_combined_per_op =
-        static_cast<double>(combined_measured) / static_cast<double>(r.total_ops);
   }
   r.serialized_frac = serialized_frac;
   return r;

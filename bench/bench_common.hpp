@@ -58,13 +58,9 @@ struct BenchParams {
   std::uint64_t nvm_store_latency_ns = 50;
   /// Ablation class 3: persist hardware transactions.
   bool persist_htxns = true;
-  /// Group durable commit (flat-combining fence, PmemConfig::group_commit).
-  /// On by default in the grid: solo committers are auto-gated to the solo
-  /// path, so uncontended cells keep their latency. BENCH_group_commit.json
-  /// sweeps this on/off explicitly.
-  bool group_commit = true;
   /// Write-combining block size (PmemConfig::wc_block_lines): 4 lines = one
-  /// Optane XPLine per media write-back.
+  /// Optane XPLine per media write-back. Billing only: each committer still
+  /// flushes and fences its own write set (paper Sec. 3.2).
   std::size_t wc_block_lines = 4;
 };
 
@@ -81,10 +77,6 @@ struct BenchResult {
   /// Queued flushes coalesced away by fence-time dedupe (same line flushed
   /// twice in one fence epoch, e.g. adjacent Trinity records).
   double flush_dedup_per_op = 0;
-  /// Fences absorbed into another thread's combined fence (group commit):
-  /// each one is an ordering fence a committer did NOT pay for itself.
-  /// Zero when group_commit is off or no two committers ever overlapped.
-  double fences_combined_per_op = 0;
   /// SPHT only: fraction of the measurement window during which the global
   /// fallback lock was held, i.e. all concurrency was disabled (paper
   /// Sec. 5.3). Zero for the other TMs.

@@ -7,9 +7,9 @@
 //
 // Usage: bench_regress [--smoke] [--check] [--out PATH] [--scaling-out PATH]
 //                      [--taxonomy-out PATH] [--hw-out PATH] [--ro-out PATH]
-//                      [--alloc-out PATH] [--group-out PATH] [--baseline PATH]
+//                      [--alloc-out PATH] [--baseline PATH]
 //                      [--hw-baseline PATH] [--ro-baseline PATH]
-//                      [--alloc-baseline PATH] [--group-baseline PATH]
+//                      [--alloc-baseline PATH]
 //   --smoke        truncated ~10s mode (small keys, short windows), used by
 //                  the perf-smoke CTest target
 //   --check        after writing the reports, re-read and validate their
@@ -45,16 +45,11 @@
 //                  BENCH_alloc_churn.json); --check asserts the ledger
 //                  balances (retired == reclaimed + limbo)
 //   --alloc-baseline  same cell-wise ops_per_sec gate for the churn report
-//   --group-out    group-durable-commit sweep: NV-HALT on the hashmap,
-//                  threads x {50ro, 0ro} x fence combining off/on, each cell
-//                  with ops_per_sec + fences_per_op (default:
-//                  BENCH_group_commit.json); --check asserts the shape
-//   --group-baseline  same cell-wise gate for the group-commit sweep
 //
-// Besides ops_per_sec, --baseline / --group-baseline also compare
-// fences_per_op cell-wise: a fence is the unit the group-commit layer
-// exists to amortize, so a fence-count regression is flagged (and gated
-// under NVHALT_BENCH_TOLERANCE) even when throughput hides it in noise.
+// Besides ops_per_sec, --baseline also compares fences_per_op cell-wise:
+// a fence is the dominant persistence cost of a commit, so a fence-count
+// regression is flagged (and gated under NVHALT_BENCH_TOLERANCE) even when
+// throughput hides it in noise.
 //
 // The committed BENCH_sw_hotpath.json / BENCH_thread_scaling.json at the
 // repo root are full-mode runs of this binary. By default there are no
@@ -106,12 +101,10 @@ struct Options {
   std::string hw_out = "BENCH_hw_hotpath.json";
   std::string ro_out = "BENCH_ro_path.json";
   std::string alloc_out = "BENCH_alloc_churn.json";
-  std::string group_out = "BENCH_group_commit.json";
   std::string baseline;
   std::string hw_baseline;
   std::string ro_baseline;
   std::string alloc_baseline;
-  std::string group_baseline;
   /// Recovery-time sweep (checkpoint/compaction + parallel replay). Empty
   /// by default: the sweep builds dozens of full pools and crash-recovers
   /// them, so only runs when explicitly requested (the CI bench job and
@@ -418,108 +411,6 @@ int run_alloc_report(const Options& opt) {
   f.close();
   std::fprintf(stderr, "bench_regress: wrote %s\n", opt.alloc_out.c_str());
   return 0;
-}
-
-// ------------------------------------------------- group-commit sweep
-
-std::vector<int> group_thread_counts(bool smoke) {
-  return smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
-}
-
-/// The group-durable-commit sweep: NV-HALT on the hashmap (flat per-op
-/// cost, so fence latency dominates the update path), update-heavy
-/// workloads only — 50ro and 0ro are where overlapping committers exist to
-/// combine. Each (threads, read_pct) point runs twice, fence combining off
-/// (today's solo path, wc_block_lines 1) and on (flat-combining fence +
-/// XPLine write combining), so BENCH_group_commit.json records both the
-/// throughput delta and the fences_per_op drop the layer buys. Cells carry
-/// fences_combined_per_op — how many fences per op were absorbed into
-/// another committer's drain — so "combining was on but never engaged"
-/// (e.g. 1 thread) is visible in the report rather than a silent zero win.
-int run_group_report(const Options& opt) {
-  const int rounds = bench_rounds_from_env(opt.smoke);
-  std::ostringstream js;
-  js << "{\n";
-  js << "  \"schema\": \"nvhalt-bench-group-commit-v1\",\n";
-  js << "  \"mode\": \"" << (opt.smoke ? "smoke" : "full") << "\",\n";
-  js << "  \"cells\": [\n";
-  bool first = true;
-  for (const int threads : group_thread_counts(opt.smoke)) {
-    for (const int read_pct : {50, 0}) {
-      for (const bool combine : {false, true}) {
-        BenchParams p;
-        p.kind = TmKind::kNvHalt;
-        p.structure = Structure::kHashMap;
-        p.read_pct = read_pct;
-        p.threads = threads;
-        p.key_range = opt.smoke ? (std::size_t{1} << 10) : (std::size_t{1} << 14);
-        p.duration_ms = opt.smoke ? 20 : 150;
-        p.group_commit = combine;
-        p.wc_block_lines = combine ? 4 : 1;
-        const BenchResult r = run_structure_bench_best(p, rounds);
-        js << (first ? "" : ",\n");
-        first = false;
-        js << "    {\"structure\": \"hashmap\", \"read_pct\": " << read_pct << ", \"tm\": \""
-           << tm_kind_name(p.kind) << "\", \"threads\": " << threads
-           << ", \"combine\": " << (combine ? "true" : "false")
-           << ", \"ops_per_sec\": " << r.ops_per_sec
-           << ", \"fences_per_op\": " << r.fences_per_op
-           << ", \"flushes_per_op\": " << r.flushes_per_op
-           << ", \"fences_combined_per_op\": " << r.fences_combined_per_op << "}";
-        std::fprintf(stderr, "group t%d %dro combine=%d: %.0f ops/s, %.3f fences/op\n", threads,
-                     read_pct, combine ? 1 : 0, r.ops_per_sec, r.fences_per_op);
-      }
-    }
-  }
-  js << "\n  ]\n}\n";
-
-  std::ofstream f(opt.group_out, std::ios::trunc);
-  if (!f) {
-    std::fprintf(stderr, "bench_regress: cannot open %s for writing\n", opt.group_out.c_str());
-    return 1;
-  }
-  f << js.str();
-  f.close();
-  std::fprintf(stderr, "bench_regress: wrote %s\n", opt.group_out.c_str());
-  return 0;
-}
-
-/// Shape validation for the group-commit sweep: right schema, a cell per
-/// (thread count, workload, combine setting), half the cells combining.
-int check_group_report(const std::string& path, bool smoke) {
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "bench_regress --check: missing %s\n", path.c_str());
-    return 1;
-  }
-  std::stringstream buf;
-  buf << f.rdbuf();
-  const std::string s = buf.str();
-  std::vector<std::string> errors;
-
-  if (s.find("\"schema\": \"nvhalt-bench-group-commit-v1\"") == std::string::npos)
-    errors.push_back("missing/unknown group-commit schema tag");
-
-  const auto count = [&s](const char* needle) {
-    std::size_t n = 0;
-    for (auto pos = s.find(needle); pos != std::string::npos; pos = s.find(needle, pos + 1)) ++n;
-    return n;
-  };
-  const std::size_t expected = group_thread_counts(smoke).size() * 2 * 2;
-  if (count("\"ops_per_sec\"") != expected) {
-    errors.push_back("group sweep must have " +
-                     std::to_string(group_thread_counts(smoke).size()) +
-                     " thread counts x 2 workloads x 2 combine settings = " +
-                     std::to_string(expected) + " cells");
-  }
-  if (count("\"combine\": true") != expected / 2 || count("\"combine\": false") != expected / 2)
-    errors.push_back("group sweep must split cells evenly between combine on/off");
-  if (count("\"fences_per_op\"") != expected)
-    errors.push_back("group sweep cells must carry fences_per_op");
-
-  for (const auto& e : errors) std::fprintf(stderr, "bench_regress --check: %s\n", e.c_str());
-  if (errors.empty()) std::fprintf(stderr, "bench_regress --check: %s OK\n", path.c_str());
-  return errors.empty() ? 0 : 1;
 }
 
 // ------------------------------------------------------ recovery-time sweep
@@ -969,8 +860,8 @@ int run_report(const Options& opt) {
   bool con_first = true;
   // The paper's four uniform workloads plus one Zipf-skewed update column:
   // skew concentrates writers on the same hot lines, which is exactly the
-  // regime the group-commit fence combiner and the contention observatory
-  // exist for, so the grid keeps one cell of it on record.
+  // regime the contention observatory exists for, so the grid keeps one
+  // cell of it on record.
   struct GridWorkload {
     int read_pct;
     KeyDist dist;
@@ -1426,9 +1317,9 @@ int check_alloc_report(const std::string& path) {
 /// One parsed grid cell: a composed workload key plus the two gated
 /// metrics. The reports are emitted one grid object per line by this
 /// binary, so a line-oriented field scan is a complete parser for them.
-/// Optional coordinates (dist, combine) only suffix the key when present,
-/// so keys for pre-existing reports are unchanged and old committed
-/// baselines stay comparable.
+/// The optional dist coordinate only suffixes the key when present, so
+/// keys for pre-existing reports are unchanged and old committed baselines
+/// stay comparable.
 struct ParsedCell {
   std::string key;
   double ops = 0;
@@ -1461,13 +1352,6 @@ std::vector<ParsedCell> parse_grid_cells(const std::string& text) {
     c.key = st + "/" + pct + "ro";
     if (field("dist") == "zipf") c.key += "-zipf";
     c.key += "/" + tm;
-    const std::string threads = field("threads");
-    const std::string combine = field("combine");
-    if (!combine.empty()) {
-      // Group-commit sweep: the same (structure, pct, tm) appears once per
-      // thread count and combine setting, so both join the key.
-      c.key += "/t" + threads + (combine == "true" ? "/combine" : "/solo");
-    }
     c.ops = std::strtod(ops.c_str(), nullptr);
     const std::string fences = field("fences_per_op");
     if (!fences.empty()) c.fences_per_op = std::strtod(fences.c_str(), nullptr);
@@ -1485,8 +1369,8 @@ std::string read_file(const std::string& path) {
 }
 
 /// Compares a fresh report's grid cells against a baseline report (the
-/// main grid, the ro-path/alloc reports and the group-commit sweep all
-/// share the cell line shape, so one comparator serves every flag).
+/// main grid and the ro-path/alloc reports share the cell line shape, so
+/// one comparator serves every flag).
 /// Advisory by default (prints every cell's ratio, worst first, returns
 /// 0); with a positive $NVHALT_BENCH_TOLERANCE it fails when any cell's
 /// throughput drops below baseline * (1 - tolerance), or — for reports
@@ -1654,10 +1538,6 @@ int main(int argc, char** argv) {
       opt.alloc_out = argv[++i];
     } else if (std::strcmp(argv[i], "--alloc-baseline") == 0 && i + 1 < argc) {
       opt.alloc_baseline = argv[++i];
-    } else if (std::strcmp(argv[i], "--group-out") == 0 && i + 1 < argc) {
-      opt.group_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--group-baseline") == 0 && i + 1 < argc) {
-      opt.group_baseline = argv[++i];
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
       opt.baseline = argv[++i];
     } else if (std::strcmp(argv[i], "--hw-baseline") == 0 && i + 1 < argc) {
@@ -1672,9 +1552,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: bench_regress [--smoke] [--check] [--out PATH] [--scaling-out PATH] "
                    "[--taxonomy-out PATH] [--contention-out PATH] [--hw-out PATH] [--ro-out PATH] "
-                   "[--alloc-out PATH] [--group-out PATH] "
+                   "[--alloc-out PATH] "
                    "[--baseline PATH] [--hw-baseline PATH] [--ro-baseline PATH] "
-                   "[--alloc-baseline PATH] [--group-baseline PATH] "
+                   "[--alloc-baseline PATH] "
                    "[--recovery-out PATH] [--recovery-baseline PATH]\n");
       return 2;
     }
@@ -1688,8 +1568,6 @@ int main(int argc, char** argv) {
   rc = nvhalt::bench::run_ro_report(opt);
   if (rc != 0) return rc;
   rc = nvhalt::bench::run_alloc_report(opt);
-  if (rc != 0) return rc;
-  rc = nvhalt::bench::run_group_report(opt);
   if (rc != 0) return rc;
   if (!opt.recovery_out.empty()) {
     rc = nvhalt::bench::run_recovery_report(opt);
@@ -1706,7 +1584,6 @@ int main(int argc, char** argv) {
                         ? 0
                         : nvhalt::bench::check_recovery_report(opt.recovery_out);
     const int rc8 = nvhalt::bench::check_contention(opt.contention_out);
-    const int rc9 = nvhalt::bench::check_group_report(opt.group_out, opt.smoke);
     if (rc == 0) rc = rc2;
     if (rc == 0) rc = rc3;
     if (rc == 0) rc = rc4;
@@ -1714,7 +1591,6 @@ int main(int argc, char** argv) {
     if (rc == 0) rc = rc6;
     if (rc == 0) rc = rc7;
     if (rc == 0) rc = rc8;
-    if (rc == 0) rc = rc9;
     if (rc != 0) return rc;
   }
   if (!opt.baseline.empty()) {
@@ -1727,10 +1603,6 @@ int main(int argc, char** argv) {
   }
   if (!opt.alloc_baseline.empty()) {
     rc = nvhalt::bench::compare_grid_files("--alloc-baseline", opt.alloc_baseline, opt.alloc_out);
-    if (rc != 0) return rc;
-  }
-  if (!opt.group_baseline.empty()) {
-    rc = nvhalt::bench::compare_grid_files("--group-baseline", opt.group_baseline, opt.group_out);
     if (rc != 0) return rc;
   }
   if (!opt.recovery_baseline.empty() && !opt.recovery_out.empty()) {

@@ -711,8 +711,8 @@ int render_gap_markdown(const std::string& path) {
 
   // Update-heavy close-up: the cells where commits actually pay for
   // durability (50% reads and below). Next to the Trinity ratio each TM
-  // shows its fences_per_op — the unit the group-commit fence combiner
-  // amortizes — so a throughput win (or loss) comes with its fence story.
+  // shows its fences_per_op — the dominant persistence cost of a commit —
+  // so a throughput win (or loss) comes with its fence story.
   bool any_update_heavy = false;
   for (const GapCell& c : cells) any_update_heavy |= c.read_pct <= 50 && c.fences_per_op >= 0;
   if (any_update_heavy) {
@@ -755,71 +755,6 @@ int render_gap_markdown(const std::string& path) {
   return 0;
 }
 
-// ---- group-commit markdown rendering (--group) ---------------------------
-
-struct GroupCell {
-  long long read_pct = 0, threads = 0;
-  bool combine = false;
-  double ops = 0, fences_per_op = 0, combined_per_op = 0;
-};
-
-/// Renders BENCH_group_commit.json as a solo-vs-combine table: per
-/// (threads, workload) row the throughput speedup and the fences_per_op
-/// drop the flat-combining fence buys, plus how many fences per op were
-/// actually absorbed into another committer's drain (engagement — rows
-/// with 0.000 combined/op show the adaptive gate keeping solo latency).
-int render_group_markdown(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "bench_report --group: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::vector<GroupCell> cells;
-  std::string line;
-  while (std::getline(f, line)) {
-    const auto num_field = [&line](const char* key) -> double {
-      const std::string needle = std::string("\"") + key + "\": ";
-      const auto pos = line.find(needle);
-      if (pos == std::string::npos) return -1;
-      return std::strtod(line.c_str() + pos + needle.size(), nullptr);
-    };
-    if (line.find("\"combine\": ") == std::string::npos) continue;
-    GroupCell c;
-    c.read_pct = static_cast<long long>(num_field("read_pct"));
-    c.threads = static_cast<long long>(num_field("threads"));
-    c.combine = line.find("\"combine\": true") != std::string::npos;
-    c.ops = num_field("ops_per_sec");
-    c.fences_per_op = num_field("fences_per_op");
-    c.combined_per_op = num_field("fences_combined_per_op");
-    cells.push_back(c);
-  }
-  if (cells.empty()) {
-    std::fprintf(stderr, "bench_report --group: no cells in %s\n", path.c_str());
-    return 1;
-  }
-  const auto find = [&cells](long long threads, long long pct, bool combine) -> const GroupCell* {
-    for (const GroupCell& c : cells)
-      if (c.threads == threads && c.read_pct == pct && c.combine == combine) return &c;
-    return nullptr;
-  };
-  std::printf("# Group durable commit (%s)\n\n", path.c_str());
-  std::printf("NV-HALT / hashmap; solo = fence combining off, combine = flat-combining\n"
-              "fence + XPLine write combining. Speedup is ops(combine)/ops(solo).\n\n");
-  std::printf("| threads | workload | solo ops/s | combine ops/s | speedup "
-              "| solo fences/op | combine fences/op | combined/op |\n");
-  std::printf("|---:|---|---:|---:|---:|---:|---:|---:|\n");
-  for (const GroupCell& c : cells) {
-    if (c.combine) continue;
-    const GroupCell* on = find(c.threads, c.read_pct, true);
-    if (on == nullptr) continue;
-    std::printf("| %lld | %s | %.0f | %.0f | %.2fx | %.3f | %.3f | %.3f |\n", c.threads,
-                workload_name(static_cast<int>(c.read_pct)).c_str(), c.ops, on->ops,
-                c.ops > 0 ? on->ops / c.ops : 0, c.fences_per_op, on->fences_per_op,
-                on->combined_per_op);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -834,11 +769,9 @@ int main(int argc, char** argv) {
       return render_recovery_markdown(argv[i + 1]);
     if (std::strcmp(argv[i], "--contention") == 0 && i + 1 < argc)
       return render_contention_markdown(argv[i + 1]);
-    if (std::strcmp(argv[i], "--group") == 0 && i + 1 < argc)
-      return render_group_markdown(argv[i + 1]);
     std::fprintf(stderr,
                  "usage: bench_report [--taxonomy PATH] [--hw-hotpath PATH] [--gap PATH] "
-                 "[--recovery PATH] [--contention PATH] [--group PATH]\n");
+                 "[--recovery PATH] [--contention PATH]\n");
     return 2;
   }
   const BenchScale scale = read_scale_from_env();

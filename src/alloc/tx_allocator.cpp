@@ -5,6 +5,7 @@
 #include "htm/htm_tls.hpp"
 #include "htm/htm_types.hpp"
 #include "runtime/recovery_pool.hpp"
+#include "util/rng.hpp"
 
 namespace nvhalt {
 
@@ -21,7 +22,14 @@ std::uint64_t pack_entry(gaddr_t addr, std::uint32_t nwords, std::uint64_t kind)
 gaddr_t entry_addr(std::uint64_t w) { return w >> 12; }
 std::uint32_t entry_nwords(std::uint64_t w) { return static_cast<std::uint32_t>((w >> 1) & 0x7FF); }
 std::uint64_t entry_kind(std::uint64_t w) { return w & 1; }
-std::uint64_t entry_tag(std::uint64_t arm_id) { return (arm_id << 1) | 1; }
+/// An entry's tag binds the arm id to the payload it was armed with, so a
+/// tag left over from an earlier arm never validates a newer payload: a
+/// re-arm torn between the payload store and the tag store reads as a
+/// partially armed record, not as the old arm with the new payload.
+/// Never 0, so a zeroed entry never validates either.
+std::uint64_t entry_tag(std::uint64_t arm_id, std::uint64_t payload) {
+  return mix64(arm_id ^ mix64(payload)) | 1;
+}
 
 class SegSpinGuard {
  public:
@@ -247,14 +255,19 @@ void TxAllocator::persist_arm(int tid, std::uint64_t arm_id) {
     throw TmLogicError("allocator intent record overflow: one transaction carries more than " +
                        std::to_string(kIntentEntries) + " alloc/free effects");
   const std::size_t base = intent_base(tid);
+  // Entries are overwritten in place while the state line may still
+  // durably name the previous arm. Skipping that stale record when a crash
+  // tears this re-arm is safe: the previous transaction's apply bits were
+  // fenced by its closing fence (after its marker) before this thread
+  // could arm again, so nothing of it is left to re-apply.
   std::size_t i = 0;
-  const std::uint64_t tag = entry_tag(arm_id);
   auto put_entry = [&](const LiveBlock& b, std::uint64_t kind) {
     const std::size_t e = base + kWordsPerLine + i * 2;
+    const std::uint64_t payload = pack_entry(b.addr, b.nwords, kind);
     // Payload before tag (same line): a durable tag implies a durable
     // payload under the store-order crash adversary.
-    meta_store(tid, e, pack_entry(b.addr, b.nwords, kind));
-    meta_store(tid, e + 1, tag);
+    meta_store(tid, e, payload);
+    meta_store(tid, e + 1, entry_tag(arm_id, payload));
     ++i;
   };
   for (const LiveBlock& b : h.pending_allocs) put_entry(b, kKindAlloc);
@@ -418,13 +431,15 @@ AllocRecoveryReport TxAllocator::recover_metadata(int rtid, const CommitPredicat
   }
   rep.found_metadata = true;
 
-  // Phase 1: normalize every armed intent record. A record with all entry
-  // tags matching its arm id was fully armed (the arm rides the fence
-  // before the durability marker); apply it if its transaction committed,
-  // revert it otherwise — both are idempotent absolute bit writes, so a
-  // record whose apply already (partially) persisted normalizes the same
-  // way. Partially armed records can only belong to uncommitted
-  // transactions whose apply never ran: skipping them is safe.
+  // Phase 1: normalize every armed intent record. A record whose entry
+  // tags all match its arm id and their payloads was fully armed (the arm
+  // rides the fence before the durability marker); apply it if its
+  // transaction committed, revert it otherwise — both are idempotent
+  // absolute bit writes, so a record whose apply already (partially)
+  // persisted normalizes the same way. A partially armed record is either
+  // an uncommitted transaction whose apply never ran, or a predecessor
+  // whose entries a torn re-arm overwrote and whose apply is already
+  // durable (see persist_arm): skipping it is safe.
   for (int tid = 0; tid < kMaxThreads; ++tid) {
     const std::size_t base = intent_base(tid);
     const std::uint64_t state = pool_.raw_load(base);
@@ -437,7 +452,8 @@ AllocRecoveryReport TxAllocator::recover_metadata(int rtid, const CommitPredicat
     }
     bool valid = true;
     for (std::uint64_t e = 0; e < count; ++e) {
-      if (pool_.raw_load(base + kWordsPerLine + e * 2 + 1) != entry_tag(arm_id)) {
+      const std::size_t ent = base + kWordsPerLine + e * 2;
+      if (pool_.raw_load(ent + 1) != entry_tag(arm_id, pool_.raw_load(ent))) {
         valid = false;
         break;
       }

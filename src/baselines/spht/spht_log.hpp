@@ -30,19 +30,18 @@ class SphtLog {
 
   /// Appends one transaction record and makes it durable (flush + fence).
   /// Returns false if the log lacks space (caller must replay+truncate).
-  /// `gate` forwards the caller's group-commit hint to the record fence
-  /// (concurrent committers' log appends combine into one pool fence).
   bool append(int tid, std::uint64_t ts,
-              std::span<const std::pair<gaddr_t, word_t>> writes,
-              FenceGate gate = FenceGate::kAuto);
+              std::span<const std::pair<gaddr_t, word_t>> writes);
 
   /// Collects every whole record with ts <= max_ts from all threads' logs,
   /// reading the staged (crash-free) view.
   void collect(std::uint64_t max_ts, std::vector<TxnRec>& out) const;
 
-  /// Truncates all logs (after a completed replay) and persists the empty
-  /// heads.
-  void truncate_all(int tid);
+  /// Truncates every log whose records all carry a timestamp below
+  /// `bound` (after a replay that applied them) and persists the emptied
+  /// heads under one fence. Logs holding a record at or above `bound` are
+  /// left whole.
+  void truncate_below(int tid, std::uint64_t bound);
 
   int nthreads() const { return nthreads_; }
   std::size_t used_words(int tid) const { return pool_.raw_load(head_idx(tid)); }

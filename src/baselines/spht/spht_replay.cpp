@@ -39,25 +39,56 @@ std::vector<std::pair<gaddr_t, word_t>> reduce_records(std::vector<SphtLog::TxnR
 }
 }  // namespace
 
-void SphtTm::replay(int nthreads) { replay_impl(/*caller_tid=*/0, nthreads, false); }
+void SphtTm::replay(int nthreads) {
+  replay_impl(/*caller_tid=*/0, nthreads, /*durable_prefix_only=*/false, kNoUnloggedCommit);
+}
 
-void SphtTm::replay_impl(int caller_tid, int nthreads, bool durable_prefix_only) {
+void SphtTm::replay_impl(int caller_tid, int nthreads, bool durable_prefix_only,
+                         std::uint64_t unlogged_ts) {
   std::vector<SphtLog::TxnRec> recs;
-  // Checkpoint replays must take EVERY record: truncate_all() below erases
-  // the logs wholesale, and a record above the volatile marker belongs to a
-  // committed transaction whose owner is still between publishing its log
-  // (which is all the full-log quiesce waits for) and advancing the marker.
-  // Filtering by the marker here would truncate the only durable copy of a
-  // transaction that is about to be acknowledged. Recovery replays are the
-  // opposite: the durable marker defines the durably-committed prefix, and
-  // records beyond it must not surface.
+  // Checkpoint replays take every record below `unlogged_ts`, even above
+  // the volatile marker: such a record belongs to a committed transaction
+  // whose owner is still between publishing its log (which is all the
+  // full-log quiesce waits for) and advancing the marker, and truncation
+  // would drop its only durable copy. Records at or above `unlogged_ts`
+  // (the full-log caller's own commit, not logged yet) stay in their logs:
+  // the marker must not cover them before that predecessor is durable.
+  // Recovery replays are the opposite: the durable marker defines the
+  // durably-committed prefix, and records beyond it must not surface.
   const std::uint64_t max_ts = durable_prefix_only
                                    ? gpm_volatile_.value.load(std::memory_order_acquire)
-                                   : ~std::uint64_t{0};
+                                   : unlogged_ts - 1;
   log_.collect(max_ts, recs);
+  // Records at or below the heap watermark are already in the heap image.
+  // A truncation torn by a crash can leave some of them behind; replaying
+  // those over the newer heap values would roll addresses back.
+  const std::uint64_t heap_ts = pool_.raw_load(heap_watermark_idx());
+  std::erase_if(recs, [heap_ts](const SphtLog::TxnRec& r) { return r.ts <= heap_ts; });
   std::uint64_t applied_ts = 0;
   for (const auto& r : recs) applied_ts = std::max(applied_ts, r.ts);
   const auto final_writes = reduce_records(recs);
+
+  if (!durable_prefix_only && applied_ts != 0) {
+    // The durable marker must cover every record before the heap holds
+    // any of them: recovery replays only records up to the marker, and
+    // replaying older records over a heap that already holds newer ones
+    // tears the newer transactions. Each collected record is durable in
+    // its log, so a crash anywhere below replays them all again. Once the
+    // logs are truncated the marker also seeds the timestamp source, which
+    // keeps timestamps monotonic across a crash.
+    std::uint64_t cur = gpm_volatile_.value.load(std::memory_order_acquire);
+    while (cur < applied_ts && !gpm_volatile_.value.compare_exchange_weak(
+                                   cur, applied_ts, std::memory_order_acq_rel)) {
+    }
+    std::lock_guard<std::mutex> lk(gpm_mu_);
+    const std::uint64_t m = gpm_volatile_.value.load(std::memory_order_acquire);
+    if (gpm_durable_.value.load(std::memory_order_acquire) < m) {
+      pool_.raw_store(gpm_raw_idx_, m);
+      pool_.flush_raw(caller_tid, gpm_raw_idx_);
+      pool_.fence(caller_tid);
+      gpm_durable_.value.store(m, std::memory_order_release);
+    }
+  }
 
   if (!final_writes.empty()) {
     // Threads quiesced by the full-log path can still be flushing the
@@ -108,36 +139,36 @@ void SphtTm::replay_impl(int caller_tid, int nthreads, bool durable_prefix_only)
     }
   }
 
-  if (!durable_prefix_only && applied_ts != 0) {
-    // Once the logs are truncated the checkpointed transactions live only
-    // in the heap image, so the durable marker must cover them first —
-    // recovery trusts the heap for everything at or below the marker and
-    // seeds the timestamp source from it, keeping timestamps monotonic
-    // across a crash. A power failure between this fence and the
-    // truncation replays idempotently (the records are still <= marker).
-    std::uint64_t cur = gpm_volatile_.value.load(std::memory_order_acquire);
-    while (cur < applied_ts && !gpm_volatile_.value.compare_exchange_weak(
-                                   cur, applied_ts, std::memory_order_acq_rel)) {
-    }
-    std::lock_guard<std::mutex> lk(gpm_mu_);
-    const std::uint64_t m = gpm_volatile_.value.load(std::memory_order_acquire);
-    if (gpm_durable_.value.load(std::memory_order_acquire) < m) {
-      pool_.raw_store(gpm_raw_idx_, m);
-      pool_.flush_raw(caller_tid, gpm_raw_idx_);
-      pool_.fence(caller_tid);
-      gpm_durable_.value.store(m, std::memory_order_release);
-    }
+  // The heap image now holds every record up to `heap_upto`: all collected
+  // records for a checkpoint, everything up to the durable marker for a
+  // recovery. Publish that before truncating, so a crash that tears the
+  // truncation never replays a leftover record over the heap (see the
+  // filter above). The word sits after the marker on the marker's line,
+  // and the marker already covers heap_upto. No record at or below it can
+  // be logged later: the only unlogged commit, if any, is `unlogged_ts`.
+  const std::uint64_t heap_upto = durable_prefix_only ? max_ts : applied_ts;
+  if (heap_upto > heap_ts) {
+    pool_.raw_store(caller_tid, heap_watermark_idx(), heap_upto);
+    pool_.flush_raw(caller_tid, heap_watermark_idx());
+    pool_.fence(caller_tid);
   }
 
-  // Logs are durable in the heap image now; truncate them. A crash between
-  // the fences above and this truncation replays idempotently.
-  log_.truncate_all(caller_tid);
+  // Truncate the logs. A checkpoint keeps only logs holding a record at or
+  // above `unlogged_ts` (their applied records sit below the watermark);
+  // the full-log caller's own log always empties, as its records predate
+  // its commit. Recovery truncates every log: records beyond the durable
+  // marker belong to transactions that never committed, and new commits
+  // restart their timestamps at the marker, so a later replay would
+  // otherwise apply those stale records as if they had.
+  log_.truncate_below(caller_tid, durable_prefix_only ? kNoUnloggedCommit : unlogged_ts);
 }
 
-void SphtTm::replay_full_logs(int tid) {
+void SphtTm::replay_full_logs(int tid, std::uint64_t unlogged_ts) {
   // A thread hit a full log mid-commit. Quiesce writers by taking the
   // global lock (new hardware transactions abort on subscription), wait
-  // for in-flight persist phases to finish, then replay and truncate.
+  // for in-flight persist phases to finish, then replay and truncate. The
+  // caller's own commit at `unlogged_ts` is the only one left unlogged, so
+  // everything below it forms a complete timestamp prefix.
   std::uint64_t expected = 0;
   const std::uint64_t me = static_cast<std::uint64_t>(tid) + 1;
   const bool already_held = htm_.nontx_load(tid, kGlLoc, &global_lock_.value) == me;
@@ -153,7 +184,7 @@ void SphtTm::replay_full_logs(int tid) {
     while (!((ts_pub_[t].value.load(std::memory_order_seq_cst) & 1) != 0))
       std::this_thread::yield();
   }
-  replay_impl(tid, cfg_.replay_threads, false);
+  replay_impl(tid, cfg_.replay_threads, /*durable_prefix_only=*/false, unlogged_ts);
   if (!already_held) {
     gl_held_ns_.value.fetch_add(
         static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -171,7 +202,7 @@ bool SphtTm::checkpoint(int tid) {
   // replayed timestamps, and the logs are truncated — after which recovery
   // replays only the delta logged since. The full-log path quiesces
   // writers via the global fallback lock and drains persist phases.
-  replay_full_logs(tid);
+  replay_full_logs(tid, kNoUnloggedCommit);
   // Durably bump the generation counter (observability: tests and the
   // crash sweep assert checkpoints really retired log history).
   pool_.raw_store(tid, ckpt_gen_raw_idx_, pool_.raw_load(ckpt_gen_raw_idx_) + 1);
@@ -195,7 +226,8 @@ void SphtTm::recover_data() {
   gpm_volatile_.value.store(pool_.raw_load(gpm_raw_idx_), std::memory_order_relaxed);
   gpm_durable_.value.store(gpm_volatile_.value.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);
-  replay_impl(/*caller_tid=*/0, cfg_.replay_threads, /*durable_prefix_only=*/true);
+  replay_impl(/*caller_tid=*/0, cfg_.replay_threads, /*durable_prefix_only=*/true,
+              kNoUnloggedCommit);
 
   // Volatile image rebuild: pure per-word loads/stores, partitioned across
   // the replay workers (byte-identical for any worker count).

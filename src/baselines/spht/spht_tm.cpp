@@ -200,24 +200,19 @@ void SphtTm::persist_marker_until(int tid, std::uint64_t ts) {
   }
 }
 
-void SphtTm::persist_committed(int tid, std::uint64_t ts_commit) {
+void SphtTm::persist_committed(int tid, std::uint64_t ts_commit,
+                               std::span<const std::pair<gaddr_t, word_t>> redo) {
   ThreadCtx& ctx = ctx_[tid];
-  ctx.tel.write_set_size.record(ctx.redo.size());
+  ctx.tel.write_set_size.record(redo.size());
   [[maybe_unused]] std::uint64_t ack_t0 = 0;
   if constexpr (telemetry::kLevel >= 1) ack_t0 = telemetry::now_ticks();
 
   // 1. Append + persist the redo log record. The flight-recorder note
-  //    rides the append's internal fence. Group-commit hint: a moving
-  //    contention clock means other committers are active and their log
-  //    appends can share one pool fence.
-  const std::uint64_t activity = contention_.activity();
-  const FenceGate gate = activity != ctx.last_contention_activity
-                             ? FenceGate::kPreferCombine
-                             : FenceGate::kAuto;
-  ctx.last_contention_activity = activity;
+  //    rides the append's internal fence. A full log is replayed first,
+  //    leaving every record at or above ts_commit for after this append.
   ctx.fr(tid, telemetry::EventKind::kFence, 0xFF,
-         static_cast<std::uint16_t>(std::min<std::size_t>(ctx.redo.size(), 0xFFFF)));
-  while (!log_.append(tid, ts_commit, ctx.redo, gate)) replay_full_logs(tid);
+         static_cast<std::uint16_t>(std::min<std::size_t>(redo.size(), 0xFFFF)));
+  while (!log_.append(tid, ts_commit, redo)) replay_full_logs(tid, ts_commit);
 
   // 2. Publish "my log at ts_commit is durable".
   ts_pub_[tid].value.store(pub_pack(ts_commit, true), std::memory_order_seq_cst);
@@ -309,7 +304,7 @@ SphtTm::AttemptResult SphtTm::attempt_hw(int tid, TxBody body) {
   }
 
   if (cfg_.persist_txns && !ctx.redo.empty()) {
-    persist_committed(tid, ctx.ts_commit);
+    persist_committed(tid, ctx.ts_commit, ctx.redo);
   } else if (cfg_.persist_txns) {
     ts_pub_[tid].value.store(pub_pack(ts_begin, true), std::memory_order_seq_cst);
   }
@@ -389,7 +384,7 @@ SphtTm::AttemptResult SphtTm::attempt_sw(int tid, TxBody body) {
       htm_.nontx_store(tid, htm::loc_pool(a), pool_.word_ptr(a), v);
     if (cfg_.persist_txns && !ctx.redo.empty()) {
       ctx.ts_commit = ts_source_.value.fetch_add(1, std::memory_order_acq_rel) + 1;
-      persist_committed(tid, ctx.ts_commit);
+      persist_committed(tid, ctx.ts_commit, ctx.redo);
     } else if (cfg_.persist_txns) {
       ts_pub_[tid].value.store(pub_pack(ts_begin, true), std::memory_order_seq_cst);
     }

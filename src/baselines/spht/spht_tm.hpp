@@ -146,29 +146,42 @@ class SphtTm final : public runtime::TmRuntime {
  private:
   friend class SphtHwTx;
   friend class SphtSwTx;
+  // Test access (tests/baselines_test.cpp): holds a hardware commit between
+  // taking its timestamp and logging its record, which the full-log path
+  // must tolerate.
+  friend struct SphtTmTestPeer;
   struct ThreadCtx;
 
   using AttemptResult = runtime::AttemptStatus;
   AttemptResult attempt_hw(int tid, TxBody body);
   AttemptResult attempt_sw(int tid, TxBody body);
 
-  /// Post-commit persistence: log append, timestamp ordering wait, marker
-  /// advance (Sec. 2.1.4). Returns once the transaction is durable.
-  void persist_committed(int tid, std::uint64_t ts_commit);
+  /// Post-commit persistence of the write set `redo`: log append,
+  /// timestamp ordering wait, marker advance (Sec. 2.1.4). Returns once
+  /// the transaction is durable.
+  void persist_committed(int tid, std::uint64_t ts_commit,
+                         std::span<const std::pair<gaddr_t, word_t>> redo);
 
   /// Ensures the durable marker catches up to the volatile one; returns
   /// when durable >= ts.
   void persist_marker_until(int tid, std::uint64_t ts);
 
-  /// Handles a full log: quiesce via the global lock, replay, truncate.
-  void replay_full_logs(int tid);
+  /// `unlogged_ts` of a replay that no caller's commit is waiting on.
+  static constexpr std::uint64_t kNoUnloggedCommit = ~std::uint64_t{0};
+
+  /// Handles a full log (or a checkpoint): quiesce via the global lock,
+  /// replay, truncate. `unlogged_ts` is the timestamp of the caller's own
+  /// committed transaction whose record does not fit its log yet, or
+  /// kNoUnloggedCommit.
+  void replay_full_logs(int tid, std::uint64_t unlogged_ts);
 
   /// Shared replay body. `durable_prefix_only` selects recovery semantics
   /// (apply only records at or below the durable marker) over checkpoint
-  /// semantics (apply everything, then durably advance the marker before
-  /// truncating). `caller_tid` is the invoking thread's pool tid, used for
-  /// all serial flush/fence work.
-  void replay_impl(int caller_tid, int nthreads, bool durable_prefix_only);
+  /// semantics (apply every record below `unlogged_ts`, durably advancing
+  /// the marker over them first). `caller_tid` is the invoking thread's
+  /// pool tid, used for all serial flush/fence work.
+  void replay_impl(int caller_tid, int nthreads, bool durable_prefix_only,
+                   std::uint64_t unlogged_ts);
 
   gaddr_t bump_alloc(int tid, std::size_t nwords);
 
@@ -188,7 +201,11 @@ class SphtTm final : public runtime::TmRuntime {
   CacheLinePadded<std::atomic<std::uint64_t>> gpm_volatile_;
   CacheLinePadded<std::atomic<std::uint64_t>> gpm_durable_;
   CacheLinePadded<std::atomic<std::uint64_t>> gl_held_ns_;
-  std::size_t gpm_raw_idx_;
+  std::size_t gpm_raw_idx_;  // durable marker line: [marker][heap watermark]
+  /// Raw index of the heap watermark: every log record with a timestamp at
+  /// or below it is already applied in the NVM heap image. Every replay
+  /// skips those records and raises the watermark before it truncates.
+  std::size_t heap_watermark_idx() const { return gpm_raw_idx_ + 1; }
   std::size_t ckpt_gen_raw_idx_ = 0;  // allocated only when cfg_.checkpoint
   std::mutex gpm_mu_;
   ContentionTable contention_{1};  // one stripe: the global fallback lock

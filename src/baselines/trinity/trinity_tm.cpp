@@ -210,14 +210,6 @@ class TrinityTx final : public Tx {
 
     // Persist with Trinity records while the locks are held, then apply.
     ctx_.tel.write_set_size.record(ctx_.wrset.size());
-    // Group-commit hint (same rule as NV-HALT): a moving contention clock
-    // means other writers are active, so the commit fences should linger
-    // to combine; quiet clock keeps solo latency.
-    const std::uint64_t activity = tm_.locks_.contention().activity();
-    const FenceGate gate = activity != ctx_.last_contention_activity
-                               ? FenceGate::kPreferCombine
-                               : FenceGate::kAuto;
-    ctx_.last_contention_activity = activity;
     telemetry::trace1(telemetry::EventKind::kLockAcquire, tid_, ctx_.held.size());
     ctx_.fr(tid_, telemetry::EventKind::kLockAcquire, 0xFF,
             static_cast<std::uint16_t>(
@@ -251,7 +243,7 @@ class TrinityTx final : public Tx {
     ctx_.fr(tid_, telemetry::EventKind::kFence, 0xFF,
             static_cast<std::uint16_t>(
                 std::min<std::size_t>(ctx_.wrset.size(), 0xFFFF)));
-    tm_.pool_.fence(tid_, gate);
+    tm_.pool_.fence(tid_);
     ++ctx_.pver;
     tm_.pool_.store_pver(tid_, ctx_.pver);
     tm_.pool_.flush_pver(tid_);
@@ -261,7 +253,7 @@ class TrinityTx final : public Tx {
     const bool applied = tm_.alloc_.has_pending(tid_);
     tm_.alloc_.persist_apply(tid_);
     if (applied) ctx_.fr(tid_, telemetry::EventKind::kAllocApply);
-    tm_.pool_.fence(tid_, gate);
+    tm_.pool_.fence(tid_);
 
     // Release with version wv: readers that started before us see
     // version > rv and abort/revalidate.

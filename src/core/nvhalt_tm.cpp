@@ -84,14 +84,6 @@ void NvHaltTm::persist_and_bump_pver(int tid, ThreadCtx& ctx) {
   // released (done by the caller), preserving the invariant that an
   // address is non-durable only while locked.
   ctx.tel.write_set_size.record(ctx.persist_buf.size());
-  // Group-commit hint: if the contention clock moved since our previous
-  // commit, other writers are active and the commit fences should linger
-  // to combine with theirs; a quiet clock keeps solo fence latency.
-  const std::uint64_t activity = locks_.contention().activity();
-  const FenceGate gate = activity != ctx.last_contention_activity
-                             ? FenceGate::kPreferCombine
-                             : FenceGate::kAuto;
-  ctx.last_contention_activity = activity;
   // Checkpointing: hold the persist-phase guard across the whole phase
   // (checkpoints drain these), and durably publish the dirty bit of every
   // record line this write set touches BEFORE any record store is staged —
@@ -132,7 +124,7 @@ void NvHaltTm::persist_and_bump_pver(int tid, ThreadCtx& ctx) {
   ctx.fr(tid, telemetry::EventKind::kFence, 0xFF,
          static_cast<std::uint16_t>(
              std::min<std::size_t>(ctx.persist_buf.size(), 0xFFFF)));
-  pool_.fence(tid, gate);
+  pool_.fence(tid);
   ++ctx.pver;
   pool_.store_pver(tid, ctx.pver);
   pool_.flush_pver(tid);
@@ -142,7 +134,7 @@ void NvHaltTm::persist_and_bump_pver(int tid, ThreadCtx& ctx) {
   const bool applied = alloc_.has_pending(tid);
   alloc_.persist_apply(tid);
   if (applied) ctx.fr(tid, telemetry::EventKind::kAllocApply);
-  pool_.fence(tid, gate);
+  pool_.fence(tid);
 }
 
 bool NvHaltTm::checkpoint(int tid) {

@@ -62,23 +62,13 @@ class ContentionTable {
     Cell& c = cells_[s % n_];
     c.stalls.fetch_add(1, std::memory_order_relaxed);
     c.stall_ticks.fetch_add(ticks, std::memory_order_relaxed);
-    activity_.fetch_add(1, std::memory_order_relaxed);
   }
   void on_cas_fail(std::size_t s) {
     cells_[s % n_].cas_failures.fetch_add(1, std::memory_order_relaxed);
-    activity_.fetch_add(2, std::memory_order_relaxed);
   }
   void on_abort(std::size_t s) {
     cells_[s % n_].aborts.fetch_add(1, std::memory_order_relaxed);
-    activity_.fetch_add(4, std::memory_order_relaxed);
   }
-
-  /// Score-weighted global contention clock: advances whenever *any* stripe
-  /// records a failure-path event. Commit paths compare it against the
-  /// value they saw last commit — movement means other writers are fighting
-  /// right now, which is exactly when lingering to combine fences pays.
-  /// One relaxed load; no per-stripe scan.
-  std::uint64_t activity() const { return activity_.load(std::memory_order_relaxed); }
 
   ContentionTotals totals() const {
     ContentionTotals t;
@@ -131,9 +121,6 @@ class ContentionTable {
       cells_[i].cas_failures.store(0, std::memory_order_relaxed);
       cells_[i].aborts.store(0, std::memory_order_relaxed);
     }
-    // The activity clock is deliberately NOT reset: consumers only compare
-    // successive readings, and zeroing it mid-run could fake a "moved"
-    // delta for a thread that cached a pre-reset value.
   }
 
  private:
@@ -149,7 +136,6 @@ class ContentionTable {
 
   std::size_t n_;
   std::unique_ptr<Cell[]> cells_;
-  alignas(kCacheLineBytes) std::atomic<std::uint64_t> activity_{0};
 };
 
 }  // namespace nvhalt

@@ -11,18 +11,11 @@
 
 namespace nvhalt {
 
-namespace {
-
-/// splitmix64 finalizer: decorrelates (base_seed, prefix, sample) into a
-/// subset seed that is reproducible from the triple alone.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+PersistEventKind event_kind_from_u64(std::uint64_t raw, const std::string& path) {
+  if (raw > static_cast<std::uint64_t>(PersistEventKind::kAllocMark))
+    throw TmLogicError("unknown persistence event kind " + std::to_string(raw) + " in " + path);
+  return static_cast<PersistEventKind>(raw);
 }
-
-}  // namespace
 
 std::uint64_t PersistJournal::hash(std::span<const PersistEvent> trace) {
   std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV offset basis
@@ -91,22 +84,6 @@ CrashImage materialize_crash_image(std::span<const PersistEvent> trace, std::siz
       }
       case PersistEventKind::kAllocMark:
         break;  // annotation only: no durable effect
-      case PersistEventKind::kFenceJoin: {
-        // Member ev.tid hands its flushed lines to leader ev.value: splice
-        // the member queue onto the leader's, so the leader's upcoming
-        // kFence persists the union as one durable boundary. A crash here
-        // (before that fence) leaves every joined line dirty — the whole
-        // batch is lost together.
-        auto src = queues.find(ev.tid);
-        if (src == queues.end()) break;
-        // Move the member's lines out before touching queues[leader]:
-        // operator[] may rehash and invalidate `src`.
-        std::vector<std::uint64_t> moved = std::move(src->second);
-        src->second.clear();
-        auto& dst = queues[static_cast<std::int32_t>(ev.value)];
-        dst.insert(dst.end(), moved.begin(), moved.end());
-        break;
-      }
     }
   }
 
@@ -144,10 +121,29 @@ CrashEnumerator::CrashEnumerator(std::vector<PersistEvent> trace, const CrashEnu
 }
 
 std::uint64_t CrashEnumerator::subset_seed_for(std::size_t prefix, std::uint64_t s) const {
-  // Never 0 (0 selects the pure fence image).
+  // Decorrelates (base_seed, prefix, sample) into a seed reproducible from
+  // the triple alone. Never 0 (0 selects the pure fence image).
   const std::uint64_t seed = mix64(opt_.base_seed ^ mix64(prefix + 1) ^ mix64(s + 1));
   return seed == 0 ? 1 : seed;
 }
+
+namespace {
+
+/// Runs one verdict; a checker exception (e.g. TmLogicError from an
+/// allocator cross-check) fails the image instead of escaping the sweep,
+/// so the failure still carries a replayable triple.
+std::optional<CrashFailure> check_image(const CrashImageChecker& check, const CrashImage& img,
+                                        const CrashTriple& t) {
+  std::string why;
+  try {
+    if (check(img, t.prefix, t.subset_seed, &why)) return std::nullopt;
+  } catch (const std::exception& e) {
+    why = std::string("[prefix ") + std::to_string(t.prefix) + "] checker threw: " + e.what();
+  }
+  return CrashFailure{t, why};
+}
+
+}  // namespace
 
 std::optional<CrashFailure> CrashEnumerator::run(const CrashImageChecker& check) {
   stats_ = CrashEnumStats{};
@@ -178,9 +174,8 @@ std::optional<CrashFailure> CrashEnumerator::run(const CrashImageChecker& check)
       const std::uint64_t seed = s == 0 ? 0 : subset_seed_for(prefix, s - 1);
       const CrashImage img = materialize_crash_image(trace_, prefix, seed);
       ++stats_.images_checked;
-      std::string why;
-      if (!check(img, prefix, seed, &why))
-        return CrashFailure{CrashTriple{hash_, prefix, seed}, why};
+      if (auto failure = check_image(check, img, CrashTriple{hash_, prefix, seed}))
+        return failure;
     }
   }
   return std::nullopt;
@@ -196,9 +191,7 @@ std::optional<CrashFailure> CrashEnumerator::replay(const CrashTriple& t,
   }
   const CrashImage img = materialize_crash_image(trace_, t.prefix, t.subset_seed);
   ++stats_.images_checked;
-  std::string why;
-  if (!check(img, t.prefix, t.subset_seed, &why)) return CrashFailure{t, why};
-  return std::nullopt;
+  return check_image(check, img, t);
 }
 
 // ---- Trace file I/O ------------------------------------------------------
@@ -241,7 +234,7 @@ std::vector<PersistEvent> load_trace(const std::string& path) {
   trace.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     PersistEvent ev;
-    ev.kind = static_cast<PersistEventKind>(get_u64(f));
+    ev.kind = event_kind_from_u64(get_u64(f), path);
     ev.tid = static_cast<std::int32_t>(static_cast<std::uint32_t>(get_u64(f)));
     ev.line = get_u64(f);
     ev.word = get_u64(f);

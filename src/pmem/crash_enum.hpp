@@ -47,16 +47,13 @@ enum class PersistEventKind : std::uint8_t {
   /// record). Carries no durable effect of its own — the underlying raw
   /// stores are journaled as kStore — but lets checkers locate allocator
   /// commit points in the trace. `value` packs the arm id and entry count.
-  kAllocMark = 3,
-  /// Group-fence membership: thread `tid` handed its flush queue to the
-  /// combining leader (`value` = leader tid) whose next kFence persists the
-  /// whole batch. The join itself makes nothing durable — the materializer
-  /// splices tid's queued lines onto the leader's queue, so the leader's
-  /// kFence is the *single* durable boundary covering every member: a
-  /// crash between the join and the leader's fence loses the entire batch,
-  /// exactly the guarantee that lets followers wait for one shared fence.
-  kFenceJoin = 4,
+  kAllocMark = 3,  // the last kind: event_kind_from_u64 rejects anything above
 };
+
+/// Decodes a serialized event kind. Throws TmLogicError naming `path` when
+/// the value is outside PersistEventKind (for example a kind an older
+/// build journaled), so a saved trace is never replayed silently wrong.
+PersistEventKind event_kind_from_u64(std::uint64_t raw, const std::string& path);
 
 /// One entry in the linearized persistence trace. `word` is a global
 /// persistent word index (raw space first, then record space — the same
@@ -90,22 +87,6 @@ class PersistJournal {
   void on_alloc_mark(int tid, std::uint64_t value) {
     append({PersistEventKind::kAllocMark, tid, 0, 0, value});
   }
-  /// A combined group fence: each member's queue joins the leader, then the
-  /// leader fences once. Appended in one critical section so the
-  /// join+fence block stays contiguous in the trace — no foreign event can
-  /// interleave between a member's hand-off and the fence that covers it,
-  /// matching the pool's execution (the leader drains under the combiner
-  /// lock). Enumeration still cuts *inside* the block via non-boundary
-  /// prefixes.
-  void on_fence_group(int leader, std::span<const int> members) {
-    std::lock_guard<std::mutex> g(mu_);
-    for (const int m : members)
-      events_.push_back({PersistEventKind::kFenceJoin, m, 0, 0,
-                         static_cast<std::uint64_t>(leader)});
-    events_.push_back({PersistEventKind::kFence, leader, 0, 0, 0});
-    count_.store(events_.size(), std::memory_order_release);
-  }
-
   /// Number of events recorded so far. Lock-free: worker threads read this
   /// right after an acknowledged commit to record the durability bound the
   /// checker later enforces ("any prefix >= this index must reflect me").
@@ -202,7 +183,9 @@ class CrashEnumerator {
   CrashEnumerator(std::vector<PersistEvent> trace, const CrashEnumOptions& opt);
 
   /// Enumerates crash points in trace order; returns the first failing
-  /// image's triple, or nullopt if every checked image passed.
+  /// image's triple, or nullopt if every checked image passed. A checker
+  /// that throws fails its image: the failure carries the triple and the
+  /// exception's what().
   std::optional<CrashFailure> run(const CrashImageChecker& check);
 
   /// Rechecks exactly one triple. Refuses (returns a failure explaining

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cerrno>
 #include <cstring>
-#include <thread>
 
 #include "htm/htm_tls.hpp"
 #include "pmem/crash_enum.hpp"
@@ -34,7 +33,10 @@ constexpr std::size_t kRootHeaderWords = static_cast<std::size_t>(PmemPool::kRoo
 // Backing-file layout: one header page, then the raw durable words, then
 // the record durable words.
 constexpr std::uint64_t kFileMagic = 0x4E564841'4C54504DULL;  // "NVHALTPM"
-constexpr std::uint64_t kFileVersion = 1;
+// 2: allocator intent tags bind their payload (DESIGN.md §12). A version-1
+// file's committed intent would fail the new tag check and never be
+// re-applied, so such files are rejected instead of recovered.
+constexpr std::uint64_t kFileVersion = 2;
 constexpr std::size_t kFileHeaderBytes = 4096;
 struct FileHeader {
   std::uint64_t magic;
@@ -98,9 +100,6 @@ PmemPool::PmemPool(const PmemConfig& cfg) : cfg_(cfg) {
 
   flush_queues_ = std::make_unique<FlushQueue[]>(kMaxThreads);
   for (int t = 0; t < kMaxThreads; ++t) flush_queues_[t].lines.reserve(64);
-  combiner_slots_ = std::make_unique<CombinerSlot[]>(kMaxThreads);
-  combine_scratch_.reserve(256);
-  combine_members_.reserve(16);
   raw_bump_.store(kPverHeaderWords + kRootHeaderWords, std::memory_order_relaxed);
   pver_raw_base_ = 0;
   root_raw_base_ = kPverHeaderWords;
@@ -190,16 +189,6 @@ void PmemPool::journal_fence(int tid) {
   cfg_.journal->on_fence(tid);
 }
 
-void PmemPool::journal_fence_group(int leader, std::span<const int> members) {
-  if (NVHALT_LIKELY(cfg_.journal == nullptr)) return;
-  // A batch of one is journalled as a plain fence so solo traces are
-  // byte-identical with and without group_commit.
-  if (members.empty())
-    cfg_.journal->on_fence(leader);
-  else
-    cfg_.journal->on_fence_group(leader, members);
-}
-
 void PmemPool::journal_alloc_mark(int tid, std::uint64_t value) {
   if (NVHALT_LIKELY(cfg_.journal == nullptr)) return;
   cfg_.journal->on_alloc_mark(tid, value);
@@ -257,15 +246,6 @@ void PmemPool::flush_record(int tid, gaddr_t a) {
   poll_crash(crash_coord_);
   if (htm::in_hw_txn()) htm::abort_on_flush();
   enqueue_flush(tid, record_line_of(a));
-}
-
-PRecord PmemPool::read_record(gaddr_t a) const {
-  const std::size_t base = a * 4;
-  PRecord r;
-  r.cur = rec_staged_[base + 0].load(std::memory_order_acquire);
-  r.old = rec_staged_[base + 1].load(std::memory_order_acquire);
-  r.pver = rec_staged_[base + 2].load(std::memory_order_acquire);
-  return r;
 }
 
 PRecord PmemPool::read_durable_record(gaddr_t a) const {
@@ -375,44 +355,16 @@ void PmemPool::persist_line(std::size_t line) {
   }
 }
 
-void PmemPool::fence(int tid, FenceGate gate) {
+void PmemPool::fence(int tid) {
   if (!flush_active()) return;
   poll_crash(crash_coord_);
   FlushQueue& fq = flush_queues_[tid];
-  if (fq.lines.empty()) return;
-  if (!cfg_.group_commit) {
-    solo_fence(tid, fq);
-    return;
-  }
-  // Raise the slot-scan watermark so a combining leader will find us.
-  int hi = combiner_high_tid_.load(std::memory_order_relaxed);
-  while (hi < tid + 1 &&
-         !combiner_high_tid_.compare_exchange_weak(hi, tid + 1, std::memory_order_relaxed)) {
-  }
-  const std::uint32_t in_flight = fencers_in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  try {
-    // Adaptive gate: a lone fencer keeps the solo path (and its latency)
-    // unless the caller's contention hint asks it to linger for company.
-    if (in_flight < 2 && gate == FenceGate::kAuto)
-      solo_fence(tid, fq);
-    else
-      group_fence(tid, fq, gate);
-  } catch (...) {
-    fencers_in_flight_.fetch_sub(1, std::memory_order_release);
-    throw;
-  }
-  fencers_in_flight_.fetch_sub(1, std::memory_order_release);
-}
-
-void PmemPool::solo_fence(int tid, FlushQueue& fq) {
   auto& q = fq.lines;
+  if (q.empty()) return;
   // The queue is duplicate-free by construction (enqueue_flush dedups in
-  // O(1)), so write it back in enqueue order — fence cost is O(unique
-  // lines), replacing the PR-1 sort+unique pass. Duplicates were charged
-  // to flush_dedup_count_ at enqueue time; persisting per unique line is
-  // unchanged (the latency charge write-combines adjacent lines when
-  // cfg_.wc_block_lines > 1, on a sorted copy — enqueue order here is
-  // load-bearing: a crash mid-fence persists a queue-order prefix).
+  // O(1) and charges flush_dedup_count_), so fence cost is O(unique lines).
+  // Lines are written back in enqueue order, which is load-bearing: a crash
+  // mid-fence persists a queue-order prefix.
   journal_fence(tid);
   for (const std::size_t line : q) {
     // A power failure can strike between individual line write-backs, so
@@ -421,136 +373,23 @@ void PmemPool::solo_fence(int tid, FlushQueue& fq) {
     poll_crash(crash_coord_);
     persist_line(line);
   }
-  spin_ns(persist_charge_ns(fq.wc_scratch, q));
+  // Write-combining latency model, billed on a sorted copy: adjacent lines
+  // within one aligned wc block (an Optane XPLine at wc_block_lines = 4)
+  // cost one media write-back. Durability semantics are untouched.
+  std::size_t units = q.size();
+  if (cfg_.wc_block_lines > 1 && units > 1) {
+    auto& blocks = fq.wc_scratch;
+    blocks.assign(q.begin(), q.end());
+    for (std::size_t& l : blocks) l /= cfg_.wc_block_lines;
+    std::sort(blocks.begin(), blocks.end());
+    units = static_cast<std::size_t>(std::unique(blocks.begin(), blocks.end()) - blocks.begin());
+  }
+  spin_ns(cfg_.flush_latency_ns * units + cfg_.fence_latency_ns);
   fence_count_.fetch_add(1, std::memory_order_relaxed);
   fq.fence_lines.record(q.size());
   telemetry::trace1(telemetry::EventKind::kFence, tid, q.size());
   q.clear();
   fq.pending.clear();
-}
-
-void PmemPool::group_fence(int tid, FlushQueue& fq, FenceGate gate) {
-  CombinerSlot& slot = combiner_slots_[tid];
-  // Publish our queue for a leader to drain. The release store pairs with
-  // the leader's acquire load of `status`: everything we wrote into our
-  // FlushQueue happens-before the leader reading it.
-  slot.status.store(kSlotPending, std::memory_order_release);
-  const std::uint32_t window =
-      gate == FenceGate::kPreferCombine ? cfg_.combine_window_spins : 0;
-  std::uint32_t spins = 0;
-  for (;;) {
-    // Served: a leader persisted our lines, fenced, and released us. The
-    // acquire pairs with the leader's kSlotDone release after its full
-    // drain — our lines are durable here.
-    if (slot.status.load(std::memory_order_acquire) == kSlotDone) {
-      slot.status.store(kSlotIdle, std::memory_order_relaxed);
-      slot.wait_spins.record(spins);
-      return;
-    }
-    // Lead ourselves: immediately under kAuto, after the combine window
-    // under kPreferCombine, or as soon as a peer overlaps (no point
-    // waiting — grabbing the lock now is what combines us with them).
-    const bool may_lead =
-        spins >= window || fencers_in_flight_.load(std::memory_order_acquire) >= 2;
-    if (may_lead && !combiner_lock_.exchange(true, std::memory_order_acquire)) {
-      try {
-        lead_group_fence(tid, fq);
-      } catch (...) {
-        combiner_lock_.store(false, std::memory_order_release);
-        throw;
-      }
-      combiner_lock_.store(false, std::memory_order_release);
-      return;
-    }
-    // Alternating slot-check and lock-attempt makes missed wakeups
-    // impossible: an unserved published fencer can always elect itself.
-    poll_crash(crash_coord_);
-    ++spins;
-    cpu_relax();
-    // Yield only once past the linger window, i.e. when an active leader
-    // holds the lock and needs the CPU to finish draining us. Yielding
-    // *during* the window would turn every gated-but-unmatched fence into
-    // a syscall — costlier than the combine the linger is fishing for.
-    if (spins >= window && (spins & 63u) == 0) std::this_thread::yield();
-  }
-}
-
-void PmemPool::lead_group_fence(int tid, FlushQueue& fq) {
-  CombinerSlot& my = combiner_slots_[tid];
-  // A previous leader may have served us between our publish and winning
-  // the lock; our lines are already durable — nothing to do.
-  if (my.status.load(std::memory_order_acquire) == kSlotDone) {
-    my.status.store(kSlotIdle, std::memory_order_relaxed);
-    return;
-  }
-  my.status.store(kSlotIdle, std::memory_order_relaxed);  // serving ourselves
-  combine_members_.clear();
-  const int hi = combiner_high_tid_.load(std::memory_order_acquire);
-  for (int t = 0; t < hi; ++t) {
-    if (t == tid) continue;
-    if (combiner_slots_[t].status.load(std::memory_order_acquire) == kSlotPending)
-      combine_members_.push_back(t);
-  }
-  // Union of every participant's queue, deduped across writers: the same
-  // line flushed by two transactions persists (and is billed) once for
-  // the whole batch instead of once per fencer.
-  combine_scratch_.clear();
-  combine_scratch_.insert(combine_scratch_.end(), fq.lines.begin(), fq.lines.end());
-  for (const int m : combine_members_) {
-    const auto& mq = flush_queues_[m].lines;
-    combine_scratch_.insert(combine_scratch_.end(), mq.begin(), mq.end());
-  }
-  const std::size_t total = combine_scratch_.size();
-  std::sort(combine_scratch_.begin(), combine_scratch_.end());
-  combine_scratch_.erase(std::unique(combine_scratch_.begin(), combine_scratch_.end()),
-                         combine_scratch_.end());
-  flush_dedup_count_.fetch_add(total - combine_scratch_.size(), std::memory_order_relaxed);
-  // Journal the joins + the single covering fence before persisting
-  // (journal-before-persist, same order as the solo path).
-  journal_fence_group(tid, combine_members_);
-  for (const std::size_t line : combine_scratch_) {
-    poll_crash(crash_coord_);
-    persist_line(line);
-  }
-  spin_ns(persist_charge_ns(fq.wc_scratch, combine_scratch_));
-  // One ordering fence for the whole batch — each absorbed member is a
-  // fence that never had to be issued.
-  fence_count_.fetch_add(1, std::memory_order_relaxed);
-  if (!combine_members_.empty()) {
-    fence_group_count_.fetch_add(1, std::memory_order_relaxed);
-    fence_combined_count_.fetch_add(combine_members_.size(), std::memory_order_relaxed);
-  }
-  my.batch_lines.record(1 + combine_members_.size());
-  telemetry::trace1(telemetry::EventKind::kFence, tid, combine_scratch_.size());
-  fq.fence_lines.record(fq.lines.size());
-  fq.lines.clear();
-  fq.pending.clear();
-  // Release followers only now, after their lines are durable and the
-  // batch's journal fence is recorded: the kSlotDone release-store is the
-  // durability ack the member's acquire-load in group_fence pairs with.
-  for (const int m : combine_members_) {
-    FlushQueue& mq = flush_queues_[m];
-    mq.fence_lines.record(mq.lines.size());
-    mq.lines.clear();
-    mq.pending.clear();
-    combiner_slots_[m].status.store(kSlotDone, std::memory_order_release);
-  }
-}
-
-std::uint64_t PmemPool::persist_charge_ns(std::vector<std::size_t>& scratch,
-                                          std::span<const std::size_t> lines) const {
-  // Write-combining latency model: adjacent lines within one aligned
-  // wc block (an Optane XPLine at wc_block_lines = 4) cost one media
-  // write-back. Durability semantics are untouched — only the charge.
-  std::size_t units = lines.size();
-  if (cfg_.wc_block_lines > 1 && units > 1) {
-    scratch.assign(lines.begin(), lines.end());
-    for (std::size_t& l : scratch) l /= cfg_.wc_block_lines;
-    std::sort(scratch.begin(), scratch.end());
-    units = static_cast<std::size_t>(
-        std::unique(scratch.begin(), scratch.end()) - scratch.begin());
-  }
-  return cfg_.flush_latency_ns * units + cfg_.fence_latency_ns;
 }
 
 std::uint64_t PmemPool::image_hash() const {
@@ -579,18 +418,6 @@ std::uint64_t PmemPool::image_hash() const {
 telemetry::PowHistogram PmemPool::fence_flush_hist() const {
   telemetry::PowHistogram h;
   for (int t = 0; t < kMaxThreads; ++t) h.add(flush_queues_[t].fence_lines);
-  return h;
-}
-
-telemetry::PowHistogram PmemPool::group_batch_hist() const {
-  telemetry::PowHistogram h;
-  for (int t = 0; t < kMaxThreads; ++t) h.add(combiner_slots_[t].batch_lines);
-  return h;
-}
-
-telemetry::PowHistogram PmemPool::combine_wait_hist() const {
-  telemetry::PowHistogram h;
-  for (int t = 0; t < kMaxThreads; ++t) h.add(combiner_slots_[t].wait_spins);
   return h;
 }
 
@@ -638,10 +465,7 @@ void PmemPool::install_crash_image(
   for (int t = 0; t < kMaxThreads; ++t) {
     flush_queues_[t].lines.clear();
     flush_queues_[t].pending.clear();
-    combiner_slots_[t].status.store(kSlotIdle, std::memory_order_relaxed);
   }
-  combiner_lock_.store(false, std::memory_order_relaxed);
-  fencers_in_flight_.store(0, std::memory_order_relaxed);
   clear_volatile();
 }
 
@@ -731,10 +555,7 @@ void PmemPool::crash(const CrashPolicy& policy) {
   for (int t = 0; t < kMaxThreads; ++t) {
     flush_queues_[t].lines.clear();
     flush_queues_[t].pending.clear();
-    combiner_slots_[t].status.store(kSlotIdle, std::memory_order_relaxed);
   }
-  combiner_lock_.store(false, std::memory_order_relaxed);
-  fencers_in_flight_.store(0, std::memory_order_relaxed);
   clear_volatile();
 }
 

@@ -106,30 +106,13 @@ struct PmemConfig {
   /// Installed at construction so TM-constructor-time persistence is
   /// captured too (the materializer assumes a zero initial durable image).
   PersistJournal* journal = nullptr;
-  /// Group durable commit (flat-combining fence): when several threads
-  /// reach fence() concurrently, one leader drains the union of their
-  /// flush queues, dedups same-line flushes across writers, and issues a
-  /// *single* ordering fence; followers are released only after the whole
-  /// batch is durable. Off by default — unit tests and solo workloads keep
-  /// today's exact fence behaviour and latency.
-  bool group_commit = false;
   /// Write-combining granularity in cache lines: adjacent-line flushes
   /// within one aligned block are billed as a single ranged write-back
   /// (Optane media writes 256-byte XPLines, i.e. 4 lines). 1 = per-line
   /// billing (today's model). Affects only the simulated latency charge,
   /// never durability semantics.
   std::size_t wc_block_lines = 1;
-  /// Spins a fencer invited to combine (FenceGate::kPreferCombine) waits
-  /// for a leader before leading itself. Bounds the solo-latency hit when
-  /// the contention hint mispredicts.
-  std::uint32_t combine_window_spins = 192;
 };
-
-/// Caller's hint to fence(): kAuto combines only when another fencer is
-/// already in flight (solo committers keep solo latency); kPreferCombine
-/// additionally lingers combine_window_spins waiting for company — commit
-/// paths pass it when the ContentionTable says other writers are active.
-enum class FenceGate : std::uint8_t { kAuto = 0, kPreferCombine = 1 };
 
 /// The simulated persistent heap. Thread-safe for all word/record/raw
 /// operations; crash() and recover-time helpers must be called quiescently
@@ -162,8 +145,16 @@ class PmemPool {
   /// caller's next fence (clflushopt/clwb equivalent).
   void flush_record(int tid, gaddr_t a);
 
-  /// Reads the staged record for word `a` (recovery + tests).
-  PRecord read_record(gaddr_t a) const;
+  /// Reads the staged record for word `a` (recovery + tests). Inline: the
+  /// recovery scan calls it once per word of the pool.
+  PRecord read_record(gaddr_t a) const {
+    const std::size_t base = a * 4;
+    PRecord r;
+    r.cur = rec_staged_[base + 0].load(std::memory_order_acquire);
+    r.old = rec_staged_[base + 1].load(std::memory_order_acquire);
+    r.pver = rec_staged_[base + 2].load(std::memory_order_acquire);
+    return r;
+  }
 
   /// Reads the *durable* record for word `a` (tests/crash-inspection only).
   PRecord read_durable_record(gaddr_t a) const;
@@ -206,12 +197,8 @@ class PmemPool {
 
   // ---- Ordering --------------------------------------------------------
   /// sfence: blocks until all lines the calling thread flushed since its
-  /// previous fence are durable. With cfg.group_commit, concurrent fencers
-  /// may be combined: one leader persists the union of their queues and
-  /// issues one fence for the batch — the caller still returns only once
-  /// its own lines are durable.
-  void fence(int tid) { fence(tid, FenceGate::kAuto); }
-  void fence(int tid, FenceGate gate);
+  /// previous fence are durable.
+  void fence(int tid);
 
   /// Convenience: flush the record line of `a` and fence (recovery).
   void persist_record_now(int tid, gaddr_t a);
@@ -257,28 +244,11 @@ class PmemPool {
     return flush_dedup_count_.load(std::memory_order_relaxed);
   }
 
-  /// Group fences led (each one fence covering >= 2 fencers' queues).
-  std::uint64_t fence_group_count() const {
-    return fence_group_count_.load(std::memory_order_relaxed);
-  }
-  /// Follower fences absorbed into a leader's group fence — each one is an
-  /// ordering fence that never had to be issued.
-  std::uint64_t fence_combined_count() const {
-    return fence_combined_count_.load(std::memory_order_relaxed);
-  }
-
   /// Histogram of unique lines written back per fence, merged over all
   /// per-thread queues. Each queue's histogram is written only by the
   /// fencing thread, so call this quiescently (same contract as the TM
   /// stats accessors).
   telemetry::PowHistogram fence_flush_hist() const;
-
-  /// Histogram of participants per group fence (solo fences don't record;
-  /// a bucket-2+ entry means real combining happened). Quiescent-only.
-  telemetry::PowHistogram group_batch_hist() const;
-  /// Histogram of spins a combined follower waited before its leader
-  /// released it (combine-wait cost visibility). Quiescent-only.
-  telemetry::PowHistogram combine_wait_hist() const;
 
   /// FNV-1a digest over the volatile, staged and durable images (in that
   /// order). Quiescent-only; used by the parallel-recovery determinism
@@ -314,7 +284,6 @@ class PmemPool {
                      std::uint64_t value);
   void journal_flush(int tid, std::size_t line);
   void journal_fence(int tid);
-  void journal_fence_group(int leader, std::span<const int> members);
   void map_backing_file(std::size_t raw_words_padded, std::size_t rec_words);
   void persist_line(std::size_t line);          // staged -> durable, whole line
   void persist_line_prefix(std::size_t line, Xoshiro256& rng);  // adversary
@@ -359,7 +328,7 @@ class PmemPool {
     htm::SmallSet pending;  // lines currently queued
     /// Unique lines written back per fence (telemetry; owner-thread only).
     telemetry::PowHistogram fence_lines;
-    /// Scratch for write-combining block billing (solo path; owner-only).
+    /// Scratch for write-combining block billing (owner-thread only).
     std::vector<std::size_t> wc_scratch;
   };
 
@@ -369,58 +338,19 @@ class PmemPool {
   bool enqueue_flush(int tid, std::size_t line);
   std::unique_ptr<FlushQueue[]> flush_queues_;
 
-  // ---- Flat-combining fence (cfg_.group_commit) ----------------------
-  // A fencer publishes kPending on its slot, then alternates between
-  // checking the slot (a leader served it: kDone) and trying the combiner
-  // lock (lead the batch itself). The alternation makes missed wakeups
-  // impossible: an unserved published fencer can always elect itself.
-  // Slot histograms are owner-thread-only except batch_lines, which only
-  // the combining leader writes — and the leader holds the combiner lock,
-  // serializing leaders, while the slot owner is quiescent (spinning on
-  // `status`) until released.
-  static constexpr std::uint32_t kSlotIdle = 0;
-  static constexpr std::uint32_t kSlotPending = 1;
-  static constexpr std::uint32_t kSlotDone = 2;
-  struct alignas(kCacheLineBytes) CombinerSlot {
-    std::atomic<std::uint32_t> status{kSlotIdle};
-    /// Participants per group fence led from this slot's thread.
-    telemetry::PowHistogram batch_lines;
-    /// Spins waited as a served follower (owner-thread only).
-    telemetry::PowHistogram wait_spins;
-  };
-  std::unique_ptr<CombinerSlot[]> combiner_slots_;
-  std::atomic<bool> combiner_lock_{false};
-  /// Fencers currently inside fence() — the kAuto gate combines only when
-  /// this says another fencer overlaps.
-  std::atomic<std::uint32_t> fencers_in_flight_{0};
-  /// One past the highest tid that ever fenced: bounds the leader's slot
-  /// scan (kMaxThreads is 128; scanning all of it per fence would dwarf
-  /// the fence itself at low thread counts).
-  std::atomic<int> combiner_high_tid_{0};
-  // Leader-only scratch (guarded by combiner_lock_).
-  std::vector<std::size_t> combine_scratch_;
-  std::vector<int> combine_members_;
-
-  void solo_fence(int tid, FlushQueue& fq);
-  void group_fence(int tid, FlushQueue& fq, FenceGate gate);
-  /// Under combiner_lock_: drain own + pending peers' queues as one batch.
-  void lead_group_fence(int tid, FlushQueue& fq);
-  /// Simulated-latency charge for persisting `lines` (sorted not
-  /// required): distinct wc blocks * flush_latency + fence_latency.
-  std::uint64_t persist_charge_ns(std::vector<std::size_t>& scratch,
-                                  std::span<const std::size_t> lines) const;
-
   std::atomic<std::size_t> raw_bump_;
-  std::atomic<std::uint64_t> fence_count_{0};
-  std::atomic<std::uint64_t> flush_count_{0};
-  std::atomic<std::uint64_t> flush_dedup_count_{0};
-  std::atomic<std::uint64_t> fence_group_count_{0};
-  std::atomic<std::uint64_t> fence_combined_count_{0};
 
   std::size_t pver_raw_base_;  // raw index of pVerNum[0]
   std::size_t root_raw_base_;  // raw index of root slot 0
 
   class CrashCoordinator* crash_coord_ = nullptr;
+
+  // Every flushing and fencing thread bumps these. Keep them on their own
+  // line, clear of the read-mostly pointers above that every persistent
+  // operation reads, or each bump stalls the other threads' next access.
+  alignas(kCacheLineBytes) std::atomic<std::uint64_t> fence_count_{0};
+  std::atomic<std::uint64_t> flush_count_{0};
+  std::atomic<std::uint64_t> flush_dedup_count_{0};
 };
 
 }  // namespace nvhalt

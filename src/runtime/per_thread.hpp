@@ -42,12 +42,6 @@ struct TxThreadState {
   /// fallback-on-capacity policy). Unused by software-only TMs.
   htm::AbortCause last_hw_abort = htm::AbortCause::kConflict;
 
-  /// ContentionTable::activity() reading at this thread's previous commit.
-  /// Movement between commits means other writers are failing on locks
-  /// right now — the hint that makes commit fences linger to combine
-  /// (FenceGate::kPreferCombine). Cheap: one relaxed load per commit.
-  std::uint64_t last_contention_activity = 0;
-
   /// Owning TM's persistent flight recorder, or null when disabled (the
   /// config default). Set once at TM construction for every slot.
   telemetry::FlightRecorder* recorder = nullptr;

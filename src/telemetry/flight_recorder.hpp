@@ -42,6 +42,7 @@
 #include "pmem/pmem_pool.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/common.hpp"
+#include "util/rng.hpp"
 
 namespace nvhalt::telemetry {
 
@@ -139,14 +140,6 @@ class FlightRecorder {
   static constexpr std::uint64_t kMagic = 0x46524543;  // "FREC"
   static constexpr std::uint64_t kSalt = 0x9E3779B97F4A7C15ULL;
 
-  static std::uint64_t mix64(std::uint64_t x) {
-    x ^= x >> 33;
-    x *= 0xFF51AFD7ED558CCDULL;
-    x ^= x >> 33;
-    x *= 0xC4CEB9FE1A85EC53ULL;
-    x ^= x >> 33;
-    return x;
-  }
   static std::uint64_t pack_header(std::uint32_t slots) {
     return (kMagic << 32) | (static_cast<std::uint64_t>(kMaxThreads) << 16) | slots;
   }

@@ -117,11 +117,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     m.flush_count = e.pool->flush_count();
     m.fence_count = e.pool->fence_count();
     m.flush_dedup_count = e.pool->flush_dedup_count();
-    m.fence_group_count = e.pool->fence_group_count();
-    m.fence_combined_count = e.pool->fence_combined_count();
     m.fence_lines = e.pool->fence_flush_hist();
-    m.group_batch = e.pool->group_batch_hist();
-    m.combine_wait = e.pool->combine_wait_hist();
     snap.pools.push_back(std::move(m));
   }
   for (const AllocEntry& e : allocs_) {
@@ -209,18 +205,11 @@ std::string MetricsSnapshot::to_json() const {
     if (i) out += ",";
     append(out,
            "{\"name\":\"%s\",\"flush_count\":%llu,\"fence_count\":%llu,"
-           "\"flush_dedup_count\":%llu,\"fence_group_count\":%llu,"
-           "\"fence_combined_count\":%llu,",
+           "\"flush_dedup_count\":%llu,",
            p.name.c_str(), static_cast<unsigned long long>(p.flush_count),
            static_cast<unsigned long long>(p.fence_count),
-           static_cast<unsigned long long>(p.flush_dedup_count),
-           static_cast<unsigned long long>(p.fence_group_count),
-           static_cast<unsigned long long>(p.fence_combined_count));
+           static_cast<unsigned long long>(p.flush_dedup_count));
     json_hist(out, "fence_lines", p.fence_lines);
-    out += ",";
-    json_hist(out, "group_batch_fences", p.group_batch);
-    out += ",";
-    json_hist(out, "combine_wait_spins", p.combine_wait);
     out += "}";
   }
   out += "],\"allocs\":[";
@@ -280,18 +269,10 @@ std::string MetricsSnapshot::to_prometheus() const {
   // emitted bare, which scrapes as untyped — declare them like the rest).
   out += "# HELP nvhalt_pool_flushes_total Cache-line write-backs persisted.\n";
   out += "# TYPE nvhalt_pool_flushes_total counter\n";
-  out += "# HELP nvhalt_pool_fences_total Ordering fences issued (a combined drain counts once).\n";
+  out += "# HELP nvhalt_pool_fences_total Ordering fences issued.\n";
   out += "# TYPE nvhalt_pool_fences_total counter\n";
   out += "# HELP nvhalt_pool_flush_dedup_total Queued flushes coalesced before write-back.\n";
   out += "# TYPE nvhalt_pool_flush_dedup_total counter\n";
-  out += "# HELP nvhalt_fence_groups_total Combined drains covering two or more fencers.\n";
-  out += "# TYPE nvhalt_fence_groups_total counter\n";
-  out += "# HELP nvhalt_fence_combined_total Fences absorbed into another thread's combined drain.\n";
-  out += "# TYPE nvhalt_fence_combined_total counter\n";
-  out += "# HELP nvhalt_pool_group_batch_fences Fencers covered per combined drain.\n";
-  out += "# TYPE nvhalt_pool_group_batch_fences histogram\n";
-  out += "# HELP nvhalt_pool_combine_wait_spins Follower spins until leader release.\n";
-  out += "# TYPE nvhalt_pool_combine_wait_spins histogram\n";
   out += "# HELP nvhalt_alloc_reclaim_latency_ns Retire-to-reclaim latency.\n";
   out += "# TYPE nvhalt_alloc_reclaim_latency_ns histogram\n";
   // Contention observatory counter families (per-TM totals plus a
@@ -356,11 +337,7 @@ std::string MetricsSnapshot::to_prometheus() const {
     prom_counter(out, "pool_flushes_total", pool_label, p.flush_count);
     prom_counter(out, "pool_fences_total", pool_label, p.fence_count);
     prom_counter(out, "pool_flush_dedup_total", pool_label, p.flush_dedup_count);
-    prom_counter(out, "fence_groups_total", pool_label, p.fence_group_count);
-    prom_counter(out, "fence_combined_total", pool_label, p.fence_combined_count);
     prom_hist(out, "pool_fence_lines", pool_label, p.fence_lines);
-    prom_hist(out, "pool_group_batch_fences", pool_label, p.group_batch);
-    prom_hist(out, "pool_combine_wait_spins", pool_label, p.combine_wait);
   }
   for (const AllocMetrics& a : allocs) {
     const std::string alloc_label = "alloc=\"" + a.name + "\"";

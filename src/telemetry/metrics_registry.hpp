@@ -39,17 +39,7 @@ struct PoolMetrics {
   std::uint64_t flush_count = 0;
   std::uint64_t fence_count = 0;
   std::uint64_t flush_dedup_count = 0;
-  /// Group durable commit: combined drains led (each one ordering fence
-  /// covering >= 2 committers) and fences absorbed into another thread's
-  /// drain — every absorbed fence is latency a committer did not pay.
-  std::uint64_t fence_group_count = 0;
-  std::uint64_t fence_combined_count = 0;
   PowHistogram fence_lines;
-  /// Fencers covered per combined drain (leader + members; solo drains
-  /// under group_commit record 1).
-  PowHistogram group_batch;
-  /// Spins a follower waited before its leader released it.
-  PowHistogram combine_wait;
 };
 
 /// Allocator ledger: alloc/free counters, the epoch-reclamation gauge set

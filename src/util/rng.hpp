@@ -1,10 +1,24 @@
 // xoshiro256** pseudo-random generator: fast, high-quality, seedable.
 // Used by workloads, the spurious-abort injector and the crash adversary.
+// Also home to mix64, the shared 64-bit hash finalizer.
 #pragma once
 
 #include <cstdint>
 
 namespace nvhalt {
+
+/// 64-bit avalanche finalizer (MurmurHash3 fmix64). Self-validating
+/// persistent words are built on it (flight-recorder slot checksums,
+/// allocator intent tags), so its output is part of the durable format:
+/// never change it.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xFF51AFD7ED558CCDULL;
+  x ^= x >> 33;
+  x *= 0xC4CEB9FE1A85EC53ULL;
+  x ^= x >> 33;
+  return x;
+}
 
 /// Deterministic, seedable PRNG (xoshiro256**). Not thread-safe; use one
 /// instance per thread.

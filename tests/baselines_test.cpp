@@ -2,12 +2,35 @@
 // SPHT (global-lock HyTM with per-thread persistent redo logs).
 #include <gtest/gtest.h>
 
+#include <span>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "baselines/spht/spht_log.hpp"
 #include "baselines/spht/spht_tm.hpp"
 #include "baselines/trinity/trinity_tm.hpp"
 #include "test_helpers.hpp"
 
 namespace nvhalt {
+
+// Holds one SPHT thread's hardware commit between taking its timestamp and
+// logging its record, a window no public call can pause in.
+struct SphtTmTestPeer {
+  /// Takes `tid`'s commit timestamp and publishes it as not yet persisted,
+  /// as a hardware commit does before persist_committed logs it.
+  static std::uint64_t take_commit_ts(SphtTm& tm, int tid) {
+    const std::uint64_t ts = tm.ts_source_.value.fetch_add(1) + 1;
+    tm.ts_pub_[tid].value.store(ts << 1);  // persisted bit clear
+    return ts;
+  }
+  static std::size_t log_words(const SphtTm& tm, int tid) { return tm.log_.used_words(tid); }
+  static void persist_committed(SphtTm& tm, int tid, std::uint64_t ts,
+                                std::span<const std::pair<gaddr_t, word_t>> redo) {
+    tm.persist_committed(tid, ts, redo);
+  }
+};
+
 namespace {
 
 using test::run_threads;
@@ -152,7 +175,7 @@ TEST(SphtLog, AppendFailsWhenFullAndTruncateResets) {
   EXPECT_TRUE(log.append(0, 4, w));
   EXPECT_TRUE(log.append(0, 5, w));
   EXPECT_FALSE(log.append(0, 6, w));  // 36 > 32 words
-  log.truncate_all(0);
+  log.truncate_below(0, /*bound=*/6);
   EXPECT_EQ(log.used_words(0), 0u);
   EXPECT_TRUE(log.append(0, 7, w));
 }
@@ -304,6 +327,36 @@ TEST(Spht, LogFullTriggersInlineReplay) {
   auto& spht = dynamic_cast<SphtTm&>(tm);
   spht.replay(1);
   EXPECT_EQ(runner.pool().read_record(a).cur, 50u);
+}
+
+// Thread 0 takes commit timestamp X for x = 3 while its log is full.
+// Thread 1 then commits y = 2 at Y > X, logs it, and waits for thread 0 in
+// the ordering step. Thread 0's full-log replay may apply only records
+// below X: the heap watermark it publishes would otherwise pass X, and
+// every later replay would skip X's record as already applied.
+TEST(Spht, FullLogReplayStopsBelowTheCallersUnloggedCommit) {
+  RunnerConfig cfg = small_config(TmKind::kSpht);
+  cfg.spht.log_words_per_thread = 8;  // two one-write records fill a log
+  TmRunner runner(cfg);
+  auto& spht = dynamic_cast<SphtTm&>(runner.tm());
+  const gaddr_t x = runner.alloc().raw_alloc(0, 1);
+  const gaddr_t y = runner.alloc().raw_alloc(0, 1);
+  ASSERT_TRUE(spht.run(0, [&](Tx& tx) { tx.write(x, 1); }));
+  ASSERT_TRUE(spht.run(0, [&](Tx& tx) { tx.write(x, 1); }));
+  ASSERT_EQ(SphtTmTestPeer::log_words(spht, 0), 8u);
+
+  const std::uint64_t ts_x = SphtTmTestPeer::take_commit_ts(spht, 0);
+  std::jthread later([&] { spht.run(1, [&](Tx& tx) { tx.write(y, 2); }); });
+  while (SphtTmTestPeer::log_words(spht, 1) == 0) std::this_thread::yield();
+  const std::vector<std::pair<gaddr_t, word_t>> redo{{x, 3}};
+  SphtTmTestPeer::persist_committed(spht, 0, ts_x, redo);
+  later.join();
+  EXPECT_EQ(SphtTmTestPeer::log_words(spht, 1), 4u) << "Y was replayed before X was logged";
+
+  runner.pool().crash(CrashPolicy{0.0, 7});
+  spht.recover_data();
+  EXPECT_EQ(runner.pool().read_record(x).cur, 3u) << "recovery lost the earlier commit";
+  EXPECT_EQ(runner.pool().read_record(y).cur, 2u);
 }
 
 TEST(Spht, SnapshotsAreConsistentUnderConcurrency) {

@@ -1,9 +1,12 @@
 // Tests for the crash-prefix enumeration checker (pmem/crash_enum.hpp):
 // journal recording, deterministic image materialization, replayable
-// failure triples, trace/bundle file round-trips, the fence mid-coalesce
-// crash-point fix, and the acceptance runs — every fence boundary of an
-// 8-thread mixed workload recovers consistently on all five TMs, and a
-// deliberately broken recovery is caught with a replayable triple.
+// failure triples (also for checkers that throw), trace/bundle file
+// round-trips and rejection of input the enumerator cannot interpret, the
+// fence mid-coalesce crash-point fix, crafted torn-write images for the
+// allocator intents and SPHT's log truncation, and the acceptance runs —
+// every fence boundary of an 8-thread mixed workload recovers consistently
+// on all five TMs, and a deliberately broken recovery is caught with a
+// replayable triple.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -225,6 +228,106 @@ TEST(CrashJournalTest, ReplayRejectsTripleFromDifferentTrace) {
   EXPECT_NE(failure->why.find("hash mismatch"), std::string::npos);
 }
 
+// A checker that throws — verify_rebuild's lost-block TmLogicError is the
+// real case — fails its image like a false verdict would: the enumeration
+// returns the image's replayable triple with the exception's message, and
+// replaying that triple reproduces it, instead of the exception escaping
+// the sweep with no triple at all.
+TEST(CrashJournalTest, ThrowingCheckerFailsWithItsTriple) {
+  CrashHarnessOptions opt;
+  opt.transfer_threads = 1;
+  opt.counter_threads = 0;
+  opt.map_threads = 0;
+  opt.txs_per_thread = 2;
+  const CrashTraceBundle tr = run_crash_workload(opt);
+  CrashEnumerator en(tr.events, CrashEnumOptions{});
+  ASSERT_GE(en.boundaries().size(), 3u);
+  const std::size_t bad = en.boundaries()[en.boundaries().size() / 2];
+  const CrashImageChecker check = [bad](const CrashImage&, std::size_t prefix, std::uint64_t,
+                                        std::string*) -> bool {
+    if (prefix == bad) throw TmLogicError("live block not marked allocated (lost block)");
+    return true;
+  };
+
+  std::optional<CrashFailure> failure;
+  ASSERT_NO_THROW(failure = en.run(check));
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_EQ(failure->triple.trace_hash, tr.trace_hash);
+  EXPECT_EQ(failure->triple.prefix, bad);
+  EXPECT_EQ(failure->triple.subset_seed, 0u);
+  EXPECT_NE(failure->why.find("lost block"), std::string::npos) << failure->why;
+
+  std::optional<CrashFailure> again;
+  ASSERT_NO_THROW(again = en.replay(failure->triple, check));
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->triple.prefix, bad);
+  EXPECT_NE(again->why.find("lost block"), std::string::npos) << again->why;
+}
+
+// Event kind 4 was the fence-join event that the removed cross-thread
+// fence combiner journaled. The materializer no longer knows it, so a
+// trace file holding it (or any kind outside PersistEventKind) must be
+// rejected by name, not replayed silently wrong. Both files are written by
+// hand in the documented layout; the valid twin proves only the kind
+// differs.
+TEST(CrashJournalTest, TraceWithUnknownEventKindIsRejected) {
+  constexpr std::uint64_t kTraceMagic = 0x4E56485443525431ULL;  // "NVHTCRT1"
+  const auto write_trace = [&](const std::string& path, const std::vector<PersistEvent>& trace) {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    test::detail::put_u64(f, kTraceMagic);
+    test::detail::put_u64(f, trace.size());
+    for (const PersistEvent& ev : trace) {
+      test::detail::put_u64(f, static_cast<std::uint64_t>(ev.kind));
+      test::detail::put_u64(f, static_cast<std::uint32_t>(ev.tid));
+      test::detail::put_u64(f, ev.line);
+      test::detail::put_u64(f, ev.word);
+      test::detail::put_u64(f, ev.value);
+    }
+    test::detail::put_u64(f, PersistJournal::hash(trace));
+  };
+  std::vector<PersistEvent> trace = {{PersistEventKind::kStore, 0, 1, 8, 42},
+                                     {PersistEventKind::kFlush, 0, 1, 0, 0},
+                                     {PersistEventKind::kAllocMark, 1, 0, 0, 0},
+                                     {PersistEventKind::kFence, 0, 0, 0, 0}};
+  const std::string good = ::testing::TempDir() + "/crash_trace_known_kinds.bin";
+  write_trace(good, trace);
+  EXPECT_EQ(load_trace(good), trace);
+
+  trace[2].kind = static_cast<PersistEventKind>(4);
+  const std::string bad = ::testing::TempDir() + "/crash_trace_unknown_kind.bin";
+  write_trace(bad, trace);
+  try {
+    load_trace(bad);
+    FAIL() << "a trace with event kind 4 loaded";
+  } catch (const TmLogicError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown persistence event kind 4"), std::string::npos) << what;
+    EXPECT_NE(what.find(bad), std::string::npos) << what;
+  }
+}
+
+// The v5 bundle layout keeps its group-commit word, always written as 0
+// (BundleFileRoundTrip loads such bundles). A bundle whose word is 1 was
+// recorded under the removed fence combiner and is rejected by name
+// instead of replayed under different fence semantics.
+TEST(CrashJournalTest, BundleWithGroupCommitWordIsRejected) {
+  const std::string bad = ::testing::TempDir() + "/crash_bundle_v5_combined.bin";
+  {
+    std::ofstream f(bad, std::ios::binary | std::ios::trunc);
+    test::detail::put_u64(f, test::detail::kBundleMagic);
+    for (int w = 0; w < 14; ++w) test::detail::put_u64(f, 0);  // kind .. flight_recorder
+    test::detail::put_u64(f, 1);                                // group-commit word
+  }
+  try {
+    test::load_bundle(bad);
+    FAIL() << "a group-commit bundle loaded";
+  } catch (const TmLogicError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("group commit"), std::string::npos) << what;
+    EXPECT_NE(what.find(bad), std::string::npos) << what;
+  }
+}
+
 // Regression for the fence coalescing loop: a power failure must be able to
 // strike *between* individual line write-backs of one fence, leaving the
 // fence partially persisted. Before the fix, fence() polled the crash
@@ -375,6 +478,101 @@ TEST(CrashEnumAllocTest, FreeThenCrashMidFenceNeitherDoubleFreesNorLosesBlock) {
     check_image(prefix, en.subset_seed_for(prefix, 0));
     check_image(prefix, en.subset_seed_for(prefix, 1));
   }
+}
+
+// Regression for the torn re-arm "lost block". Transaction 1 allocates a
+// node and commits; transaction 2 on the same thread frees it. Arming
+// transaction 2 overwrites intent entry 0 in place while the record's
+// state line still durably names transaction 1's committed arm. A crash
+// that persists the new payload ("free node") but not the tag stored after
+// it must not let recovery re-apply arm 1 with that payload: that clears
+// the allocation bit of a node that is still live.
+TEST(CrashEnumAllocTest, TornRearmKeepsLiveBlockAllocated) {
+  PersistJournal journal;
+  RunnerConfig cfg = crash_config(TmKind::kNvHalt);
+  cfg.pmem.journal = &journal;
+  TmRunner runner(cfg);
+  constexpr std::size_t kNode = 4;
+  gaddr_t node = 0;
+  ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) {
+    node = tx.alloc(kNode);
+    tx.write(node, 0xC0DE);
+  }));
+  const std::size_t commit1_end = journal.size();
+  ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) { tx.free(node, kNode); }));
+  const auto events = journal.events();
+  ASSERT_EQ(events[commit1_end - 1].kind, PersistEventKind::kFence);
+
+  // The intent records follow the allocator's one-line metadata header;
+  // thread 0's entry 0 (payload word, then tag word) sits one line into
+  // its record, after the state line.
+  const std::uint64_t entry0 = runner.alloc().meta_base() + 2 * kWordsPerLine;
+  const auto payload = std::find_if(
+      events.begin() + static_cast<std::ptrdiff_t>(commit1_end), events.end(),
+      [&](const PersistEvent& ev) { return ev.kind == PersistEventKind::kStore && ev.word == entry0; });
+  ASSERT_NE(payload, events.end()) << "transaction 2 never re-armed entry 0";
+
+  // Fence-boundary image after commit 1, plus the re-arm's first payload
+  // store without the tag store that follows it on the same line.
+  CrashImage img = materialize_crash_image(events, commit1_end, 0);
+  ASSERT_NE(image_value(img, entry0), 0u) << "commit 1 left no armed entry to tear";
+  ASSERT_NE(image_value(img, entry0), payload->value);
+  const auto slot = std::find_if(img.words.begin(), img.words.end(),
+                                 [&](const auto& w) { return w.first == entry0; });
+  slot->second = payload->value;
+
+  TmRunner verifier(crash_config(TmKind::kNvHalt));
+  verifier.pool().install_crash_image(img.words);
+  verifier.tm().recover_data();
+  EXPECT_TRUE(verifier.alloc().slot_bit(node, kNode)) << "recovery freed a live block";
+  const std::vector<LiveBlock> live = {{node, kNode}};
+  EXPECT_NO_THROW(verifier.alloc().verify_rebuild(live));
+}
+
+// ---- SPHT log replay -------------------------------------------------------
+
+// An SPHT checkpoint folds the redo logs into the heap image, then resets
+// every log head under one fence. Thread 0 writes x = 1, thread 1 then
+// writes x = 2, and a checkpoint folds both. A crash image that holds
+// thread 1's head reset but not thread 0's keeps only the older record.
+// Recovery must not replay that record over the heap's newer value.
+TEST(CrashEnumSphtTest, TornTruncationKeepsNewerHeapValue) {
+  PersistJournal journal;
+  RunnerConfig cfg = crash_config(TmKind::kSpht, /*checkpoint=*/true);
+  cfg.pmem.journal = &journal;
+  TmRunner runner(cfg);
+  const gaddr_t x = runner.alloc().raw_alloc(0, 1);
+  ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) { tx.write(x, 1); }));
+  ASSERT_TRUE(runner.tm().run(1, [&](Tx& tx) { tx.write(x, 2); }));
+  const std::size_t ckpt_begin = journal.size();
+  ASSERT_TRUE(runner.tm().checkpoint(0));
+  const auto events = journal.events();
+
+  // The truncation is the checkpoint's first run of (store 0, flush) pairs
+  // that ends in a fence; heads are reset in thread order.
+  std::size_t trunc = ckpt_begin;
+  for (; trunc + 2 < events.size(); ++trunc) {
+    std::size_t i = trunc;
+    while (i + 1 < events.size() && events[i].kind == PersistEventKind::kStore &&
+           events[i].value == 0 && events[i + 1].kind == PersistEventKind::kFlush)
+      i += 2;
+    if (i - trunc >= 4 && events[i].kind == PersistEventKind::kFence) break;
+  }
+  ASSERT_LT(trunc + 2, events.size()) << "checkpoint truncated no log";
+  ASSERT_EQ(events[trunc - 1].kind, PersistEventKind::kFence);
+  const PersistEvent& head1_reset = events[trunc + 2];
+
+  // Fence-boundary image before the truncation, plus thread 1's head reset.
+  CrashImage img = materialize_crash_image(events, trunc, 0);
+  ASSERT_NE(image_value(img, head1_reset.word), 0u) << "thread 1's log was already empty";
+  std::erase_if(img.words, [&](const auto& w) { return w.first == head1_reset.word; });
+
+  TmRunner verifier(crash_config(TmKind::kSpht, /*checkpoint=*/true));
+  verifier.pool().install_crash_image(img.words);
+  verifier.tm().recover_data();
+  word_t v = 0;
+  ASSERT_TRUE(verifier.tm().run(0, [&](Tx& tx) { v = tx.read(x); }));
+  EXPECT_EQ(v, 2u) << "recovery replayed a truncated-away predecessor over the heap";
 }
 
 // Acceptance for the delete-heavy extension: four list-churn threads drive

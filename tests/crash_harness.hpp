@@ -71,13 +71,6 @@ struct CrashHarnessOptions {
   /// and validates its artifact round-trip.
   bool flight_recorder = false;
 
-  /// Enables the pool's flat-combining group fence in the workload run.
-  /// Not layout-affecting (pure fence-path behavior: committers may be
-  /// drained by another thread's combined fence, journaled as kFenceJoin
-  /// merged into the leader's kFence), but bundles record it so a replayed
-  /// verifier reconstructs the run under the same durability semantics.
-  bool group_commit = false;
-
   /// When non-empty, the harness dumps observability artifacts after the
   /// workload quiesces (and before the runner is torn down): `trace_out`
   /// gets a raw nvhalt-trace-v1 file (meaningful only in NVHALT_TELEMETRY
@@ -111,8 +104,7 @@ struct CrashTraceBundle {
 /// Small, enumeration-friendly geometry: recovery scans the full record
 /// space per materialized image, so the pool is kept compact.
 inline RunnerConfig crash_config(TmKind kind, bool checkpoint = false,
-                                 bool flight_recorder = false,
-                                 bool group_commit = false) {
+                                 bool flight_recorder = false) {
   RunnerConfig cfg;
   cfg.kind = kind;
   cfg.pmem.capacity_words = std::size_t{1} << 17;  // 8 allocator segments
@@ -142,10 +134,6 @@ inline RunnerConfig crash_config(TmKind kind, bool checkpoint = false,
     cfg.spht.flight_recorder = true;
     cfg.pmem.raw_words += telemetry::FlightRecorder::metadata_words();
   }
-  // Group durable commit is not layout-affecting — it only changes which
-  // thread executes a committer's drain and how the journal groups fence
-  // events (kFenceJoin merged into one kFence boundary).
-  cfg.pmem.group_commit = group_commit;
   return cfg;
 }
 
@@ -163,8 +151,7 @@ inline CrashTraceBundle run_crash_workload(const CrashHarnessOptions& opt) {
   if (!opt.trace_out.empty()) telemetry::TraceBuffer::instance().clear();
 
   PersistJournal journal;
-  RunnerConfig cfg = crash_config(opt.kind, opt.checkpoint_every > 0, opt.flight_recorder,
-                                  opt.group_commit);
+  RunnerConfig cfg = crash_config(opt.kind, opt.checkpoint_every > 0, opt.flight_recorder);
   cfg.pmem.journal = &journal;
   TmRunner runner(cfg);
   auto& tm = runner.tm();
@@ -478,8 +465,8 @@ class CrashImageVerifier {
 
  private:
   static RunnerConfig verifier_config(const CrashTraceBundle& tr, int skip_nth) {
-    RunnerConfig cfg = crash_config(tr.opt.kind, tr.opt.checkpoint_every > 0,
-                                    tr.opt.flight_recorder, tr.opt.group_commit);
+    RunnerConfig cfg =
+        crash_config(tr.opt.kind, tr.opt.checkpoint_every > 0, tr.opt.flight_recorder);
     cfg.nvhalt.recovery_skip_nth_revert = skip_nth;
     return cfg;
   }
@@ -502,8 +489,9 @@ class CrashImageVerifier {
 // ---- Bundle persistence (cross-process failure replay) -------------------
 
 namespace detail {
-// v5 appends group_commit (fence semantics, not layout), v4
-// flight_recorder, v3 checkpoint_every (both layout-affecting: the
+// v5 appends a group-commit word that is now always 0: bundles recorded
+// with the removed fence combiner are rejected, not replayed wrong. v4
+// appends flight_recorder, v3 checkpoint_every (both layout-affecting: the
 // verifier must rebuild the same raw geometry). Old bundles load with the
 // missing features off.
 inline constexpr std::uint64_t kBundleMagicV2 = 0x4E56484243524232ULL;  // "NVHBCRB2"
@@ -540,7 +528,7 @@ inline void save_bundle(const std::string& path, const CrashTraceBundle& tr) {
   put_u64(f, tr.opt.workload_seed);
   put_u64(f, static_cast<std::uint64_t>(tr.opt.checkpoint_every));
   put_u64(f, tr.opt.flight_recorder ? 1 : 0);
-  put_u64(f, tr.opt.group_commit ? 1 : 0);
+  put_u64(f, 0);  // group-commit word (v5 layout)
   put_u64(f, tr.prefill_bound);
   put_u64(f, tr.map_key_base);
   const auto put_vec = [&f](const std::vector<gaddr_t>& v) {
@@ -598,7 +586,9 @@ inline CrashTraceBundle load_bundle(const std::string& path) {
   tr.opt.workload_seed = get_u64(f);
   tr.opt.checkpoint_every = v3 ? static_cast<int>(get_u64(f)) : 0;
   tr.opt.flight_recorder = v4 && get_u64(f) != 0;
-  tr.opt.group_commit = v5 && get_u64(f) != 0;
+  if (v5 && get_u64(f) != 0)
+    throw TmLogicError("bundle was recorded with group commit, which is no longer supported: " +
+                       path);
   tr.prefill_bound = get_u64(f);
   tr.map_key_base = get_u64(f);
   const auto get_vec = [&f](std::vector<gaddr_t>& v) {
@@ -620,7 +610,7 @@ inline CrashTraceBundle load_bundle(const std::string& path) {
   for (auto& v : tr.counter_attempted) v = get_u64(f);
   tr.events.resize(get_u64(f));
   for (PersistEvent& ev : tr.events) {
-    ev.kind = static_cast<PersistEventKind>(get_u64(f));
+    ev.kind = event_kind_from_u64(get_u64(f), path);
     ev.tid = static_cast<std::int32_t>(static_cast<std::uint32_t>(get_u64(f)));
     ev.line = get_u64(f);
     ev.word = get_u64(f);

@@ -45,10 +45,6 @@ struct SweepArgs {
   std::uint64_t workload_seed = 0xC0FFEE;
   std::size_t max_prefixes = 0;
   bool mutate = false;
-  // Group durable commit: run every TM with the pool's flat-combining
-  // fence enabled, so journals carry kFenceJoin merges and crash
-  // boundaries land around combined drains.
-  bool group_commit = false;
   // Flight recorder: run every TM with the persistent recorder enabled and
   // decode + validate a postmortem from each enumerated crash image.
   bool postmortem = false;
@@ -75,8 +71,6 @@ void usage(const char* argv0) {
                "  --max-prefixes N  stride-sample at most N fence boundaries (default all)\n"
                "  --workload-seed N deterministic workload seed\n"
                "  --save-dir DIR    where failing trace bundles are written (default .)\n"
-               "  --group-commit    enable the pool's flat-combining group fence; journals\n"
-               "                    then carry combined-drain (kFenceJoin) boundaries\n"
                "  --mutate          run NV-HALT with broken recovery; exit 0 iff caught\n"
                "  --postmortem      enable the persistent flight recorder; every enumerated\n"
                "                    crash image must yield a valid postmortem decode\n"
@@ -149,8 +143,6 @@ bool parse_args(int argc, char** argv, SweepArgs* a) {
       const char* v = next();
       if (v == nullptr) return false;
       a->save_dir = v;
-    } else if (arg == "--group-commit") {
-      a->group_commit = true;
     } else if (arg == "--mutate") {
       a->mutate = true;
     } else if (arg == "--postmortem") {
@@ -189,7 +181,6 @@ CrashTraceBundle run_workload(const SweepArgs& a, TmKind kind) {
   opt.txs_per_thread = a.txs_per_thread;
   opt.list_threads = a.list_threads;
   opt.checkpoint_every = a.checkpoint_every;
-  opt.group_commit = a.group_commit;
   opt.flight_recorder = a.postmortem;
   opt.workload_seed = a.workload_seed;
   if (!a.trace_out.empty())

@@ -34,17 +34,10 @@ PmemConfig recorder_pool_config() {
 
 // The slot format is a durability contract (a postmortem must decode images
 // written by older builds), so the test re-derives it from the documented
-// constants instead of reaching into the class.
+// constants instead of reaching into the class, and pins the shared mix64
+// finalizer's output.
 constexpr std::uint64_t kSalt = 0x9E3779B97F4A7C15ULL;
-
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDULL;
-  x ^= x >> 33;
-  x *= 0xC4CEB9FE1A85EC53ULL;
-  x ^= x >> 33;
-  return x;
-}
+static_assert(mix64(kSalt) == 0x9CA066F1A4AB2EEAULL, "slot checksum format changed");
 
 std::uint64_t pack_slot(std::uint32_t seq, tel::EventKind kind, std::uint8_t cause,
                         std::uint16_t arg) {

@@ -222,6 +222,19 @@ TEST(PmemPool, FlushAndFenceCountersAdvance) {
   EXPECT_EQ(pool.fence_count(), n0 + 1);
 }
 
+TEST(PmemPool, EmptyQueueFenceIsANoOp) {
+  PmemPool pool(small_cfg());
+  pool.fence(0);  // nothing flushed since the last fence
+  EXPECT_EQ(pool.fence_count(), 0u);
+  EXPECT_EQ(pool.fence_flush_hist().count(), 0u);
+  // A flush on another thread's queue does not give tid 0 anything to fence.
+  pool.record_write(1, 3, 0, 1, 1);
+  pool.flush_record(1, 3);
+  pool.fence(0);
+  EXPECT_EQ(pool.fence_count(), 0u);
+  EXPECT_EQ(pool.read_durable_record(3).cur, 0u);
+}
+
 TEST(PmemPool, DisabledFlushesAreNoOpsAndCrashIsRejected) {
   PmemConfig cfg = small_cfg(false);
   cfg.flushes_enabled = false;

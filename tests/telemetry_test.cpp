@@ -331,10 +331,8 @@ TEST(MetricsRegistry, SnapshotExportsAllFiveTmsAndPool) {
               std::string::npos);
   EXPECT_NE(json.find("\"abort_taxonomy\""), std::string::npos);
   EXPECT_NE(json.find("\"nvhalt-pool\""), std::string::npos);
-  EXPECT_NE(json.find("\"fence_group_count\""), std::string::npos);
-  EXPECT_NE(json.find("\"fence_combined_count\""), std::string::npos);
-  EXPECT_NE(json.find("\"group_batch_fences\""), std::string::npos);
-  EXPECT_NE(json.find("\"combine_wait_spins\""), std::string::npos);
+  EXPECT_NE(json.find("\"flush_dedup_count\""), std::string::npos);
+  EXPECT_NE(json.find("\"fence_lines\""), std::string::npos);
   // Balanced braces (strings in the report contain no escapes).
   long depth = 0;
   for (const char c : json) {
@@ -354,11 +352,7 @@ TEST(MetricsRegistry, SnapshotExportsAllFiveTmsAndPool) {
   EXPECT_NE(prom.find("# TYPE nvhalt_pool_flushes_total counter"), std::string::npos);
   EXPECT_NE(prom.find("# TYPE nvhalt_pool_fences_total counter"), std::string::npos);
   EXPECT_NE(prom.find("# TYPE nvhalt_pool_flush_dedup_total counter"), std::string::npos);
-  EXPECT_NE(prom.find("# TYPE nvhalt_fence_groups_total counter"), std::string::npos);
-  EXPECT_NE(prom.find("# TYPE nvhalt_fence_combined_total counter"), std::string::npos);
-  EXPECT_NE(prom.find("nvhalt_fence_combined_total{pool=\"nvhalt-pool\"}"), std::string::npos);
-  EXPECT_NE(prom.find("nvhalt_pool_group_batch_fences_count{pool=\"nvhalt-pool\"}"),
-            std::string::npos);
+  EXPECT_NE(prom.find("nvhalt_pool_fence_lines_count{pool=\"nvhalt-pool\"}"), std::string::npos);
   EXPECT_NE(prom.find("le=\"+Inf\""), std::string::npos);
 }
 
