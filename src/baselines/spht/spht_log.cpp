@@ -13,9 +13,9 @@ SphtLog::SphtLog(PmemPool& pool, int nthreads, std::size_t words_per_thread)
 
 bool SphtLog::append(int tid, std::uint64_t ts,
                      std::span<const std::pair<gaddr_t, word_t>> writes) {
-  const std::size_t need = 2 + 2 * writes.size();  // [ts][n][addr val]*
-  const std::size_t used = pool_.raw_load(head_idx(tid));
-  if (used + need > words_) return false;
+  if (!fits(tid, writes.size())) return false;
+  const std::size_t need = record_words(writes.size());  // [ts][n][addr val]*
+  const std::size_t used = used_words(tid);
 
   const std::size_t rec = data_idx(tid) + used;
   pool_.raw_store(rec + 0, ts);
@@ -56,14 +56,8 @@ void SphtLog::collect(std::uint64_t max_ts, std::vector<TxnRec>& out) const {
   }
 }
 
-void SphtLog::truncate_below(int tid, std::uint64_t bound) {
+void SphtLog::truncate(int tid) {
   for (int t = 0; t < nthreads_; ++t) {
-    const std::size_t used = pool_.raw_load(head_idx(t));
-    bool keep = false;
-    for (std::size_t off = 0; off + 2 <= used && !keep;
-         off += 2 + 2 * pool_.raw_load(data_idx(t) + off + 1))
-      keep = pool_.raw_load(data_idx(t) + off) >= bound;
-    if (keep) continue;
     pool_.raw_store(head_idx(t), 0);
     pool_.flush_raw(tid, head_idx(t));
   }

@@ -28,6 +28,12 @@ class SphtLog {
   /// `nthreads` threads (dense thread ids 0..nthreads-1).
   SphtLog(PmemPool& pool, int nthreads, std::size_t words_per_thread);
 
+  /// True when `tid`'s log has room for a record of `nwrites` writes.
+  /// Only the owner appends, so the answer stays true until it does.
+  bool fits(int tid, std::size_t nwrites) const {
+    return used_words(tid) + record_words(nwrites) <= words_;
+  }
+
   /// Appends one transaction record and makes it durable (flush + fence).
   /// Returns false if the log lacks space (caller must replay+truncate).
   bool append(int tid, std::uint64_t ts,
@@ -37,17 +43,16 @@ class SphtLog {
   /// reading the staged (crash-free) view.
   void collect(std::uint64_t max_ts, std::vector<TxnRec>& out) const;
 
-  /// Truncates every log whose records all carry a timestamp below
-  /// `bound` (after a replay that applied them) and persists the emptied
-  /// heads under one fence. Logs holding a record at or above `bound` are
-  /// left whole.
-  void truncate_below(int tid, std::uint64_t bound);
+  /// Empties every log (after a replay that applied them) and persists the
+  /// emptied heads under one fence.
+  void truncate(int tid);
 
   int nthreads() const { return nthreads_; }
   std::size_t used_words(int tid) const { return pool_.raw_load(head_idx(tid)); }
   std::size_t capacity_words() const { return words_; }
 
  private:
+  static std::size_t record_words(std::size_t nwrites) { return 2 + 2 * nwrites; }
   std::size_t head_idx(int tid) const { return base_[tid]; }
   std::size_t data_idx(int tid) const { return base_[tid] + kWordsPerLine; }
 

@@ -40,24 +40,23 @@ std::vector<std::pair<gaddr_t, word_t>> reduce_records(std::vector<SphtLog::TxnR
 }  // namespace
 
 void SphtTm::replay(int nthreads) {
-  replay_impl(/*caller_tid=*/0, nthreads, /*durable_prefix_only=*/false, kNoUnloggedCommit);
+  replay_impl(/*caller_tid=*/0, nthreads, /*durable_prefix_only=*/false);
 }
 
-void SphtTm::replay_impl(int caller_tid, int nthreads, bool durable_prefix_only,
-                         std::uint64_t unlogged_ts) {
+void SphtTm::replay_impl(int caller_tid, int nthreads, bool durable_prefix_only) {
   std::vector<SphtLog::TxnRec> recs;
-  // Checkpoint replays take every record below `unlogged_ts`, even above
-  // the volatile marker: such a record belongs to a committed transaction
-  // whose owner is still between publishing its log (which is all the
-  // full-log quiesce waits for) and advancing the marker, and truncation
-  // would drop its only durable copy. Records at or above `unlogged_ts`
-  // (the full-log caller's own commit, not logged yet) stay in their logs:
-  // the marker must not cover them before that predecessor is durable.
-  // Recovery replays are the opposite: the durable marker defines the
+  // Checkpoint replays take every logged record, even above the volatile
+  // marker: such a record belongs to a committed transaction whose owner
+  // is still between publishing its log (which is all the full-log quiesce
+  // waits for) and advancing the marker, and truncation would drop its
+  // only durable copy. No commit that orders before a logged record is
+  // still unlogged: a hardware commit takes its timestamp only once its
+  // record fits, and a software commit holds the global lock. Recovery
+  // replays are the opposite: the durable marker defines the
   // durably-committed prefix, and records beyond it must not surface.
   const std::uint64_t max_ts = durable_prefix_only
                                    ? gpm_volatile_.value.load(std::memory_order_acquire)
-                                   : unlogged_ts - 1;
+                                   : ~std::uint64_t{0};
   log_.collect(max_ts, recs);
   // Records at or below the heap watermark are already in the heap image.
   // A truncation torn by a crash can leave some of them behind; replaying
@@ -145,7 +144,7 @@ void SphtTm::replay_impl(int caller_tid, int nthreads, bool durable_prefix_only,
   // truncation never replays a leftover record over the heap (see the
   // filter above). The word sits after the marker on the marker's line,
   // and the marker already covers heap_upto. No record at or below it can
-  // be logged later: the only unlogged commit, if any, is `unlogged_ts`.
+  // be logged later (see max_ts above).
   const std::uint64_t heap_upto = durable_prefix_only ? max_ts : applied_ts;
   if (heap_upto > heap_ts) {
     pool_.raw_store(caller_tid, heap_watermark_idx(), heap_upto);
@@ -153,22 +152,18 @@ void SphtTm::replay_impl(int caller_tid, int nthreads, bool durable_prefix_only,
     pool_.fence(caller_tid);
   }
 
-  // Truncate the logs. A checkpoint keeps only logs holding a record at or
-  // above `unlogged_ts` (their applied records sit below the watermark);
-  // the full-log caller's own log always empties, as its records predate
-  // its commit. Recovery truncates every log: records beyond the durable
-  // marker belong to transactions that never committed, and new commits
-  // restart their timestamps at the marker, so a later replay would
-  // otherwise apply those stale records as if they had.
-  log_.truncate_below(caller_tid, durable_prefix_only ? kNoUnloggedCommit : unlogged_ts);
+  // Truncate every log. After a checkpoint every record sits below the
+  // watermark. After a recovery, records beyond the durable marker belong
+  // to transactions that never committed, and new commits restart their
+  // timestamps at the marker, so a later replay would otherwise apply
+  // those stale records as if they had.
+  log_.truncate(caller_tid);
 }
 
-void SphtTm::replay_full_logs(int tid, std::uint64_t unlogged_ts) {
-  // A thread hit a full log mid-commit. Quiesce writers by taking the
+void SphtTm::replay_full_logs(int tid) {
+  // A thread hit a full log, or checkpoints. Quiesce writers by taking the
   // global lock (new hardware transactions abort on subscription), wait
-  // for in-flight persist phases to finish, then replay and truncate. The
-  // caller's own commit at `unlogged_ts` is the only one left unlogged, so
-  // everything below it forms a complete timestamp prefix.
+  // for in-flight persist phases to finish, then replay and truncate.
   std::uint64_t expected = 0;
   const std::uint64_t me = static_cast<std::uint64_t>(tid) + 1;
   const bool already_held = htm_.nontx_load(tid, kGlLoc, &global_lock_.value) == me;
@@ -184,7 +179,7 @@ void SphtTm::replay_full_logs(int tid, std::uint64_t unlogged_ts) {
     while (!((ts_pub_[t].value.load(std::memory_order_seq_cst) & 1) != 0))
       std::this_thread::yield();
   }
-  replay_impl(tid, cfg_.replay_threads, /*durable_prefix_only=*/false, unlogged_ts);
+  replay_impl(tid, cfg_.replay_threads, /*durable_prefix_only=*/false);
   if (!already_held) {
     gl_held_ns_.value.fetch_add(
         static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -202,7 +197,7 @@ bool SphtTm::checkpoint(int tid) {
   // replayed timestamps, and the logs are truncated — after which recovery
   // replays only the delta logged since. The full-log path quiesces
   // writers via the global fallback lock and drains persist phases.
-  replay_full_logs(tid, kNoUnloggedCommit);
+  replay_full_logs(tid);
   // Durably bump the generation counter (observability: tests and the
   // crash sweep assert checkpoints really retired log history).
   pool_.raw_store(tid, ckpt_gen_raw_idx_, pool_.raw_load(ckpt_gen_raw_idx_) + 1);
@@ -226,8 +221,7 @@ void SphtTm::recover_data() {
   gpm_volatile_.value.store(pool_.raw_load(gpm_raw_idx_), std::memory_order_relaxed);
   gpm_durable_.value.store(gpm_volatile_.value.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);
-  replay_impl(/*caller_tid=*/0, cfg_.replay_threads, /*durable_prefix_only=*/true,
-              kNoUnloggedCommit);
+  replay_impl(/*caller_tid=*/0, cfg_.replay_threads, /*durable_prefix_only=*/true);
 
   // Volatile image rebuild: pure per-word loads/stores, partitioned across
   // the replay workers (byte-identical for any worker count).

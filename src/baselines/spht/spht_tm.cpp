@@ -16,6 +16,7 @@ namespace nvhalt {
 namespace {
 constexpr htm::LocId kGlLoc = htm::make_loc(htm::LocKind::kGlobal, 0x3001);
 constexpr std::uint8_t kGlSubscribeAbortCode = 0x61;
+constexpr std::uint8_t kLogFullAbortCode = 0x62;
 
 inline std::uint64_t pub_pack(std::uint64_t ts, bool persisted) {
   return (ts << 1) | (persisted ? 1 : 0);
@@ -208,11 +209,11 @@ void SphtTm::persist_committed(int tid, std::uint64_t ts_commit,
   if constexpr (telemetry::kLevel >= 1) ack_t0 = telemetry::now_ticks();
 
   // 1. Append + persist the redo log record. The flight-recorder note
-  //    rides the append's internal fence. A full log is replayed first,
-  //    leaving every record at or above ts_commit for after this append.
+  //    rides the append's internal fence. Only a software commit, which
+  //    holds the global lock, can find its log full here.
   ctx.fr(tid, telemetry::EventKind::kFence, 0xFF,
          static_cast<std::uint16_t>(std::min<std::size_t>(redo.size(), 0xFFFF)));
-  while (!log_.append(tid, ts_commit, redo)) replay_full_logs(tid, ts_commit);
+  while (!log_.append(tid, ts_commit, redo)) replay_full_logs(tid);
 
   // 2. Publish "my log at ts_commit is durable".
   ts_pub_[tid].value.store(pub_pack(ts_commit, true), std::memory_order_seq_cst);
@@ -249,6 +250,11 @@ void SphtTm::persist_committed(int tid, std::uint64_t ts_commit,
   }
 }
 
+std::uint64_t SphtTm::take_commit_ts(int tid, std::size_t nwrites) {
+  if (!log_.fits(tid, nwrites)) return 0;
+  return ts_source_.value.fetch_add(1, std::memory_order_acq_rel) + 1;
+}
+
 SphtTm::AttemptResult SphtTm::attempt_hw(int tid, TxBody body) {
   ThreadCtx& ctx = ctx_[tid];
   ctx.redo.clear();
@@ -277,7 +283,8 @@ SphtTm::AttemptResult SphtTm::attempt_hw(int tid, TxBody body) {
     body(tx);
     if (cfg_.persist_txns && !ctx.redo.empty()) {
       // Commit timestamp taken inside the transaction (rdtscp analogue).
-      ctx.ts_commit = ts_source_.value.fetch_add(1, std::memory_order_acq_rel) + 1;
+      ctx.ts_commit = take_commit_ts(tid, ctx.redo.size());
+      if (ctx.ts_commit == 0) htm_.xabort(tid, kLogFullAbortCode);
     }
     htm_.commit(tid);
   } catch (const htm::HtmAbort& a) {
@@ -289,6 +296,10 @@ SphtTm::AttemptResult SphtTm::attempt_hw(int tid, TxBody body) {
     // transaction, so the retry allocates from thread-local state only.
     if (a.cause == htm::AbortCause::kExplicit && a.code == kAllocAbortCode)
       refill_bump_chunk(tid);
+    // The record did not fit: replay now that our timestamp reads
+    // persisted, so the retry finds room.
+    if (a.cause == htm::AbortCause::kExplicit && a.code == kLogFullAbortCode)
+      replay_full_logs(tid);
     return AttemptResult::kAborted;
   } catch (const TxUserAbort&) {
     htm_.cancel(tid);

@@ -147,14 +147,22 @@ class SphtTm final : public runtime::TmRuntime {
   friend class SphtHwTx;
   friend class SphtSwTx;
   // Test access (tests/baselines_test.cpp): holds a hardware commit between
-  // taking its timestamp and logging its record, which the full-log path
-  // must tolerate.
+  // taking its timestamp and logging its record.
   friend struct SphtTmTestPeer;
   struct ThreadCtx;
 
   using AttemptResult = runtime::AttemptStatus;
   AttemptResult attempt_hw(int tid, TxBody body);
   AttemptResult attempt_sw(int tid, TxBody body);
+
+  /// The hardware commit's timestamp for a record of `nwrites` writes,
+  /// taken inside the transaction — or 0 when the caller's log has no room
+  /// for that record. Such a commit must not get a timestamp: logging it
+  /// would need a replay, which waits for the global lock, while the
+  /// timestamp reads not-persisted, and a checkpoint or full-log replay
+  /// holding that lock waits for exactly that publication. The attempt
+  /// aborts instead and replays from its abort handler.
+  std::uint64_t take_commit_ts(int tid, std::size_t nwrites);
 
   /// Post-commit persistence of the write set `redo`: log append,
   /// timestamp ordering wait, marker advance (Sec. 2.1.4). Returns once
@@ -166,22 +174,18 @@ class SphtTm final : public runtime::TmRuntime {
   /// when durable >= ts.
   void persist_marker_until(int tid, std::uint64_t ts);
 
-  /// `unlogged_ts` of a replay that no caller's commit is waiting on.
-  static constexpr std::uint64_t kNoUnloggedCommit = ~std::uint64_t{0};
-
   /// Handles a full log (or a checkpoint): quiesce via the global lock,
-  /// replay, truncate. `unlogged_ts` is the timestamp of the caller's own
-  /// committed transaction whose record does not fit its log yet, or
-  /// kNoUnloggedCommit.
-  void replay_full_logs(int tid, std::uint64_t unlogged_ts);
+  /// replay, truncate. The caller's own timestamp must read persisted
+  /// unless it already holds the lock (the software path), whose pending
+  /// commit orders after every logged record.
+  void replay_full_logs(int tid);
 
   /// Shared replay body. `durable_prefix_only` selects recovery semantics
   /// (apply only records at or below the durable marker) over checkpoint
-  /// semantics (apply every record below `unlogged_ts`, durably advancing
-  /// the marker over them first). `caller_tid` is the invoking thread's
-  /// pool tid, used for all serial flush/fence work.
-  void replay_impl(int caller_tid, int nthreads, bool durable_prefix_only,
-                   std::uint64_t unlogged_ts);
+  /// semantics (apply every logged record, durably advancing the marker
+  /// over them first). `caller_tid` is the invoking thread's pool tid,
+  /// used for all serial flush/fence work.
+  void replay_impl(int caller_tid, int nthreads, bool durable_prefix_only);
 
   gaddr_t bump_alloc(int tid, std::size_t nwords);
 

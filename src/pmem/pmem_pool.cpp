@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cerrno>
 #include <cstring>
@@ -373,18 +372,7 @@ void PmemPool::fence(int tid) {
     poll_crash(crash_coord_);
     persist_line(line);
   }
-  // Write-combining latency model, billed on a sorted copy: adjacent lines
-  // within one aligned wc block (an Optane XPLine at wc_block_lines = 4)
-  // cost one media write-back. Durability semantics are untouched.
-  std::size_t units = q.size();
-  if (cfg_.wc_block_lines > 1 && units > 1) {
-    auto& blocks = fq.wc_scratch;
-    blocks.assign(q.begin(), q.end());
-    for (std::size_t& l : blocks) l /= cfg_.wc_block_lines;
-    std::sort(blocks.begin(), blocks.end());
-    units = static_cast<std::size_t>(std::unique(blocks.begin(), blocks.end()) - blocks.begin());
-  }
-  spin_ns(cfg_.flush_latency_ns * units + cfg_.fence_latency_ns);
+  spin_ns(cfg_.flush_latency_ns * q.size() + cfg_.fence_latency_ns);
   fence_count_.fetch_add(1, std::memory_order_relaxed);
   fq.fence_lines.record(q.size());
   telemetry::trace1(telemetry::EventKind::kFence, tid, q.size());

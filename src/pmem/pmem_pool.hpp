@@ -106,12 +106,6 @@ struct PmemConfig {
   /// Installed at construction so TM-constructor-time persistence is
   /// captured too (the materializer assumes a zero initial durable image).
   PersistJournal* journal = nullptr;
-  /// Write-combining granularity in cache lines: adjacent-line flushes
-  /// within one aligned block are billed as a single ranged write-back
-  /// (Optane media writes 256-byte XPLines, i.e. 4 lines). 1 = per-line
-  /// billing (today's model). Affects only the simulated latency charge,
-  /// never durability semantics.
-  std::size_t wc_block_lines = 1;
 };
 
 /// The simulated persistent heap. Thread-safe for all word/record/raw
@@ -328,8 +322,6 @@ class PmemPool {
     htm::SmallSet pending;  // lines currently queued
     /// Unique lines written back per fence (telemetry; owner-thread only).
     telemetry::PowHistogram fence_lines;
-    /// Scratch for write-combining block billing (owner-thread only).
-    std::vector<std::size_t> wc_scratch;
   };
 
   /// Enqueues `line` on tid's flush queue unless already pending, charging

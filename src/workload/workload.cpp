@@ -61,27 +61,4 @@ WorkloadResult run_mixed(KeyedOps& ops, const WorkloadSpec& spec) {
   return r;
 }
 
-ChurnResult run_churn(KeyedOps& ops, const TxAllocator& alloc, const ChurnSpec& spec) {
-  const AllocStats before = alloc.stats();
-  WorkloadSpec ws;
-  ws.read_pct = 0;
-  ws.threads = spec.threads;
-  ws.key_range = spec.key_range;
-  ws.duration_ms = spec.duration_ms;
-  ws.dist = KeyDist::kZipf;
-  ws.seed = spec.seed;
-  ChurnResult r;
-  r.mixed = run_mixed(ops, ws);
-  const AllocStats after = alloc.stats();
-  r.alloc.allocs = after.allocs - before.allocs;
-  r.alloc.frees = after.frees - before.frees;
-  r.alloc.segments_acquired = after.segments_acquired - before.segments_acquired;
-  r.alloc.retired = after.retired - before.retired;
-  r.alloc.reclaimed = after.reclaimed - before.reclaimed;
-  r.alloc.limbo = after.limbo;
-  r.alloc.orphans_swept = after.orphans_swept;
-  r.alloc.leaked_reclaimed = after.leaked_reclaimed;
-  return r;
-}
-
 }  // namespace nvhalt::workload

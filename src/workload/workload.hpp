@@ -3,7 +3,7 @@
 // then run a timed mixed read/insert/remove workload with per-thread key
 // generators, and report throughput plus TM/persistence statistics.
 //
-// The benchmark binaries are thin wrappers over this module; it is equally
+// The bench sweeps drive their mixed-workload cells through it; it is equally
 // usable from applications that want to measure their own configurations.
 #pragma once
 
@@ -92,30 +92,5 @@ void prefill_half(KeyedOps& ops, std::size_t key_range, std::uint64_t seed);
 
 /// Runs the timed mixed workload. Threads are given dense ids [0, threads).
 WorkloadResult run_mixed(KeyedOps& ops, const WorkloadSpec& spec);
-
-/// Delete-heavy churn parameters: the read percentage and key distribution
-/// are fixed (0% lookups, inserts/removes 50/50, Zipfian theta 0.99) —
-/// that corner is the allocator's worst case, so it gets its own driver.
-struct ChurnSpec {
-  int threads = 2;
-  std::size_t key_range = 1 << 14;
-  int duration_ms = 150;
-  std::uint64_t seed = 1;
-};
-
-struct ChurnResult {
-  WorkloadResult mixed;
-  /// Allocator ledger for the measured phase: counters are deltas over the
-  /// phase; `limbo` is the depth left behind when the phase ended.
-  AllocStats alloc;
-};
-
-/// Runs the delete-heavy churn workload: every successful remove retires a
-/// node through the epoch limbo and every insert asks for one back, with
-/// Zipfian skew concentrating both on the same hot keys. Reports the
-/// allocator's retire/reclaim ledger next to the throughput, so a
-/// reclamation stall shows up as ballooning limbo rather than only as a
-/// mysteriously slow cell.
-ChurnResult run_churn(KeyedOps& ops, const TxAllocator& alloc, const ChurnSpec& spec);
 
 }  // namespace nvhalt::workload

@@ -2,6 +2,8 @@
 // SPHT (global-lock HyTM with per-thread persistent redo logs).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <span>
 #include <thread>
 #include <utility>
@@ -17,12 +19,16 @@ namespace nvhalt {
 // Holds one SPHT thread's hardware commit between taking its timestamp and
 // logging its record, a window no public call can pause in.
 struct SphtTmTestPeer {
-  /// Takes `tid`'s commit timestamp and publishes it as not yet persisted,
-  /// as a hardware commit does before persist_committed logs it.
-  static std::uint64_t take_commit_ts(SphtTm& tm, int tid) {
-    const std::uint64_t ts = tm.ts_source_.value.fetch_add(1) + 1;
-    tm.ts_pub_[tid].value.store(ts << 1);  // persisted bit clear
+  /// Takes `tid`'s commit timestamp for a record of `nwrites` writes and
+  /// publishes it as not yet persisted, as a hardware commit does before
+  /// persist_committed logs it. Returns 0 where the commit would abort.
+  static std::uint64_t take_commit_ts(SphtTm& tm, int tid, std::size_t nwrites) {
+    const std::uint64_t ts = tm.take_commit_ts(tid, nwrites);
+    if (ts != 0) tm.ts_pub_[tid].value.store(ts << 1);  // persisted bit clear
     return ts;
+  }
+  static bool lock_held_by(const SphtTm& tm, int tid) {
+    return tm.global_lock_.value.load() == static_cast<std::uint64_t>(tid) + 1;
   }
   static std::size_t log_words(const SphtTm& tm, int tid) { return tm.log_.used_words(tid); }
   static void persist_committed(SphtTm& tm, int tid, std::uint64_t ts,
@@ -174,8 +180,9 @@ TEST(SphtLog, AppendFailsWhenFullAndTruncateResets) {
   EXPECT_TRUE(log.append(0, 3, w));
   EXPECT_TRUE(log.append(0, 4, w));
   EXPECT_TRUE(log.append(0, 5, w));
+  EXPECT_FALSE(log.fits(0, w.size()));
   EXPECT_FALSE(log.append(0, 6, w));  // 36 > 32 words
-  log.truncate_below(0, /*bound=*/6);
+  log.truncate(0);
   EXPECT_EQ(log.used_words(0), 0u);
   EXPECT_TRUE(log.append(0, 7, w));
 }
@@ -329,34 +336,41 @@ TEST(Spht, LogFullTriggersInlineReplay) {
   EXPECT_EQ(runner.pool().read_record(a).cur, 50u);
 }
 
-// Thread 0 takes commit timestamp X for x = 3 while its log is full.
-// Thread 1 then commits y = 2 at Y > X, logs it, and waits for thread 0 in
-// the ordering step. Thread 0's full-log replay may apply only records
-// below X: the heap watermark it publishes would otherwise pass X, and
-// every later replay would skip X's record as already applied.
-TEST(Spht, FullLogReplayStopsBelowTheCallersUnloggedCommit) {
+// Thread 0's log is full when it commits x = 3 in hardware, and thread 1
+// checkpoints. A commit holding a timestamp here would have to replay (wait
+// for the global lock) with that timestamp reading not-persisted, while the
+// checkpoint holds the lock waiting for exactly that publication. The
+// commit must get no timestamp; its retry replays first and then logs.
+TEST(Spht, FullLogCommitAndCheckpointBothFinish) {
   RunnerConfig cfg = small_config(TmKind::kSpht);
   cfg.spht.log_words_per_thread = 8;  // two one-write records fill a log
+  cfg.spht.checkpoint = true;
   TmRunner runner(cfg);
   auto& spht = dynamic_cast<SphtTm&>(runner.tm());
   const gaddr_t x = runner.alloc().raw_alloc(0, 1);
-  const gaddr_t y = runner.alloc().raw_alloc(0, 1);
   ASSERT_TRUE(spht.run(0, [&](Tx& tx) { tx.write(x, 1); }));
-  ASSERT_TRUE(spht.run(0, [&](Tx& tx) { tx.write(x, 1); }));
+  ASSERT_TRUE(spht.run(0, [&](Tx& tx) { tx.write(x, 2); }));
   ASSERT_EQ(SphtTmTestPeer::log_words(spht, 0), 8u);
 
-  const std::uint64_t ts_x = SphtTmTestPeer::take_commit_ts(spht, 0);
-  std::jthread later([&] { spht.run(1, [&](Tx& tx) { tx.write(y, 2); }); });
-  while (SphtTmTestPeer::log_words(spht, 1) == 0) std::this_thread::yield();
-  const std::vector<std::pair<gaddr_t, word_t>> redo{{x, 3}};
-  SphtTmTestPeer::persist_committed(spht, 0, ts_x, redo);
-  later.join();
-  EXPECT_EQ(SphtTmTestPeer::log_words(spht, 1), 4u) << "Y was replayed before X was logged";
+  const std::uint64_t ts_x = SphtTmTestPeer::take_commit_ts(spht, 0, 1);
+  EXPECT_EQ(ts_x, 0u) << "a hardware commit took a timestamp with no room to log its record";
+  std::thread checkpointer([&] { spht.checkpoint(1); });
+  if (ts_x != 0)
+    while (!SphtTmTestPeer::lock_held_by(spht, 1)) std::this_thread::yield();
+  test::finish_within(std::chrono::seconds(10), [&] {
+    if (ts_x != 0) {
+      const std::vector<std::pair<gaddr_t, word_t>> redo{{x, 3}};
+      SphtTmTestPeer::persist_committed(spht, 0, ts_x, redo);
+    } else {
+      EXPECT_TRUE(spht.run(0, [&](Tx& tx) { tx.write(x, 3); }));
+    }
+    checkpointer.join();
+  });
+  EXPECT_GE(spht.checkpoint_generation(), 1u);
 
   runner.pool().crash(CrashPolicy{0.0, 7});
   spht.recover_data();
-  EXPECT_EQ(runner.pool().read_record(x).cur, 3u) << "recovery lost the earlier commit";
-  EXPECT_EQ(runner.pool().read_record(y).cur, 2u);
+  EXPECT_EQ(runner.pool().read_record(x).cur, 3u) << "recovery lost the full-log commit";
 }
 
 TEST(Spht, SnapshotsAreConsistentUnderConcurrency) {
@@ -391,6 +405,47 @@ TEST(Spht, SnapshotsAreConsistentUnderConcurrency) {
   writer.join();
   reader.join();
   EXPECT_FALSE(violation.load());
+}
+
+// Three committers on 64-word logs (a few records each) and a thread that
+// checkpoints in a loop: full logs, full-log replays and checkpoints
+// overlap constantly. Every committer and checkpoint must finish, and a
+// crash after the run must keep every increment.
+TEST(SphtSmallLogStress, CommittersAndCheckpointsFinishAndLoseNothing) {
+  RunnerConfig cfg = small_config(TmKind::kSpht);
+  cfg.spht.log_words_per_thread = 64;
+  cfg.spht.checkpoint = true;
+  TmRunner runner(cfg);
+  auto& spht = dynamic_cast<SphtTm&>(runner.tm());
+  constexpr int kCommitters = 3, kTxns = 200;
+  const gaddr_t shared = runner.alloc().raw_alloc(0, 1);
+  const gaddr_t own = runner.alloc().raw_alloc_large(0, kCommitters * 8);
+  std::atomic<int> running{kCommitters};
+  test::finish_within(std::chrono::seconds(120), [&] {
+    run_threads(kCommitters + 1, [&](int tid) {
+      if (tid == kCommitters) {
+        while (running.load() > 0) spht.checkpoint(tid);
+        return;
+      }
+      for (int i = 0; i < kTxns; ++i) {
+        spht.run(tid, [&](Tx& tx) {
+          tx.write(shared, tx.read(shared) + 1);
+          // 1-3 writes per record, so logs fill at varying points.
+          for (int w = 0; w <= i % 3; ++w) {
+            const gaddr_t a = own + static_cast<gaddr_t>(tid * 8 + w);
+            tx.write(a, tx.read(a) + 1);
+          }
+        });
+      }
+      running.fetch_sub(1);
+    });
+  });
+  spht.run(0, [&](Tx& tx) { EXPECT_EQ(tx.read(shared), word_t{kCommitters * kTxns}); });
+
+  runner.pool().crash(CrashPolicy{0.0, 11});
+  spht.recover_data();
+  EXPECT_EQ(runner.pool().read_record(shared).cur, word_t{kCommitters * kTxns});
+  EXPECT_EQ(runner.pool().read_record(own).cur, word_t{kTxns});
 }
 
 }  // namespace

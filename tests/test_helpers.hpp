@@ -1,6 +1,10 @@
 // Shared helpers for NV-HALT test suites.
 #pragma once
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -37,6 +41,25 @@ inline std::string kind_param_name(const testing::TestParamInfo<TmKind>& info) {
   for (auto& c : n)
     if (c == '-') c = '_';
   return n;
+}
+
+/// Runs `fn` on its own thread and ends the test process with a failure if
+/// it has not returned within `limit`: a deadlocked protocol would
+/// otherwise hold the test until ctest's timeout.
+template <typename Fn>
+void finish_within(std::chrono::seconds limit, Fn&& fn) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    fn();
+    done.set_value();
+  });
+  if (finished.wait_for(limit) == std::future_status::timeout) {
+    ADD_FAILURE() << "deadlock: not finished after " << limit.count() << " s";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  runner.join();
 }
 
 /// Runs `fn(tid)` on `nthreads` threads after a common barrier.
