@@ -482,9 +482,6 @@ Sample measure_hotpath(const Dims& d, int iters) {
   cfg.pmem.capacity_words = std::size_t{1} << 18;
   cfg.spht.max_threads = 2;
   cfg.spht.log_words_per_thread = std::size_t{1} << 14;
-  // Pure-read bodies are what dynamic RO detection hunts for; only the ro
-  // cells let it route them.
-  cfg.nvhalt.ro_fast_path = engine == "ro";
   if (engine == "sw" || config == "htm-off") cfg.nvhalt.htm_attempts = 0;
   cfg.nvhalt.hw_read_check_locks = config != "no-lock-checks";
   cfg.nvhalt.validate_every_read = config == "every-read";
@@ -507,10 +504,12 @@ Sample measure_hotpath(const Dims& d, int iters) {
         sink += tx.read(arr + i);
     }
   };
-  for (int i = 0; i < 16; ++i) tm.run(0, body);  // warm up
+  // Only the ro cells hint their pure-read bodies onto the RO engines.
+  const TxMode mode = engine == "ro" ? TxMode::kReadOnly : TxMode::kUpdate;
+  for (int i = 0; i < 16; ++i) tm.run(0, mode, body);  // warm up
   tm.reset_stats();
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) tm.run(0, body);
+  for (int i = 0; i < iters; ++i) tm.run(0, mode, body);
   const double secs = secs_since(t0);
   if (sink == 0xDEADBEEF) std::fprintf(stderr, "?");  // keep the reads observable
   const TmStats st = tm.stats();

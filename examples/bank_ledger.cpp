@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   threads.emplace_back([&] {
     for (int i = 0; i < 200; ++i) {
       word_t sum = 0;
-      tm.run(kTellers, [&](Tx& tx) {
+      tm.run(kTellers, TxMode::kReadOnly, [&](Tx& tx) {
         sum = 0;
         for (std::size_t a = 0; a < kAccounts; ++a) sum += tx.read(accounts + a);
       });
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   for (auto& th : threads) th.join();
 
   word_t final_total = 0;
-  tm.run(0, [&](Tx& tx) {
+  tm.run(0, TxMode::kReadOnly, [&](Tx& tx) {
     final_total = 0;  // body may be re-executed on abort
     for (std::size_t a = 0; a < kAccounts; ++a) final_total += tx.read(accounts + a);
   });
@@ -88,9 +88,10 @@ int main(int argc, char** argv) {
   std::printf("final total: %llu (expected %llu)\n",
               static_cast<unsigned long long>(final_total),
               static_cast<unsigned long long>(kTotal));
-  std::printf("paths: %llu hw commits, %llu sw commits, %llu hw aborts\n",
+  std::printf("paths: %llu hw commits, %llu sw commits, %llu ro commits, %llu hw aborts\n",
               static_cast<unsigned long long>(s.hw_commits),
               static_cast<unsigned long long>(s.sw_commits),
+              static_cast<unsigned long long>(s.ro_commits),
               static_cast<unsigned long long>(s.hw_aborts));
   return (final_total == kTotal && audit_failures.load() == 0) ? 0 : 1;
 }

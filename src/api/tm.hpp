@@ -36,11 +36,17 @@ struct PostmortemReport;  // telemetry/flight_recorder.hpp
 using runtime::ThreadHandle;
 using runtime::ThreadRegistry;
 
-/// Caller's declaration of a transaction's access pattern. kReadOnly is a
-/// *hint*: a TM may route the transaction to a cheaper read-only protocol
-/// (NV-HALT's lock-free snapshot path); a body that writes anyway is
-/// demoted to the general path and still commits correctly. TMs without a
-/// dedicated read-only path ignore the hint.
+/// The five systems of the paper's evaluation (Fig. 8/9).
+enum class TmKind { kNvHalt, kNvHaltCl, kNvHaltSp, kTrinity, kSpht };
+
+/// Caller's declaration of a transaction's access pattern. Only kReadOnly
+/// routes: a TM may send such a transaction to a cheaper read-only protocol
+/// (NV-HALT's lock-free snapshot path), and a body that writes anyway is
+/// demoted to the general path and still commits correctly. kUpdate is the
+/// general path for every transaction, read-only or not — no TM guesses a
+/// read-only body from its history, so a read-only operation that wants
+/// the fast path must pass the hint. TMs without a dedicated read-only path
+/// ignore the hint.
 enum class TxMode { kUpdate, kReadOnly };
 
 /// Thrown by user code (or Tx::abort) to voluntarily abort the current
@@ -153,9 +159,9 @@ class TransactionalMemory {
   virtual TmStats stats() const = 0;
   virtual void reset_stats() = 0;
 
-  /// Aggregated telemetry (abort taxonomy, latency/size histograms,
-  /// adaptive-budget window). Same quiescence contract as stats(): callable
-  /// any time, exact only when no transactions are in flight.
+  /// Aggregated telemetry (abort taxonomy, latency/size histograms). Same
+  /// quiescence contract as stats(): callable any time, exact only when no
+  /// transactions are in flight.
   virtual telemetry::TmTelemetry telemetry() const = 0;
 
   /// Per-stripe lock-contention observatory, or null for TMs without one.

@@ -30,21 +30,9 @@ TmRunner::TmRunner(const RunnerConfig& cfg) : cfg_(cfg) {
   switch (cfg_.kind) {
     case TmKind::kNvHalt:
     case TmKind::kNvHaltCl:
-    case TmKind::kNvHaltSp: {
-      NvHaltConfig nc = cfg_.nvhalt;
-      if (cfg_.kind == TmKind::kNvHaltCl) {
-        nc.lock_mode = LockMode::kColocated;
-        nc.variant = Variant::kWeak;
-      } else if (cfg_.kind == TmKind::kNvHaltSp) {
-        nc.lock_mode = LockMode::kTable;
-        nc.variant = Variant::kStrong;
-      } else {
-        nc.lock_mode = LockMode::kTable;
-        nc.variant = Variant::kWeak;
-      }
-      tm_ = std::make_unique<NvHaltTm>(nc, *pool_, *htm_, *alloc_);
+    case TmKind::kNvHaltSp:
+      tm_ = std::make_unique<NvHaltTm>(cfg_.kind, cfg_.nvhalt, *pool_, *htm_, *alloc_);
       break;
-    }
     case TmKind::kTrinity:
       tm_ = std::make_unique<TrinityTm>(cfg_.trinity, *pool_, *alloc_);
       break;

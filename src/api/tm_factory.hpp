@@ -13,9 +13,6 @@
 
 namespace nvhalt {
 
-/// The five systems of the paper's evaluation (Fig. 8/9).
-enum class TmKind { kNvHalt, kNvHaltCl, kNvHaltSp, kTrinity, kSpht };
-
 const char* tm_kind_name(TmKind k);
 TmKind tm_kind_from_string(const std::string& s);
 

@@ -30,15 +30,6 @@ inline bool pub_persisted(std::uint64_t v) { return (v & 1) != 0; }
 /// some of these with kMaxThreads — they now all agree by construction.)
 int clamped_threads(const SphtConfig& cfg) { return std::clamp(cfg.max_threads, 1, kMaxThreads); }
 
-runtime::PathPolicy make_policy(const SphtConfig& cfg) {
-  runtime::PathPolicy p;
-  p.htm_attempts = cfg.htm_attempts;
-  // SPHT backs off between failed hardware attempts (NV-HALT's fixed
-  // attempt burst does not).
-  p.backoff_between_hw = true;
-  p.adaptive.enabled = cfg.adaptive_htm_budget;
-  return p;
-}
 }  // namespace
 
 /// Stats and RNG live in the shared runtime::TxThreadState base; this adds
@@ -50,7 +41,10 @@ struct alignas(kCacheLineBytes) SphtTm::ThreadCtx : runtime::TxThreadState {
 };
 
 SphtTm::SphtTm(const SphtConfig& cfg, PmemPool& pool, htm::SimHtm& htm, TxAllocator& alloc_iface)
-    : runtime::TmRuntime(clamped_threads(cfg), make_policy(cfg)),
+    // SPHT backs off between failed hardware attempts (NV-HALT's fixed
+    // attempt burst does not).
+    : runtime::TmRuntime(clamped_threads(cfg),
+                         {.htm_attempts = cfg.htm_attempts, .backoff_between_hw = true}),
       cfg_(cfg),
       pool_(pool),
       htm_(htm),
@@ -96,12 +90,10 @@ SphtTm::SphtTm(const SphtConfig& cfg, PmemPool& pool, htm::SimHtm& htm, TxAlloca
 SphtTm::~SphtTm() = default;
 
 void SphtTm::refill_bump_chunk(int tid) {
+  // One whole segment of the pool carver per refill.
   BumpState& b = bump_[tid];
-  // raw_alloc_large rounds to whole segments; the leftover belongs to us.
-  const std::size_t words =
-      (cfg_.alloc_chunk_words + kSegmentWords - 1) / kSegmentWords * kSegmentWords;
-  b.cur = alloc_iface_.raw_alloc_large(tid, words);
-  b.left = words;
+  b.cur = alloc_iface_.raw_alloc_large(tid, kSegmentWords);
+  b.left = kSegmentWords;
 }
 
 gaddr_t SphtTm::bump_alloc(int tid, std::size_t nwords) {
@@ -462,7 +454,7 @@ void SphtTm::reset_stats() {
 }
 
 telemetry::TmTelemetry SphtTm::telemetry() const {
-  return runtime::aggregate_thread_telemetry(ctx_, policy_);
+  return runtime::aggregate_thread_telemetry(ctx_);
 }
 
 }  // namespace nvhalt

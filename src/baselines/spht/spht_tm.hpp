@@ -54,13 +54,6 @@ struct SphtConfig {
   /// Ablation class 3 (NO-PERSISTENT-HTXN): disable logging, timestamp
   /// ordering and marker persistence — volatile-only transactions.
   bool persist_txns = true;
-  /// Bump-allocator chunk size in words (rounded up to whole segments of
-  /// the underlying pool carver).
-  std::size_t alloc_chunk_words = std::size_t{1} << 14;
-
-  /// Adaptive HTM attempt budget (runtime::AdaptivePolicy); see
-  /// NvHaltConfig::adaptive_htm_budget.
-  bool adaptive_htm_budget = false;
 
   /// Checkpointing (DESIGN.md Sec. 13): checkpoint(tid) replays and
   /// truncates the persistent logs (SPHT's native compaction — after it,

@@ -12,17 +12,6 @@
 
 namespace nvhalt {
 
-namespace {
-
-runtime::PathPolicy make_policy(const TrinityConfig& cfg) {
-  runtime::PathPolicy p;
-  p.htm_attempts = 0;  // pure STM: no hardware path
-  p.max_sw_retries = cfg.max_retries;
-  return p;
-}
-
-}  // namespace
-
 /// Stats, RNG and the pver cache live in the shared runtime::TxThreadState
 /// base; this adds Trinity's TL2 scratch.
 struct alignas(kCacheLineBytes) TrinityTm::ThreadCtx : runtime::TxThreadState {
@@ -44,7 +33,8 @@ struct alignas(kCacheLineBytes) TrinityTm::ThreadCtx : runtime::TxThreadState {
 };
 
 TrinityTm::TrinityTm(const TrinityConfig& cfg, PmemPool& pool, TxAllocator& alloc)
-    : runtime::TmRuntime(kMaxThreads, make_policy(cfg)),
+    // Pure STM: no hardware attempts, software retries until commit.
+    : runtime::TmRuntime(kMaxThreads, runtime::PathPolicy{}),
       cfg_(cfg),
       pool_(pool),
       alloc_(alloc),
@@ -387,7 +377,7 @@ void TrinityTm::reset_stats() {
 }
 
 telemetry::TmTelemetry TrinityTm::telemetry() const {
-  return runtime::aggregate_thread_telemetry(ctx_, policy_);
+  return runtime::aggregate_thread_telemetry(ctx_);
 }
 
 }  // namespace nvhalt

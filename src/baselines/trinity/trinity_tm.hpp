@@ -38,8 +38,6 @@ class CheckpointManager;
 
 struct TrinityConfig {
   std::size_t lock_table_entries = std::size_t{1} << 16;
-  /// Bound on retries; < 0 retries until commit.
-  int max_retries = -1;
 
   /// Checkpoint/compaction (DESIGN.md Sec. 13): same dirty-line bitmap +
   /// generation watermark as NV-HALT (the persistence mechanism is

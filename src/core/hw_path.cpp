@@ -29,7 +29,7 @@ class NvHaltHwTx final : public Tx {
         check_locks_(tm.cfg_.hw_read_check_locks),
         acquire_locks_(tm.cfg_.persist_hw_txns && tm.cfg_.hw_acquire_locks),
         persisting_(tm.cfg_.persist_hw_txns),
-        strong_(tm.cfg_.variant == Variant::kStrong) {}
+        strong_(tm.strong_) {}
 
   word_t read(gaddr_t a) override {
     telemetry::trace2(telemetry::EventKind::kRead, tid_, a);

@@ -11,8 +11,8 @@
 
 namespace nvhalt {
 
-/// Stats, RNG, adaptive budget and the pver cache live in the shared
-/// runtime::TxThreadState base; this adds NV-HALT's path-specific scratch.
+/// Stats, RNG and the pver cache live in the shared runtime::TxThreadState
+/// base; this adds NV-HALT's path-specific scratch.
 struct alignas(kCacheLineBytes) NvHaltTm::ThreadCtx : runtime::TxThreadState {
   // ---- Software path (Fig. 1) ----------------------------------------
   struct ReadEnt {
@@ -93,9 +93,6 @@ struct alignas(kCacheLineBytes) NvHaltTm::ThreadCtx : runtime::TxThreadState {
   std::uint64_t ro_memo_seen = 0;
   /// commit_seq covering the last full ro_set validation (TL2 snapshot).
   std::uint64_t ro_seq = 0;
-  /// Consecutive empty-write-set commits by this thread (dynamic read-only
-  /// detection; see RoPolicy::dynamic_streak).
-  int ro_streak = 0;
 
   // ---- Shared persistence scratch ---------------------------------------
   struct PersistEnt {

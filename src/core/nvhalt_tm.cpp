@@ -8,35 +8,21 @@
 
 namespace nvhalt {
 
-namespace {
-
-runtime::PathPolicy make_policy(const NvHaltConfig& cfg) {
-  runtime::PathPolicy p;
-  p.htm_attempts = cfg.htm_attempts;
-  p.fallback_on_capacity = cfg.fallback_on_capacity;
-  p.max_sw_retries = cfg.max_sw_retries;
-  p.adaptive.enabled = cfg.adaptive_htm_budget;
-  // The read-only fast path's validation protocol leans on the production
-  // locking discipline: hardware writers must acquire (and hold through
-  // persistence) the locks the RO engines validate against, and the
-  // paper-literal validate_every_read mode exists for A/B comparison of the
-  // *general* software path — routing reads away from it would change what
-  // it measures. Ablation configurations therefore disable RO routing.
-  p.ro.enabled = cfg.ro_fast_path && cfg.persist_hw_txns && cfg.hw_acquire_locks &&
-                 !cfg.validate_every_read;
-  return p;
-}
-
-}  // namespace
-
-NvHaltTm::NvHaltTm(const NvHaltConfig& cfg, PmemPool& pool, htm::SimHtm& htm, TxAllocator& alloc)
-    : runtime::TmRuntime(kMaxThreads, make_policy(cfg)),
+NvHaltTm::NvHaltTm(TmKind kind, const NvHaltConfig& cfg, PmemPool& pool, htm::SimHtm& htm,
+                   TxAllocator& alloc)
+    : runtime::TmRuntime(kMaxThreads, {.htm_attempts = cfg.htm_attempts,
+                                       .max_sw_retries = cfg.max_sw_retries}),
       cfg_(cfg),
+      strong_(kind == TmKind::kNvHaltSp),
+      ro_routing_(cfg.persist_hw_txns && cfg.hw_acquire_locks && !cfg.validate_every_read),
       pool_(pool),
       htm_(htm),
       alloc_(alloc),
-      locks_(cfg.lock_mode, cfg.lock_table_entries, pool.capacity_words()),
+      locks_(kind == TmKind::kNvHaltCl ? LockMode::kColocated : LockMode::kTable,
+             cfg.lock_table_entries, pool.capacity_words()),
       ctx_(kMaxThreads) {
+  if (kind == TmKind::kTrinity || kind == TmKind::kSpht)
+    throw TmLogicError("NvHaltTm: not an NV-HALT kind");
   gclock_.value.store(0, std::memory_order_relaxed);
   commit_seq_.value.store(0, std::memory_order_relaxed);
   for (int t = 0; t < ctx_.size(); ++t) {
@@ -60,8 +46,8 @@ NvHaltTm::NvHaltTm(const NvHaltConfig& cfg, PmemPool& pool, htm::SimHtm& htm, Tx
 NvHaltTm::~NvHaltTm() = default;
 
 const char* NvHaltTm::name() const {
-  if (cfg_.variant == Variant::kStrong) return "NV-HALT-SP";
-  return cfg_.lock_mode == LockMode::kColocated ? "NV-HALT-CL" : "NV-HALT";
+  if (strong_) return "NV-HALT-SP";
+  return locks_.mode() == LockMode::kColocated ? "NV-HALT-CL" : "NV-HALT";
 }
 
 TmStats NvHaltTm::stats() const { return runtime::aggregate_thread_stats(ctx_); }
@@ -72,7 +58,7 @@ void NvHaltTm::reset_stats() {
 }
 
 telemetry::TmTelemetry NvHaltTm::telemetry() const {
-  return runtime::aggregate_thread_telemetry(ctx_, policy_);
+  return runtime::aggregate_thread_telemetry(ctx_);
 }
 
 void NvHaltTm::persist_and_bump_pver(int tid, ThreadCtx& ctx) {
@@ -152,18 +138,12 @@ bool NvHaltTm::run_registered(int tid, TxMode mode, TxBody body) {
   ThreadCtx& ctx = ctx_[tid];
   ensure_pver(pool_, tid, ctx);
 
-  // Read-only fast path: declared (TxMode::kReadOnly) or dynamically
-  // detected (a streak of empty-write-set commits) transactions take the
-  // cheap engines first, unless a validation storm has suspended routing
-  // (AdaptiveBudget::admit_ro). Demotion falls through to the general loop.
-  const runtime::RoPolicy& rp = policy_.ro;
-  if (rp.enabled &&
-      (mode == TxMode::kReadOnly ||
-       (rp.dynamic_streak > 0 && ctx.ro_streak >= rp.dynamic_streak)) &&
-      ctx.adaptive.admit_ro(rp)) {
+  // Read-only fast path: only the caller's TxMode::kReadOnly hint routes
+  // here. Demotion (the body wrote) or exhausted RO attempts fall through
+  // to the general loop.
+  if (mode == TxMode::kReadOnly && ro_routing_) {
     switch (run_ro(tid, body)) {
       case RoAttemptOutcome::kCommitted:
-        ctx.ro_streak++;
         return true;
       case RoAttemptOutcome::kUserAborted:
         return false;
@@ -186,17 +166,7 @@ bool NvHaltTm::run_registered(int tid, TxMode mode, TxBody body) {
     }
   } env{*this, ctx, tid, body};
 
-  const std::uint64_t ro_before = ctx.stats.read_only_commits;
-  const bool ok = runtime::run_retry_loop(policy_, tid, ctx, env);
-  // Dynamic detection signal: consecutive commits with an empty write set.
-  // (A commit on any path bumps read_only_commits iff nothing was written.)
-  if (ok) {
-    if (ctx.stats.read_only_commits != ro_before)
-      ctx.ro_streak++;
-    else
-      ctx.ro_streak = 0;
-  }
-  return ok;
+  return runtime::run_retry_loop(policy_, tid, ctx, env);
 }
 
 bool NvHaltTm::attempt_hw_once(int tid, TxBody body) {

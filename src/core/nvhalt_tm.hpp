@@ -11,13 +11,14 @@
 // address can be non-durable only while its lock is held — the invariant
 // the whole persistence scheme rests on.
 //
-// Variants (paper Sec. 3.6, 4):
-//   * weak progressive  (Variant::kWeak)  — Fig. 1 + Fig. 5
-//   * strong progressive (Variant::kStrong, "NV-HALT-SP") — Fig. 7: sorted
+// Variants (paper Sec. 3.6, 4), selected by the TmKind the TM is built as:
+//   * weak progressive  (TmKind::kNvHalt) — Fig. 1 + Fig. 5
+//   * strong progressive (TmKind::kNvHaltSp, "NV-HALT-SP") — Fig. 7: sorted
 //     write-set acquisition, a global software clock whose successful CAS
 //     lets commits skip sLock validation, and a per-lock hVer bumped only
 //     by hardware transactions so software commits can detect them.
-//   * colocated locks ("NV-HALT-CL") — LockMode::kColocated.
+//   * colocated locks (TmKind::kNvHaltCl, "NV-HALT-CL") —
+//     LockMode::kColocated, weak progressive.
 //
 // NV-HALT is O(1)-abortable (weak/strong) progressive: each transaction
 // runs at most `htm_attempts` hardware attempts, then the progressive
@@ -39,21 +40,11 @@ namespace nvhalt {
 
 class CheckpointManager;
 
-enum class Variant { kWeak, kStrong };
-
 struct NvHaltConfig {
-  Variant variant = Variant::kWeak;
-  LockMode lock_mode = LockMode::kTable;
   std::size_t lock_table_entries = std::size_t{1} << 16;
 
   /// C in "C-abortable": hardware attempts before falling back.
   int htm_attempts = 10;
-
-  /// Extension: fall back to software immediately on a capacity abort —
-  /// the transaction's footprint will not shrink on retry, so further
-  /// hardware attempts are wasted. Off by default (the paper uses a fixed
-  /// attempt count); probed by the retry-policy ablation benchmark.
-  bool fallback_on_capacity = false;
 
   /// Ablation class 3 (NO-PERSISTENT-HTXN): when false, the hardware path
   /// performs no lock acquisition, no undo logging and no post-xend
@@ -70,12 +61,6 @@ struct NvHaltConfig {
   /// Bound on software-path retries; < 0 means retry until commit
   /// (progressive). Tests use small bounds to assert abort behaviour.
   int max_sw_retries = -1;
-
-  /// Adaptive HTM attempt budget (runtime::AdaptivePolicy): shrink the
-  /// hardware attempt budget while the recent abort rate is high, grow it
-  /// back when attempts start committing. Off by default (the paper uses a
-  /// fixed C); finer knobs via TmRuntime::set_path_policy.
-  bool adaptive_htm_budget = false;
 
   /// Fig. 1 revalidates the full read set on every software read — O(n^2)
   /// in reads. By default the software path instead revalidates only when
@@ -112,21 +97,14 @@ struct NvHaltConfig {
   /// NVHALT_TELEMETRY >= 1; the reservation is level-independent so crash
   /// images replay across build levels.
   bool flight_recorder = false;
-
-  /// Read-only fast path (docs/PROTOCOLS.md "Read-only fast path"):
-  /// transactions hinted TxMode::kReadOnly — or detected via a streak of
-  /// empty-write-set commits — run a TL2-style snapshot attempt with zero
-  /// lock acquisitions and zero persistence traffic, then an
-  /// invisible-reader hardware attempt, before falling into the general
-  /// loop. Requires the production protocol (persist_hw_txns +
-  /// hw_acquire_locks, and not validate_every_read); silently disabled for
-  /// the ablation/counterexample configurations.
-  bool ro_fast_path = true;
 };
 
 class NvHaltTm final : public runtime::TmRuntime {
  public:
-  NvHaltTm(const NvHaltConfig& cfg, PmemPool& pool, htm::SimHtm& htm, TxAllocator& alloc);
+  /// `kind` is one of the three NV-HALT kinds; it fixes the progress
+  /// variant and the lock layout.
+  NvHaltTm(TmKind kind, const NvHaltConfig& cfg, PmemPool& pool, htm::SimHtm& htm,
+           TxAllocator& alloc);
   ~NvHaltTm() override;
 
   void recover_data() override;
@@ -172,7 +150,7 @@ class NvHaltTm final : public runtime::TmRuntime {
  protected:
   /// The unified retry loop (runtime/retry_policy.hpp) with this TM's
   /// hardware/software attempts plugged in, preceded by the read-only
-  /// fast path when the transaction is hinted (or detected) read-only.
+  /// fast path when the caller hinted TxMode::kReadOnly.
   bool run_registered(int tid, TxMode mode, TxBody body) override;
 
  private:
@@ -190,9 +168,9 @@ class NvHaltTm final : public runtime::TmRuntime {
   /// Read-only fast-path engines (core/ro_path.cpp). attempt_ro_sw is the
   /// TL2-style snapshot attempt (zero lock acquisitions, zero journal
   /// traffic); attempt_ro_hw is the invisible-reader hardware attempt
-  /// (deferred lock-word validation). run_ro sequences
-  /// ro.sw_attempts + ro.hw_attempts of them and reports kDemoted when all
-  /// are exhausted (or the body turned out to write).
+  /// (deferred lock-word validation). run_ro sequences a fixed number of
+  /// each and reports kDemoted when all are exhausted (or the body turned
+  /// out to write).
   RoAttemptOutcome attempt_ro_sw(int tid, TxBody body);
   RoAttemptOutcome attempt_ro_hw(int tid, TxBody body);
   RoAttemptOutcome run_ro(int tid, TxBody body);
@@ -203,6 +181,15 @@ class NvHaltTm final : public runtime::TmRuntime {
   void persist_and_bump_pver(int tid, ThreadCtx& ctx);
 
   NvHaltConfig cfg_;
+  /// NV-HALT-SP (Fig. 7) rather than the weak-progressive protocol.
+  const bool strong_;
+  /// Whether TxMode::kReadOnly reaches the RO engines. Their validation
+  /// leans on the production locking discipline (hardware writers acquire,
+  /// and hold through persistence, the locks the RO engines validate
+  /// against), and validate_every_read exists to measure the general
+  /// software path, so the ablation and counterexample configurations
+  /// send every transaction down the general loop.
+  const bool ro_routing_;
   PmemPool& pool_;
   htm::SimHtm& htm_;
   TxAllocator& alloc_;

@@ -50,7 +50,6 @@ void NvHaltTm::recover_data() {
 
   ctx_.for_each([](ThreadCtx& c) {
     c.pver_loaded = false;
-    c.adaptive.reset();
     c.rdset.clear();
     c.wrset.clear();
     c.hw_undo.clear();

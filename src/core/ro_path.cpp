@@ -1,6 +1,6 @@
 // NV-HALT read-only fast path (docs/PROTOCOLS.md "Read-only fast path",
-// DESIGN.md Sec. 11): two engines for transactions that are declared — or
-// dynamically detected — read-only.
+// DESIGN.md Sec. 11): two engines for transactions the caller hints
+// TxMode::kReadOnly.
 //
 // Software engine (NvHaltRoSwTx, TL2-style snapshot reads): samples the
 // global commit sequence at begin and performs *raw* acquire loads of pool
@@ -37,6 +37,11 @@
 namespace nvhalt {
 
 namespace {
+
+/// Snapshot attempts, then invisible-reader hardware attempts, a read-only
+/// transaction makes before it demotes to the general retry loop.
+constexpr int kRoSwAttempts = 4;
+constexpr int kRoHwAttempts = 2;
 
 /// One bit of the per-attempt membership filter for a lock pointer.
 /// LockEntry is 16 bytes, so >> 4 strips the always-zero low bits; the
@@ -279,28 +284,25 @@ NvHaltTm::RoAttemptOutcome NvHaltTm::attempt_ro_hw(int tid, TxBody body) {
 
 NvHaltTm::RoAttemptOutcome NvHaltTm::run_ro(int tid, TxBody body) {
   ThreadCtx& ctx = ctx_[tid];
-  const runtime::RoPolicy& rp = policy_.ro;
 
   // Snapshot attempts first: they are the cheaper engine (no HTM machinery
   // at all) and in the common low-write-rate regime they commit on the
   // first try. The hardware engine mops up footprints whose lines churn
   // just enough to keep defeating the snapshot check.
   int attempt = 0;
-  for (int i = 0; i < rp.sw_attempts; ++i, ++attempt) {
+  for (int i = 0; i < kRoSwAttempts; ++i, ++attempt) {
     telemetry::trace1(telemetry::EventKind::kRoAttempt, tid,
                       static_cast<std::uint64_t>(attempt));
     const RoAttemptOutcome r = attempt_ro_sw(tid, body);
-    ctx.adaptive.record_ro(rp, r == RoAttemptOutcome::kAborted);
     if (r != RoAttemptOutcome::kAborted) return r;
-    runtime::backoff(policy_.backoff, ctx.rng, i + 1);
+    runtime::backoff(ctx.rng, i + 1);
   }
-  for (int i = 0; i < rp.hw_attempts; ++i, ++attempt) {
+  for (int i = 0; i < kRoHwAttempts; ++i, ++attempt) {
     telemetry::trace1(telemetry::EventKind::kRoAttempt, tid,
                       static_cast<std::uint64_t>(attempt));
     const RoAttemptOutcome r = attempt_ro_hw(tid, body);
-    ctx.adaptive.record_ro(rp, r == RoAttemptOutcome::kAborted);
     if (r != RoAttemptOutcome::kAborted) return r;
-    runtime::backoff(policy_.backoff, ctx.rng, i + 1);
+    runtime::backoff(ctx.rng, i + 1);
   }
   return RoAttemptOutcome::kDemoted;
 }

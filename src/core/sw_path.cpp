@@ -36,7 +36,7 @@ class NvHaltSwTx final : public Tx {
     }
     const word_t val = tm_.htm_.nontx_load(tid_, htm::loc_pool(a), tm_.pool_.word_ptr(a));
     std::uint64_t h = 0;
-    if (tm_.cfg_.variant == Variant::kStrong)
+    if (tm_.strong_)
       h = tm_.htm_.nontx_load(tid_, lk.loc, lk.h);
     const std::uint64_t l2 = tm_.htm_.nontx_load(tid_, lk.loc, lk.s);
     if (l1 != l2) {
@@ -136,7 +136,7 @@ class NvHaltSwTx final : public Tx {
       return;  // read-only: validated on every read, nothing to persist
     }
 
-    if (tm_.cfg_.variant == Variant::kStrong) {
+    if (tm_.strong_) {
       // Fixed-order acquisition (TL2-style) is half of strong
       // progressiveness: opposing lock orders can no longer deadlock-abort
       // each other forever. Sequential structure updates already produce
@@ -149,7 +149,7 @@ class NvHaltSwTx final : public Tx {
     acquire_locks();
 
     bool validated = false;
-    if (tm_.cfg_.variant == Variant::kStrong) {
+    if (tm_.strong_) {
       // Fig. 7: a successful CAS on gClock means no software writer
       // committed since TxStart, so sLock validation can be skipped; only
       // hardware transactions (which never touch gClock) must be checked,
@@ -171,7 +171,7 @@ class NvHaltSwTx final : public Tx {
         release_acquired();
         throw TxConflictAbort{};
       }
-      if (tm_.cfg_.variant == Variant::kStrong) {
+      if (tm_.strong_) {
         // Deviation from Fig. 7 (documented in DESIGN.md): a writer whose
         // gClock CAS failed still advances the clock after validating, so
         // that a successful CAS by another transaction genuinely implies
@@ -252,7 +252,7 @@ NvHaltTm::AttemptResult NvHaltTm::attempt_sw(int tid, TxBody body) {
   ctx.rdset.clear();
   ctx.wrset.clear();
   ctx.wr_index.clear();
-  if (cfg_.variant == Variant::kStrong)
+  if (strong_)
     ctx.rv = gclock_.value.load(std::memory_order_seq_cst);  // TxStart (Fig. 7)
   // Initial validation snapshot: the empty read set is trivially valid at
   // the commit_seq value read here.

@@ -1,9 +1,9 @@
 // Unified per-thread state for the TM runtime layer.
 //
 // TxThreadState is the slice of per-thread context every TM needs — outcome
-// stats, the backoff RNG, the adaptive-budget controller, and the cached
-// persistent version number. Each TM's ThreadCtx derives from it and adds
-// its path-specific scratch (read/write sets, redo/undo logs, ...).
+// stats, the backoff RNG, telemetry counters, and the cached persistent
+// version number. Each TM's ThreadCtx derives from it and adds its
+// path-specific scratch (read/write sets, redo/undo logs, ...).
 //
 // PerThread<Ctx> replaces the hand-rolled `make_unique<ThreadCtx[]>` blocks:
 // a fixed-size array of cache-line-aligned per-slot contexts indexed by
@@ -15,7 +15,6 @@
 
 #include "core/tm_stats.hpp"
 #include "htm/htm_types.hpp"
-#include "runtime/retry_policy.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/tx_telemetry.hpp"
@@ -27,7 +26,6 @@ namespace nvhalt::runtime {
 struct TxThreadState {
   TmThreadStats stats;
   Xoshiro256 rng;
-  AdaptiveBudget adaptive;
 
   /// Telemetry counters (abort taxonomy + latency/size histograms). Live at
   /// every NVHALT_TELEMETRY level; see telemetry/tx_telemetry.hpp.
@@ -37,10 +35,6 @@ struct TxThreadState {
   /// the first time a slot runs a transaction, invalidated by recovery).
   std::uint64_t pver = 0;
   bool pver_loaded = false;
-
-  /// Cause of the most recent hardware-path abort (drives the
-  /// fallback-on-capacity policy). Unused by software-only TMs.
-  htm::AbortCause last_hw_abort = htm::AbortCause::kConflict;
 
   /// Owning TM's persistent flight recorder, or null when disabled (the
   /// config default). Set once at TM construction for every slot.
@@ -59,13 +53,11 @@ struct TxThreadState {
     }
   }
 
-  /// The one place a hardware abort is accounted: bumps the coarse counter,
-  /// the per-cause taxonomy, and the retry policy's last-cause in lockstep
-  /// so they can never disagree (last_hw_abort alone used to lose history).
+  /// The one place a hardware abort is accounted: bumps the coarse counter
+  /// and the per-cause taxonomy in lockstep so they can never disagree.
   /// `code` is the xabort code for explicit aborts (trace payload only).
   void record_hw_abort(int tid, htm::AbortCause c, std::uint8_t code = 0) {
     stats.hw_aborts++;
-    last_hw_abort = c;
     tel.taxonomy.hw_by_cause[static_cast<std::size_t>(c)]++;
     telemetry::trace1(telemetry::EventKind::kHwAbort, tid, code,
                       static_cast<std::uint8_t>(c));
@@ -130,39 +122,15 @@ void reset_thread_stats(PerThread<Ctx>& per_thread) {
 /// are not tracked twice per-thread), so they agree with stats() by
 /// construction; hw_by_cause comes from record_hw_abort, which bumps
 /// stats.hw_aborts at the same site — sum(hw_by_cause) == hw_aborts
-/// exactly. The adaptive snapshot reports the minimum-budget thread's
-/// window: the view that explains fallback pressure.
+/// exactly.
 template <typename Ctx>
-telemetry::TmTelemetry aggregate_thread_telemetry(const PerThread<Ctx>& per_thread,
-                                                  const PathPolicy& pol) {
+telemetry::TmTelemetry aggregate_thread_telemetry(const PerThread<Ctx>& per_thread) {
   telemetry::TmTelemetry agg;
-  agg.adaptive.enabled = pol.adaptive.enabled;
-  agg.adaptive.current_budget = pol.htm_attempts;
-  agg.adaptive.ro_enabled = pol.ro.enabled;
   for (int i = 0; i < per_thread.size(); ++i) {
     const Ctx& c = per_thread[i];
     agg.tx.add(c.tel);
     agg.tx.taxonomy.sw_aborts += c.stats.sw_aborts;
     agg.tx.taxonomy.user_aborts += c.stats.user_aborts;
-    const int b = c.adaptive.current_budget(pol);
-    if (i == 0 || b < agg.adaptive.current_budget) {
-      agg.adaptive.current_budget = b;
-      agg.adaptive.window_attempts = c.adaptive.window_attempts();
-      agg.adaptive.window_aborts = c.adaptive.window_aborts();
-      agg.adaptive.window_abort_rate = c.adaptive.window_abort_rate();
-    }
-    // The read-only routing view is worst-case too: report the most
-    // suspended thread's window (ties broken by abort rate) — the thread
-    // explaining why eligible transactions are not taking the cheap path.
-    const bool worse = c.adaptive.ro_suspended() > agg.adaptive.ro_suspended ||
-                       (c.adaptive.ro_suspended() == agg.adaptive.ro_suspended &&
-                        c.adaptive.ro_window_abort_rate() > agg.adaptive.ro_window_abort_rate);
-    if (i == 0 || worse) {
-      agg.adaptive.ro_window_attempts = c.adaptive.ro_window_attempts();
-      agg.adaptive.ro_window_aborts = c.adaptive.ro_window_aborts();
-      agg.adaptive.ro_window_abort_rate = c.adaptive.ro_window_abort_rate();
-      agg.adaptive.ro_suspended = c.adaptive.ro_suspended();
-    }
   }
   return agg;
 }

@@ -3,20 +3,17 @@
 //
 // Brown's HTM-template line of work and Brown & Ravi's concurrency-cost
 // analysis both show that fallback-path policy — how many hardware attempts,
-// when to give up early, how to back off — is where hybrid TMs win or lose.
-// Before this layer existed each TM hand-rolled its own copy of the loop and
-// they had drifted (different backoff bounds, a fallback result mistaken for
-// a commit). Now the loop lives here once, and each TM supplies only its
-// attempt primitives through a small Env adapter; the knobs are a PathPolicy
-// value configurable per TM instance (TmRuntime::set_path_policy).
+// how to back off — is where hybrid TMs win or lose. Before this layer
+// existed each TM hand-rolled its own copy of the loop and they had drifted
+// (different backoff bounds, a fallback result mistaken for a commit). Now
+// the loop lives here once, and each TM supplies only its attempt
+// primitives through a small Env adapter plus a PathPolicy it builds once
+// from its config at construction.
 //
 // Loop shape (paper Fig. 1/5/7 attempt ordering, O(1)-abortability):
-//   1. at most `budget` hardware attempts, where budget is htm_attempts or
-//      the adaptive controller's current value;
-//   2. optional fast-fallback on a capacity abort (the footprint will not
-//      shrink on retry) and optional backoff between hardware attempts
-//      (SPHT's historical behaviour);
-//   3. then software attempts until commit / voluntary abort / the
+//   1. at most htm_attempts hardware attempts (the paper's fixed C), with
+//      optional backoff between them (SPHT's historical behaviour);
+//   2. then software attempts until commit / voluntary abort / the
 //      max_sw_retries bound, with bounded randomized exponential backoff
 //      between attempts.
 #pragma once
@@ -24,186 +21,37 @@
 #include <algorithm>
 
 #include "core/tm_stats.hpp"
-#include "htm/htm_types.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/common.hpp"
 #include "util/rng.hpp"
 
 namespace nvhalt::runtime {
 
-/// Bounded randomized exponential backoff. The spin count for attempt k is
-/// drawn uniformly from [0, min(1 << min(k, shift_cap), max_spins)); from
-/// yield_after attempts on the thread additionally yields, because this
-/// container may expose a single CPU. One definition for every TM — the
-/// seed TMs disagreed by an off-by-one in the draw bound (SPHT drew from
-/// cap + 1, the others from cap); the unified policy draws from cap.
-struct BackoffPolicy {
-  int shift_cap = 10;
-  int max_spins = 1024;
-  int yield_after = 2;
-};
-
-/// Adaptive HTM attempt budget: when the recent hardware abort rate is high
-/// (capacity/conflict pressure), attempts are mostly wasted work before the
-/// inevitable fallback, so the budget shrinks; when attempts start
-/// committing again it grows back toward the configured maximum.
-struct AdaptivePolicy {
-  bool enabled = false;
-  /// Hardware attempts per adaptation window.
-  int window = 64;
-  /// Halve the budget when the window abort rate reaches this...
-  double high_abort_rate = 0.75;
-  /// ...and grow it by one when the rate falls to this.
-  double low_abort_rate = 0.25;
-  /// Floor for the shrunken budget (stays >= 1 so the fast path is probed).
-  int min_attempts = 1;
-};
-
-/// Read-only fast-path routing policy (NV-HALT; see docs/PROTOCOLS.md
-/// "Read-only fast path"). A transaction hinted TxMode::kReadOnly — or
-/// dynamically detected as read-only — first runs `sw_attempts` snapshot
-/// attempts (lock-free unlocked reads validated against commit_seq), then
-/// `hw_attempts` invisible-reader hardware attempts (deferred lock-word
-/// validation), then demotes to the general retry loop. The windowed
-/// read-only abort rate suspends routing during validation storms.
-struct RoPolicy {
-  bool enabled = false;
-  /// Snapshot (software) read-only attempts before trying hardware.
-  int sw_attempts = 4;
-  /// Invisible-reader hardware attempts before demoting to the full loop.
-  int hw_attempts = 2;
-  /// Route an *unhinted* transaction to the read-only path once this many
-  /// consecutive transactions by the thread committed with an empty write
-  /// set; 0 disables dynamic detection (hinted routing still applies).
-  int dynamic_streak = 8;
-  /// Read-only attempts per storm-detection window.
-  int window = 64;
-  /// Suspend read-only routing when the window abort rate reaches this.
-  double storm_abort_rate = 0.5;
-  /// Eligible transactions routed to the general path per suspension.
-  int cooloff = 64;
-};
-
-/// The per-TM-instance path/retry policy (the loop's knobs).
+/// A TM instance's retry policy, fixed at construction (TmRuntime).
 struct PathPolicy {
   /// C in "C-abortable": hardware attempts before falling back; 0 means
   /// software-only (Trinity, or NV-HALT with the fast path disabled).
   int htm_attempts = 0;
-  /// Fall back immediately on a capacity abort.
-  bool fallback_on_capacity = false;
   /// Back off between failed hardware attempts (SPHT does; NV-HALT's fixed
   /// attempt burst does not).
   bool backoff_between_hw = false;
   /// Bound on software-path retries; < 0 retries until commit (progressive).
   int max_sw_retries = -1;
-  BackoffPolicy backoff;
-  AdaptivePolicy adaptive;
-  RoPolicy ro;
 };
 
 /// Outcome of one hardware or software attempt.
 enum class AttemptStatus { kCommitted, kAborted, kUserAborted };
 
-/// Per-thread state of the adaptive budget controller. Plain data, no
-/// locking: each instance belongs to one registry slot.
-class AdaptiveBudget {
- public:
-  /// Current hardware attempt budget under `p` (== p.htm_attempts until the
-  /// controller has adapted, or when adaptation is disabled).
-  int budget(const PathPolicy& p) const {
-    if (!p.adaptive.enabled || budget_ < 0) return p.htm_attempts;
-    return budget_;
-  }
-
-  /// Records one hardware attempt outcome and adapts at window boundaries.
-  void record(const PathPolicy& p, bool aborted) {
-    if (!p.adaptive.enabled) return;
-    if (budget_ < 0) budget_ = p.htm_attempts;
-    ++window_attempts_;
-    if (aborted) ++window_aborts_;
-    if (window_attempts_ < p.adaptive.window) return;
-    const double rate =
-        static_cast<double>(window_aborts_) / static_cast<double>(window_attempts_);
-    if (rate >= p.adaptive.high_abort_rate)
-      budget_ = std::max(p.adaptive.min_attempts, budget_ / 2);
-    else if (rate <= p.adaptive.low_abort_rate)
-      budget_ = std::min(p.htm_attempts, budget_ + 1);
-    window_attempts_ = 0;
-    window_aborts_ = 0;
-  }
-
-  void reset() { *this = AdaptiveBudget{}; }
-
-  // ---- Read-only routing signal (RoPolicy) -----------------------------
-  // A second, independent window over read-only fast-path attempts: when a
-  // validation storm pushes the windowed RO abort rate past the policy
-  // threshold, routing is suspended for `cooloff` eligible transactions,
-  // which then take the general path (whose commit-time locking makes
-  // progress where optimistic snapshots keep failing).
-
-  /// Records one read-only fast-path attempt outcome.
-  void record_ro(const RoPolicy& rp, bool aborted) {
-    ++ro_window_attempts_;
-    if (aborted) ++ro_window_aborts_;
-    if (ro_window_attempts_ < rp.window) return;
-    const double rate =
-        static_cast<double>(ro_window_aborts_) / static_cast<double>(ro_window_attempts_);
-    if (rate >= rp.storm_abort_rate) ro_suspended_ = rp.cooloff;
-    ro_window_attempts_ = 0;
-    ro_window_aborts_ = 0;
-  }
-
-  /// Consults (and advances) the suspension state for one eligible
-  /// transaction: false while cooling off after a storm.
-  bool admit_ro(const RoPolicy& rp) {
-    if (!rp.enabled) return false;
-    if (ro_suspended_ > 0) {
-      --ro_suspended_;
-      return false;
-    }
-    return true;
-  }
-
-  // Readable controller state (benches and the metrics registry; see
-  // telemetry::AdaptiveSnapshot). current_budget is budget() under a name
-  // that reads as an observation rather than a decision.
-  int current_budget(const PathPolicy& p) const { return budget(p); }
-  std::uint64_t window_attempts() const { return static_cast<std::uint64_t>(window_attempts_); }
-  std::uint64_t window_aborts() const { return static_cast<std::uint64_t>(window_aborts_); }
-  /// Abort rate of the in-progress window (0 when the window is empty).
-  double window_abort_rate() const {
-    return window_attempts_ == 0
-               ? 0.0
-               : static_cast<double>(window_aborts_) / static_cast<double>(window_attempts_);
-  }
-  std::uint64_t ro_window_attempts() const {
-    return static_cast<std::uint64_t>(ro_window_attempts_);
-  }
-  std::uint64_t ro_window_aborts() const { return static_cast<std::uint64_t>(ro_window_aborts_); }
-  double ro_window_abort_rate() const {
-    return ro_window_attempts_ == 0
-               ? 0.0
-               : static_cast<double>(ro_window_aborts_) / static_cast<double>(ro_window_attempts_);
-  }
-  /// Eligible transactions still to be routed normally after a storm.
-  int ro_suspended() const { return ro_suspended_; }
-
- private:
-  int budget_ = -1;  // -1: not yet adapted, use the configured maximum
-  int window_attempts_ = 0;
-  int window_aborts_ = 0;
-  int ro_window_attempts_ = 0;
-  int ro_window_aborts_ = 0;
-  int ro_suspended_ = 0;
-};
-
-/// The one backoff implementation (see BackoffPolicy).
-void backoff(const BackoffPolicy& b, Xoshiro256& rng, int attempt);
+/// Bounded randomized exponential backoff, one definition for every TM
+/// (the seed TMs disagreed by an off-by-one in the draw bound). The spin
+/// count for attempt k is drawn uniformly from [0, 1 << min(k, 10)); from
+/// the third attempt on the thread also yields, because the host may expose
+/// a single CPU.
+void backoff(Xoshiro256& rng, int attempt);
 
 /// Runs one transaction through the unified retry loop. `State` is a
-/// TxThreadState (taken as a template parameter so this header need not
-/// include per_thread.hpp, which includes this one); the loop uses its
-/// stats, rng, adaptive controller, telemetry block and last_hw_abort.
+/// TxThreadState (runtime/per_thread.hpp); the loop uses its stats, rng,
+/// telemetry block and flight-recorder hook.
 /// `Env` supplies the TM-specific primitives:
 ///   AttemptStatus attempt_hw();     // one hardware attempt; on abort the
 ///                                   // Env must have called
@@ -211,9 +59,6 @@ void backoff(const BackoffPolicy& b, Xoshiro256& rng, int attempt);
 ///   AttemptStatus attempt_sw();     // one software attempt
 ///   void before_hw_attempt();       // e.g. SPHT waits for the fallback lock
 ///   void crash_point();             // crash-injection hook (may throw)
-/// Capacity fast-fallback reads State::last_hw_abort, which
-/// record_hw_abort keeps current — the old Env::hw_abort_was_capacity()
-/// adapter is gone.
 ///
 /// Telemetry: lifecycle events (tx begin, hw attempt, fallback, sw attempt,
 /// commits/aborts) are emitted at NVHALT_TELEMETRY >= 1, and per-path
@@ -229,36 +74,27 @@ bool run_retry_loop(const PathPolicy& pol, int tid, State& ts, Env&& env) {
   [[maybe_unused]] std::uint64_t t0 = 0;
   if constexpr (tel::kLevel >= 1) t0 = tel::now_ticks();
 
-  const int budget = ts.adaptive.budget(pol);
-  int hw_attempts_made = 0;
-  for (int i = 0; i < budget; ++i) {
+  for (int i = 0; i < pol.htm_attempts; ++i) {
     env.before_hw_attempt();
     tel::trace1(tel::EventKind::kHwAttempt, tid, static_cast<std::uint64_t>(i));
-    ++hw_attempts_made;
     switch (env.attempt_hw()) {
       case AttemptStatus::kCommitted:
-        ts.adaptive.record(pol, /*aborted=*/false);
         tel::trace1(tel::EventKind::kHwCommit, tid);
         ts.fr(tid, tel::EventKind::kHwCommit);
         if constexpr (tel::kLevel >= 1) ts.tel.tx_latency_hw.record(tel::now_ticks() - t0);
         return true;
       case AttemptStatus::kUserAborted:
-        ts.adaptive.record(pol, /*aborted=*/false);
         tel::trace1(tel::EventKind::kUserAbort, tid);
         ts.fr(tid, tel::EventKind::kUserAbort);
         return false;
       case AttemptStatus::kAborted:
         break;
     }
-    ts.adaptive.record(pol, /*aborted=*/true);
-    // A capacity abort recurs on every retry of the same footprint;
-    // optionally skip straight to the software path.
-    if (pol.fallback_on_capacity && ts.last_hw_abort == htm::AbortCause::kCapacity) break;
-    if (pol.backoff_between_hw) backoff(pol.backoff, ts.rng, i + 1);
+    if (pol.backoff_between_hw) backoff(ts.rng, i + 1);
   }
-  if (budget > 0) {
+  if (pol.htm_attempts > 0) {
     ts.stats.fallbacks++;
-    tel::trace1(tel::EventKind::kFallback, tid, static_cast<std::uint64_t>(hw_attempts_made));
+    tel::trace1(tel::EventKind::kFallback, tid, static_cast<std::uint64_t>(pol.htm_attempts));
   }
 
   // Software path until commit or voluntary abort (progressive), bounded by
@@ -284,7 +120,7 @@ bool run_retry_loop(const PathPolicy& pol, int tid, State& ts, Env&& env) {
     }
     ++retries;
     if (pol.max_sw_retries >= 0 && retries > pol.max_sw_retries) return false;
-    backoff(pol.backoff, ts.rng, retries);
+    backoff(ts.rng, retries);
     env.crash_point();
   }
 }

@@ -3,8 +3,8 @@
 // Owns the pieces the TMs used to hand-roll independently:
 //   * a ThreadRegistry (dynamic registration, slot reuse, dense-tid
 //     compatibility shim),
-//   * the per-instance PathPolicy driving the unified retry loop
-//     (runtime/retry_policy.hpp),
+//   * the PathPolicy driving the unified retry loop
+//     (runtime/retry_policy.hpp), fixed when the TM is constructed,
 //   * the run(tid, body) entry point: registry bounds check / slot pinning,
 //     then dispatch into the TM's run_registered.
 //
@@ -24,13 +24,6 @@ namespace nvhalt::runtime {
 class TmRuntime : public TransactionalMemory {
  public:
   ThreadRegistry& registry() final { return registry_; }
-
-  /// The path/retry policy in force for this TM instance.
-  const PathPolicy& path_policy() const { return policy_; }
-
-  /// Replaces the policy. Must be called quiescently (no transactions in
-  /// flight) — the loop reads the policy without synchronization.
-  void set_path_policy(const PathPolicy& p) { policy_ = p; }
 
   using TransactionalMemory::run;
 
@@ -63,7 +56,8 @@ class TmRuntime : public TransactionalMemory {
   }
 
   ThreadRegistry registry_;
-  PathPolicy policy_;
+  /// Built once from the TM's config; the loop reads it unsynchronized.
+  const PathPolicy policy_;
 };
 
 }  // namespace nvhalt::runtime

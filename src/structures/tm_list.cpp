@@ -80,13 +80,13 @@ bool TmList::remove(int tid, word_t key) {
 
 bool TmList::contains(int tid, word_t key, word_t* out) {
   bool r = false;
-  tm_.run(tid, [&](Tx& tx) { r = contains_in(tx, key, out); });
+  tm_.run(tid, TxMode::kReadOnly, [&](Tx& tx) { r = contains_in(tx, key, out); });
   return r;
 }
 
 word_t TmList::sum_values(int tid) {
   word_t sum = 0;
-  tm_.run(tid, [&](Tx& tx) {
+  tm_.run(tid, TxMode::kReadOnly, [&](Tx& tx) {
     sum = 0;
     for (gaddr_t cur = tx.read(head_ptr_); cur != kNullAddr; cur = tx.read(cur + 2))
       sum += tx.read(cur + 1);

@@ -68,7 +68,7 @@ bool TmQueue::dequeue(int tid, word_t* out) {
 
 std::size_t TmQueue::size(int tid) {
   std::size_t n = 0;
-  tm_.run(tid, [&](Tx& tx) {
+  tm_.run(tid, TxMode::kReadOnly, [&](Tx& tx) {
     n = static_cast<std::size_t>(tx.read(header_ + kTail) - tx.read(header_ + kHead));
   });
   return n;

@@ -120,7 +120,7 @@ bool TmSkipList::remove(int tid, word_t key) {
 
 bool TmSkipList::contains(int tid, word_t key, word_t* out) {
   bool r = false;
-  tm_.run(tid, [&](Tx& tx) { r = contains_in(tx, key, out); });
+  tm_.run(tid, TxMode::kReadOnly, [&](Tx& tx) { r = contains_in(tx, key, out); });
   return r;
 }
 

@@ -133,7 +133,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 }
 
 std::string MetricsSnapshot::to_json() const {
-  std::string out = "{\"schema\":\"nvhalt-metrics-v1\",\"telemetry_level\":";
+  std::string out = "{\"schema\":\"nvhalt-metrics-v2\",\"telemetry_level\":";
   append(out, "%d,\"tms\":[", kLevel);
   for (std::size_t i = 0; i < tms.size(); ++i) {
     const TmMetrics& m = tms[i];
@@ -185,19 +185,7 @@ std::string MetricsSnapshot::to_json() const {
       }
       out += "]}";
     }
-    append(out,
-           ",\"adaptive\":{\"enabled\":%s,\"current_budget\":%d,"
-           "\"window_attempts\":%llu,\"window_aborts\":%llu,\"window_abort_rate\":%.4f,"
-           "\"ro_enabled\":%s,\"ro_window_attempts\":%llu,\"ro_window_aborts\":%llu,"
-           "\"ro_window_abort_rate\":%.4f,\"ro_suspended\":%d}}",
-           m.tel.adaptive.enabled ? "true" : "false", m.tel.adaptive.current_budget,
-           static_cast<unsigned long long>(m.tel.adaptive.window_attempts),
-           static_cast<unsigned long long>(m.tel.adaptive.window_aborts),
-           m.tel.adaptive.window_abort_rate,
-           m.tel.adaptive.ro_enabled ? "true" : "false",
-           static_cast<unsigned long long>(m.tel.adaptive.ro_window_attempts),
-           static_cast<unsigned long long>(m.tel.adaptive.ro_window_aborts),
-           m.tel.adaptive.ro_window_abort_rate, m.tel.adaptive.ro_suspended);
+    out += "}";
   }
   out += "],\"pools\":[";
   for (std::size_t i = 0; i < pools.size(); ++i) {
@@ -312,14 +300,6 @@ std::string MetricsSnapshot::to_prometheus() const {
     prom_hist(out, "tx_latency_ticks", tm_label + ",path=\"sw\"", m.tel.tx.tx_latency_sw);
     prom_hist(out, "write_set_words", tm_label, m.tel.tx.write_set_size);
     prom_hist(out, "ack_latency_ticks", tm_label, m.tel.tx.ack_latency);
-    append(out, "nvhalt_adaptive_budget{%s} %d\n", tm_label.c_str(),
-           m.tel.adaptive.current_budget);
-    append(out, "nvhalt_adaptive_window_abort_rate{%s} %.4f\n", tm_label.c_str(),
-           m.tel.adaptive.window_abort_rate);
-    append(out, "nvhalt_ro_window_abort_rate{%s} %.4f\n", tm_label.c_str(),
-           m.tel.adaptive.ro_window_abort_rate);
-    append(out, "nvhalt_ro_suspended{%s} %d\n", tm_label.c_str(),
-           m.tel.adaptive.ro_suspended);
     if (m.has_contention) {
       prom_counter(out, "lock_stalls_total", tm_label, m.contention.stalls);
       prom_counter(out, "lock_stall_ticks_total", tm_label, m.contention.stall_ticks);

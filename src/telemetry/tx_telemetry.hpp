@@ -93,31 +93,10 @@ struct TxTelemetry {
   }
 };
 
-/// Readable snapshot of one thread's AdaptiveBudget controller window
-/// (satellite: the budget and window abort rate used to be private and
-/// untestable from benches).
-struct AdaptiveSnapshot {
-  bool enabled = false;
-  int current_budget = 0;
-  std::uint64_t window_attempts = 0;
-  std::uint64_t window_aborts = 0;
-  double window_abort_rate = 0.0;
-  // Read-only routing signal (RoPolicy window; see AdaptiveBudget).
-  bool ro_enabled = false;
-  std::uint64_t ro_window_attempts = 0;
-  std::uint64_t ro_window_aborts = 0;
-  double ro_window_abort_rate = 0.0;
-  /// Eligible transactions still being routed normally after a storm.
-  int ro_suspended = 0;
-};
-
 /// Aggregated (all registered threads) telemetry for one TM instance, as
-/// returned by TransactionalMemory::telemetry(). `adaptive` holds the
-/// worst-case (minimum-budget) thread's window: with the controller
-/// per-thread, the minimum is the view that explains fallback pressure.
+/// returned by TransactionalMemory::telemetry().
 struct TmTelemetry {
   TxTelemetry tx;
-  AdaptiveSnapshot adaptive;
 };
 
 }  // namespace nvhalt::telemetry

@@ -226,6 +226,13 @@ TEST(NvHaltCl, NameReflectsColocatedLocks) {
   EXPECT_EQ(nv.locks().mode(), LockMode::kColocated);
 }
 
+TEST(NvHaltTmKind, RejectsANonNvHaltKind) {
+  TmRunner runner(small_config(TmKind::kNvHalt));
+  for (const TmKind k : {TmKind::kTrinity, TmKind::kSpht})
+    EXPECT_THROW(NvHaltTm(k, NvHaltConfig{}, runner.pool(), runner.htm(), runner.alloc()),
+                 TmLogicError);
+}
+
 TEST(NvHaltConfig, NoPersistHwSkipsLockAcquisitionAndFences) {
   RunnerConfig cfg = small_config(TmKind::kNvHalt);
   cfg.nvhalt.persist_hw_txns = false;  // ablation NO-PERSISTENT-HTXN
@@ -239,30 +246,23 @@ TEST(NvHaltConfig, NoPersistHwSkipsLockAcquisitionAndFences) {
   tm.run(0, [&](Tx& tx) { EXPECT_EQ(tx.read(a), 5u); });
 }
 
-TEST(NvHaltRetryPolicy, CapacityAbortFallsBackImmediatelyWhenEnabled) {
+TEST(NvHaltRetryPolicy, CapacityAbortsSpendTheFixedBudget) {
   // A transaction whose footprint exceeds the simulated L1 write capacity
-  // aborts with kCapacity on every hardware attempt; the optional policy
-  // skips the futile retries.
-  for (const bool immediate : {false, true}) {
-    RunnerConfig cfg = small_config(TmKind::kNvHalt);
-    cfg.htm.l1_ways = 2;
-    cfg.htm.l1_sets = 1;  // at most 2 written lines fit
-    cfg.nvhalt.htm_attempts = 10;
-    cfg.nvhalt.fallback_on_capacity = immediate;
-    TmRunner runner(cfg);
-    auto& tm = runner.tm();
-    const gaddr_t arr = runner.alloc().raw_alloc_large(64);
-    EXPECT_TRUE(tm.run(0, [&](Tx& tx) {
-      for (gaddr_t i = 0; i < 64; i += 8) tx.write(arr + i, 1);  // 8 lines
-    }));
-    const TmStats s = tm.stats();
-    EXPECT_EQ(s.sw_commits, 1u);
-    if (immediate) {
-      EXPECT_EQ(s.hw_aborts, 1u);  // one capacity abort, straight to SW
-    } else {
-      EXPECT_EQ(s.hw_aborts, 10u);  // the paper's fixed-attempt policy
-    }
-  }
+  // aborts with kCapacity on every hardware attempt; the paper's fixed
+  // policy still makes all C attempts before the software path commits.
+  RunnerConfig cfg = small_config(TmKind::kNvHalt);
+  cfg.htm.l1_ways = 2;
+  cfg.htm.l1_sets = 1;  // at most 2 written lines fit
+  cfg.nvhalt.htm_attempts = 10;
+  TmRunner runner(cfg);
+  auto& tm = runner.tm();
+  const gaddr_t arr = runner.alloc().raw_alloc_large(64);
+  EXPECT_TRUE(tm.run(0, [&](Tx& tx) {
+    for (gaddr_t i = 0; i < 64; i += 8) tx.write(arr + i, 1);  // 8 lines
+  }));
+  const TmStats s = tm.stats();
+  EXPECT_EQ(s.sw_commits, 1u);
+  EXPECT_EQ(s.hw_aborts, 10u);
 }
 
 TEST(NvHaltEadr, WorksWithoutAnyFencesEndToEnd) {

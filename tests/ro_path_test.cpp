@@ -2,8 +2,8 @@
 // docs/PROTOCOLS.md "Read-only fast path"): structural silence of RO
 // commits (no lock traffic, no commit_seq bump, no journal records),
 // counterexample interleavings where a stale snapshot read must be caught
-// by validation on both engines, demotion of writing bodies, dynamic
-// detection, storm suspension, and RO readers racing committing writers.
+// by validation on both engines, demotion of writing bodies, hint-only
+// routing, and RO readers racing committing writers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +12,6 @@
 
 #include "core/nvhalt_tm.hpp"
 #include "pmem/crash_enum.hpp"
-#include "runtime/retry_policy.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -249,26 +248,31 @@ TEST(RoPathTest, HintedReadOnlyRoutesToFastPath) {
   EXPECT_EQ(tm.stats().ro_commits, before + 1);
 }
 
-/// Unhinted transactions reach the fast path only after a streak of
-/// empty-write-set commits (RoPolicy::dynamic_streak, default 8).
-TEST(RoPathTest, DynamicStreakRoutesUnhintedReadOnly) {
+/// Only the caller's TxMode::kReadOnly hint routes to the RO engines: a
+/// long run of unhinted read-only commits does not, and an explicit
+/// kUpdate transaction never starts in the snapshot engine.
+TEST(RoPathTest, OnlyTheReadOnlyHintRoutes) {
   TmRunner runner(small_config(TmKind::kNvHalt));
   auto& tm = nv(runner);
   const gaddr_t a = runner.alloc().raw_alloc(0, 1);
   ASSERT_TRUE(tm.run(0, [&](Tx& tx) { tx.write(a, 1); }));
 
   word_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    ASSERT_TRUE(tm.run(0, [&](Tx& tx) { v = tx.read(a); }));
-  EXPECT_EQ(tm.stats().ro_commits, 0u) << "routed before the streak threshold";
-
+  for (int i = 0; i < 32; ++i) ASSERT_TRUE(tm.run(0, [&](Tx& tx) { v = tx.read(a); }));
+  const std::uint64_t ro_commits = tm.stats().ro_commits;
   ASSERT_TRUE(tm.run(0, [&](Tx& tx) { v = tx.read(a); }));
-  EXPECT_EQ(tm.stats().ro_commits, 1u) << "streak of 8 should route the 9th";
+  EXPECT_EQ(tm.stats().ro_commits, ro_commits) << "an unhinted transaction was routed";
 
-  // A writing transaction resets the streak.
-  ASSERT_TRUE(tm.run(0, [&](Tx& tx) { tx.write(a, 2); }));
-  ASSERT_TRUE(tm.run(0, [&](Tx& tx) { v = tx.read(a); }));
-  EXPECT_EQ(tm.stats().ro_commits, 1u);
+  int body_runs = 0;
+  ASSERT_TRUE(tm.run(0, TxMode::kUpdate, [&](Tx& tx) {
+    ++body_runs;
+    tx.write(a, tx.read(a) + 1);
+  }));
+  EXPECT_EQ(body_runs, 1) << "the update ran in the snapshot engine first";
+  EXPECT_EQ(tm.stats().ro_aborts, 0u);
+
+  ASSERT_TRUE(tm.run(0, TxMode::kReadOnly, [&](Tx& tx) { v = tx.read(a); }));
+  EXPECT_EQ(tm.stats().ro_commits, ro_commits + 1);
   EXPECT_EQ(v, 2u);
 }
 
@@ -288,43 +292,6 @@ TEST(RoPathTest, AblationConfigsDisableRouting) {
     EXPECT_EQ(v, 1u);
     EXPECT_EQ(tm.stats().ro_commits, every_read ? 0u : 1u);
   }
-}
-
-TEST(RoPathTest, RoFastPathKnobDisablesRouting) {
-  RunnerConfig cfg = small_config(TmKind::kNvHalt);
-  cfg.nvhalt.ro_fast_path = false;
-  TmRunner runner(cfg);
-  auto& tm = nv(runner);
-  const gaddr_t a = runner.alloc().raw_alloc(0, 1);
-  ASSERT_TRUE(tm.run(0, [&](Tx& tx) { tx.write(a, 1); }));
-  word_t v = 0;
-  ASSERT_TRUE(tm.run(0, TxMode::kReadOnly, [&](Tx& tx) { v = tx.read(a); }));
-  EXPECT_EQ(v, 1u);
-  EXPECT_EQ(tm.stats().ro_commits, 0u);
-}
-
-/// Storm suspension on the routing signal itself (AdaptiveBudget): a
-/// window at/above the abort-rate threshold suspends admission for
-/// `cooloff` eligible transactions, then routing resumes.
-TEST(RoPathTest, StormSuspendsRoutingThenRecovers) {
-  runtime::RoPolicy rp;
-  rp.enabled = true;
-  rp.window = 8;
-  rp.storm_abort_rate = 0.5;
-  rp.cooloff = 4;
-  runtime::AdaptiveBudget b;
-
-  for (int i = 0; i < 8; ++i) b.record_ro(rp, /*aborted=*/i % 2 == 0);  // rate 0.5
-  EXPECT_EQ(b.ro_suspended(), 4);
-  for (int i = 0; i < 4; ++i) EXPECT_FALSE(b.admit_ro(rp));
-  EXPECT_TRUE(b.admit_ro(rp)) << "routing resumes after the cooloff";
-
-  // A clean window does not suspend.
-  for (int i = 0; i < 8; ++i) b.record_ro(rp, /*aborted=*/false);
-  EXPECT_TRUE(b.admit_ro(rp));
-  // Disabled policy never admits.
-  rp.enabled = false;
-  EXPECT_FALSE(b.admit_ro(rp));
 }
 
 // -------------------------------------------- footprint / index migration

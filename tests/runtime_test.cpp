@@ -1,6 +1,5 @@
 // Unit tests for the shared TM runtime layer: ThreadRegistry / ThreadHandle
-// slot lifecycle, the AdaptiveBudget controller, and the unified retry loop
-// driven through a scripted Env.
+// slot lifecycle and the unified retry loop driven through a scripted Env.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -123,65 +122,6 @@ TEST(ThreadHandle, MoveTransfersOwnership) {
   c.reset();  // idempotent
 }
 
-// ---------------------------------------------------------- adaptive budget
-
-PathPolicy adaptive_policy(int attempts, int window) {
-  PathPolicy p;
-  p.htm_attempts = attempts;
-  p.adaptive.enabled = true;
-  p.adaptive.window = window;
-  return p;
-}
-
-TEST(AdaptiveBudget, DisabledUsesConfiguredAttempts) {
-  PathPolicy p;
-  p.htm_attempts = 7;
-  AdaptiveBudget a;
-  EXPECT_EQ(a.budget(p), 7);
-  a.record(p, /*aborted=*/true);  // no-op when disabled
-  EXPECT_EQ(a.budget(p), 7);
-}
-
-TEST(AdaptiveBudget, ShrinksUnderHighAbortRate) {
-  const PathPolicy p = adaptive_policy(/*attempts=*/8, /*window=*/4);
-  AdaptiveBudget a;
-  EXPECT_EQ(a.budget(p), 8);
-  for (int i = 0; i < 4; ++i) a.record(p, /*aborted=*/true);
-  EXPECT_EQ(a.budget(p), 4);  // halved at the window boundary
-  for (int i = 0; i < 4; ++i) a.record(p, /*aborted=*/true);
-  EXPECT_EQ(a.budget(p), 2);
-}
-
-TEST(AdaptiveBudget, FloorsAtMinAttempts) {
-  PathPolicy p = adaptive_policy(/*attempts=*/4, /*window=*/2);
-  p.adaptive.min_attempts = 2;
-  AdaptiveBudget a;
-  for (int i = 0; i < 20; ++i) a.record(p, /*aborted=*/true);
-  EXPECT_EQ(a.budget(p), 2);  // never shrinks below the floor
-}
-
-TEST(AdaptiveBudget, RegrowsWhenAbortsSubside) {
-  const PathPolicy p = adaptive_policy(/*attempts=*/8, /*window=*/4);
-  AdaptiveBudget a;
-  for (int i = 0; i < 8; ++i) a.record(p, /*aborted=*/true);
-  EXPECT_EQ(a.budget(p), 2);
-  // Two clean windows grow the budget back by one each.
-  for (int i = 0; i < 8; ++i) a.record(p, /*aborted=*/false);
-  EXPECT_EQ(a.budget(p), 4);
-  // Growth is capped at the configured maximum.
-  for (int i = 0; i < 100; ++i) a.record(p, /*aborted=*/false);
-  EXPECT_EQ(a.budget(p), 8);
-}
-
-TEST(AdaptiveBudget, ResetForgetsAdaptation) {
-  const PathPolicy p = adaptive_policy(/*attempts=*/8, /*window=*/2);
-  AdaptiveBudget a;
-  for (int i = 0; i < 4; ++i) a.record(p, /*aborted=*/true);
-  ASSERT_LT(a.budget(p), 8);
-  a.reset();
-  EXPECT_EQ(a.budget(p), 8);
-}
-
 // ------------------------------------------------------------- retry loop
 
 /// Scripted Env: plays back fixed sequences of hardware and software
@@ -243,23 +183,6 @@ TEST(RunRetryLoop, SoftwareOnlyPolicyNeverCountsFallback) {
   EXPECT_EQ(f.ts.stats.fallbacks, 0u);
 }
 
-TEST(RunRetryLoop, CapacityAbortFastFallback) {
-  LoopFixture f;
-  PathPolicy p;
-  p.htm_attempts = 10;
-  p.fallback_on_capacity = true;
-  ScriptedEnv env;
-  env.hw = {AttemptStatus::kAborted};
-  // Footprint won't shrink: the loop reads the recorded cause and skips the
-  // remaining attempts. Real Envs set this via record_hw_abort.
-  f.ts.last_hw_abort = htm::AbortCause::kCapacity;
-  env.sw = {AttemptStatus::kCommitted};
-  EXPECT_TRUE(f.run(p, env));
-  EXPECT_EQ(env.hw_calls, 1);
-  EXPECT_EQ(env.sw_calls, 1);
-  EXPECT_EQ(f.ts.stats.fallbacks, 1u);
-}
-
 TEST(RunRetryLoop, UserAbortReturnsFalseFromEitherPath) {
   {
     LoopFixture f;
@@ -290,25 +213,6 @@ TEST(RunRetryLoop, MaxSwRetriesBoundsTheSoftwarePath) {
   EXPECT_FALSE(f.run(p, env));
   // Initial attempt + max_sw_retries retries.
   EXPECT_EQ(env.sw_calls, 3);
-}
-
-TEST(RunRetryLoop, AdaptiveBudgetShrinksAcrossTransactions) {
-  LoopFixture f;
-  PathPolicy p = adaptive_policy(/*attempts=*/4, /*window=*/8);
-  // Every hardware attempt aborts: after enough windows the controller
-  // should have shrunk the per-transaction attempt budget to the floor.
-  for (int txn = 0; txn < 32; ++txn) {
-    ScriptedEnv env;
-    env.hw = std::vector<AttemptStatus>(8, AttemptStatus::kAborted);
-    env.sw = {AttemptStatus::kCommitted};
-    EXPECT_TRUE(f.run(p, env));
-  }
-  EXPECT_EQ(f.ts.adaptive.budget(p), p.adaptive.min_attempts);
-  ScriptedEnv env;
-  env.hw = std::vector<AttemptStatus>(8, AttemptStatus::kAborted);
-  env.sw = {AttemptStatus::kCommitted};
-  EXPECT_TRUE(f.run(p, env));
-  EXPECT_EQ(env.hw_calls, 1);  // only the floor's worth of hardware attempts
 }
 
 // --------------------------------------------------------------- per-thread
