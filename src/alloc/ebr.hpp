@@ -74,11 +74,10 @@ class EpochService {
   /// Limbo-entry consumer: (addr, nwords) of a now-safe block.
   using ReclaimFn = std::function<void(gaddr_t, std::uint32_t)>;
 
-  /// Enables epoch participation. The registry bounds reservation scans
-  /// (high_water) — without one the service stays detached and retire()
-  /// must not be called (standalone allocators reuse frees immediately).
+  /// Bounds reservation scans by the registry (high_water) and skips
+  /// released slots. Without one (allocators no TM owns, in unit tests)
+  /// scans cover every slot.
   void attach_registry(const runtime::ThreadRegistry* reg) { registry_ = reg; }
-  bool attached() const { return registry_ != nullptr; }
 
   std::uint64_t global_epoch() const { return global_.load(std::memory_order_seq_cst); }
 
@@ -173,13 +172,5 @@ class EpochService {
   CacheLinePadded<Reservation> slots_[kMaxThreads];
   CacheLinePadded<LimboList> limbo_[kMaxThreads];
 };
-
-/// Quiescent-state refresh at the top of one transaction attempt. No-op
-/// when the service is detached (standalone allocators without a runtime
-/// registry). The reservation persists past the attempt; see the QSBR
-/// liveness contract in the header comment.
-inline void quiesce_attempt(EpochService& es, int tid) {
-  if (es.attached()) es.quiesce(tid);
-}
 
 }  // namespace nvhalt::alloc

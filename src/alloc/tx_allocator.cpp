@@ -58,28 +58,22 @@ TxAllocator::TxAllocator(PmemPool& pool, gaddr_t heap_begin)
   for (auto& h : heaps_) h.classes.resize(kSizeClasses.size());
   global_free_.resize(kSizeClasses.size());
 
-  // Reserve the persistent metadata region unconditionally so the layout
-  // is deterministic across a crash/recovery pair of runners regardless of
-  // when (or whether) the owning TM attaches.
   meta_base_ = pool_.alloc_raw(metadata_words(pool.capacity_words(), heap_begin));
   intent_base_ = meta_base_ + kWordsPerLine;
   seg_hdr_base_ = intent_base_ + static_cast<std::size_t>(kMaxThreads) * kIntentWords;
   bitmap_base_ = seg_hdr_base_ + space_.segment_count * kWordsPerLine;
   seg_locks_ = std::make_unique<std::atomic_flag[]>(space_.segment_count);
+  // A pool attached to an existing image keeps its header; recovery
+  // rebuilds the volatile state from it.
+  if (!metadata_present()) seed_header(0);
 }
 
-void TxAllocator::attach_registry(const runtime::ThreadRegistry* reg) {
-  tm_managed_ = true;
-  ebr_.attach_registry(reg);
-  if (!metadata_present()) {
-    // Fresh pool: seed the header. Word order within the line puts the
-    // magic last, so a partially persisted line reads as "no metadata".
-    meta_store(0, meta_base_ + 1, 0);  // watermark
-    meta_store(0, meta_base_ + 2, space_.segment_count);
-    meta_store(0, meta_base_ + 3, space_.heap_begin);
-    meta_store(0, meta_base_, kMetaMagic);
-    pool_.fence(0);
-  }
+void TxAllocator::seed_header(int tid) {
+  meta_store(tid, meta_base_ + 1, 0);  // watermark
+  meta_store(tid, meta_base_ + 2, space_.segment_count);
+  meta_store(tid, meta_base_ + 3, space_.heap_begin);
+  meta_store(tid, meta_base_, kMetaMagic);
+  pool_.fence(tid);
 }
 
 void TxAllocator::meta_store(int tid, std::size_t idx, std::uint64_t v) {
@@ -148,13 +142,11 @@ void TxAllocator::acquire_segment(int tid, int cls) {
       seg = seg_bump_++;
       fresh = true;
     }
-    if (tm_managed_) {
-      // Durable carve: class header (and watermark, for fresh segments)
-      // are fenced before any slot of the segment can be handed out.
-      persist_carve(tid, seg, 1 + static_cast<std::uint64_t>(cls), 0);
-      if (fresh) meta_store(tid, meta_base_ + 1, seg_bump_);
-      pool_.fence(tid);
-    }
+    // Durable carve: class header (and watermark, for fresh segments)
+    // are fenced before any slot of the segment can be handed out.
+    persist_carve(tid, seg, 1 + static_cast<std::uint64_t>(cls), 0);
+    if (fresh) meta_store(tid, meta_base_ + 1, seg_bump_);
+    pool_.fence(tid);
   }
   ClassHeap& ch = heaps_[tid].classes[static_cast<std::size_t>(cls)];
   ch.bump_base = space_.segment_base(seg);
@@ -170,11 +162,9 @@ gaddr_t TxAllocator::alloc_impl(int tid, std::size_t nwords, bool in_txn) {
     // Global work (mutex, possibly fresh segment) cannot run inside a
     // hardware transaction; on real RTM it would abort anyway.
     if (htm::in_hw_txn()) throw htm::HtmAbort{htm::AbortCause::kExplicit, kAllocAbortCode};
-    if (tm_managed_) {
-      // Epoch-deferred frees come home before we reach for shared space.
-      ebr_.reclaim(tid, [this, tid](gaddr_t ra, std::uint32_t rn) { restock(tid, ra, rn); });
-      a = fast_alloc(tid, cls);
-    }
+    // Epoch-deferred frees come home before we reach for shared space.
+    ebr_.reclaim(tid, [this, tid](gaddr_t ra, std::uint32_t rn) { restock(tid, ra, rn); });
+    a = fast_alloc(tid, cls);
     if (a == kNullAddr) {
       refill_from_global(tid, cls);
       a = fast_alloc(tid, cls);
@@ -196,11 +186,9 @@ gaddr_t TxAllocator::tx_alloc(int tid, std::size_t nwords) {
 
 gaddr_t TxAllocator::raw_alloc(int tid, std::size_t nwords) {
   const gaddr_t a = alloc_impl(tid, nwords, /*in_txn=*/false);
-  if (tm_managed_) {
-    // Non-transactional setup allocation: persist the bit eagerly.
-    write_slot_bit(tid, a, static_cast<std::uint32_t>(nwords), true);
-    pool_.fence(tid);
-  }
+  // Non-transactional setup allocation: persist the bit eagerly.
+  write_slot_bit(tid, a, static_cast<std::uint32_t>(nwords), true);
+  pool_.fence(tid);
   return a;
 }
 
@@ -211,13 +199,10 @@ gaddr_t TxAllocator::raw_alloc_large(int tid, std::size_t nwords) {
   if (seg_bump_ + nsegs > space_.segment_count) throw TmLogicError("persistent heap exhausted");
   const std::size_t first = seg_bump_;
   seg_bump_ += nsegs;
-  if (tm_managed_) {
-    persist_carve(tid, first, kSegLargeHead, nsegs);
-    for (std::size_t s = first + 1; s < first + nsegs; ++s)
-      persist_carve(tid, s, kSegLargeBody, 0);
-    meta_store(tid, meta_base_ + 1, seg_bump_);
-    pool_.fence(tid);
-  }
+  persist_carve(tid, first, kSegLargeHead, nsegs);
+  for (std::size_t s = first + 1; s < first + nsegs; ++s) persist_carve(tid, s, kSegLargeBody, 0);
+  meta_store(tid, meta_base_ + 1, seg_bump_);
+  pool_.fence(tid);
   return space_.segment_base(first);
 }
 
@@ -239,15 +224,12 @@ void TxAllocator::tx_free(int tid, gaddr_t a, std::size_t nwords) {
 }
 
 void TxAllocator::raw_free(int tid, gaddr_t a, std::size_t nwords) {
-  if (tm_managed_) {
-    write_slot_bit(tid, a, static_cast<std::uint32_t>(nwords), false);
-    pool_.fence(tid);
-  }
+  write_slot_bit(tid, a, static_cast<std::uint32_t>(nwords), false);
+  pool_.fence(tid);
   push_free(tid, a, nwords);
 }
 
 void TxAllocator::persist_arm(int tid, std::uint64_t arm_id) {
-  if (!tm_managed_) return;
   ThreadHeap& h = heaps_[tid];
   const std::size_t count = h.pending_allocs.size() + h.pending_frees.size();
   if (count == 0) return;
@@ -279,7 +261,6 @@ void TxAllocator::persist_arm(int tid, std::uint64_t arm_id) {
 }
 
 void TxAllocator::persist_apply(int tid) {
-  if (!tm_managed_) return;
   ThreadHeap& h = heaps_[tid];
   if (h.pending_allocs.empty() && h.pending_frees.empty()) return;
   // No disarm write: the record stays armed until the next persist_arm
@@ -293,22 +274,15 @@ void TxAllocator::persist_apply(int tid) {
 
 void TxAllocator::on_commit_slow(int tid) {
   ThreadHeap& h = heaps_[tid];
-  if (tm_managed_) {
-    // Physical reuse defers through the epoch limbo: a lock-free RO
-    // snapshot begun before this commit may still read the freed nodes.
-    for (const LiveBlock& b : h.pending_frees) {
-      ebr_.retire(tid, b.addr, b.nwords);
-      h.stats.frees++;
-    }
-    h.pending_frees.clear();
-    h.pending_allocs.clear();
-    ebr_.reclaim(tid, [this, tid](gaddr_t ra, std::uint32_t rn) { restock(tid, ra, rn); });
-    return;
+  // Physical reuse defers through the epoch limbo: a lock-free RO
+  // snapshot begun before this commit may still read the freed nodes.
+  for (const LiveBlock& b : h.pending_frees) {
+    ebr_.retire(tid, b.addr, b.nwords);
+    h.stats.frees++;
   }
-  // Frees take effect only now that the transaction is durably committed.
-  for (const LiveBlock& b : h.pending_frees) push_free(tid, b.addr, b.nwords);
   h.pending_frees.clear();
   h.pending_allocs.clear();
+  ebr_.reclaim(tid, [this, tid](gaddr_t ra, std::uint32_t rn) { restock(tid, ra, rn); });
 }
 
 void TxAllocator::on_abort(int tid) {
@@ -352,7 +326,7 @@ bool TxAllocator::slot_bit(gaddr_t a, std::uint32_t nwords) const {
 }
 
 void TxAllocator::quiesce_intents(int tid) {
-  if (!tm_managed_ || !metadata_present()) return;
+  if (!metadata_present()) return;
   bool idled = false;
   for (int t = 0; t < kMaxThreads; ++t) {
     const std::size_t base = intent_base(t);
@@ -369,7 +343,7 @@ void TxAllocator::quiesce_intents(int tid) {
 
 AllocDurableSummary TxAllocator::durable_summary() const {
   AllocDurableSummary s;
-  if (!tm_managed_ || !metadata_present()) return s;
+  if (!metadata_present()) return s;
   s.metadata_present = true;
   s.segment_count = space_.segment_count;
   std::uint64_t wm = pool_.raw_load(meta_base_ + 1);
@@ -416,16 +390,10 @@ AllocRecoveryReport TxAllocator::recover_metadata(int rtid, const CommitPredicat
   // rebuilds them straight onto free lists).
   reset();
 
-  if (!tm_managed_ || !metadata_present()) {
-    if (tm_managed_) {
-      // The crash predates the metadata header fence: nothing was ever
-      // allocated durably. Re-seed the header.
-      meta_store(rtid, meta_base_ + 1, 0);
-      meta_store(rtid, meta_base_ + 2, space_.segment_count);
-      meta_store(rtid, meta_base_ + 3, space_.heap_begin);
-      meta_store(rtid, meta_base_, kMetaMagic);
-      pool_.fence(rtid);
-    }
+  if (!metadata_present()) {
+    // The crash predates the metadata header fence: nothing was ever
+    // allocated durably. Re-seed the header.
+    seed_header(rtid);
     last_recovery_ = rep;
     return rep;
   }
@@ -574,7 +542,7 @@ AllocRecoveryReport TxAllocator::recover_metadata(int rtid, const CommitPredicat
 }
 
 std::uint64_t TxAllocator::verify_rebuild(std::span<const LiveBlock> live) {
-  if (!tm_managed_ || !metadata_present()) {
+  if (!metadata_present()) {
     if (!live.empty())
       throw TmLogicError("live blocks reported but no persistent allocator metadata");
     return 0;
@@ -652,70 +620,6 @@ std::uint64_t TxAllocator::verify_rebuild(std::span<const LiveBlock> live) {
   if (leaked != 0) pool_.fence(0);
   leaked_reclaimed_total_ += leaked;
   return leaked;
-}
-
-void TxAllocator::rebuild(std::span<const LiveBlock> live) {
-  reset();
-  if (live.empty()) return;
-
-  // Pass 1: derive each touched segment's size class from its live blocks
-  // and mark used slots.
-  struct SegInfo {
-    int cls = -1;
-    std::vector<bool> used;
-  };
-  std::vector<SegInfo> segs(space_.segment_count);
-  std::size_t max_seg = 0;
-  for (const LiveBlock& b : live) {
-    if (b.addr < space_.heap_begin) throw TmLogicError("live block below heap");
-    const std::size_t seg = space_.segment_of(b.addr);
-    if (seg >= space_.segment_count) throw TmLogicError("live block beyond heap");
-    const int cls = size_class_for(b.nwords);
-    if (cls < 0) {
-      // Large block: occupies whole segments, never recycled.
-      const std::size_t nsegs = (b.nwords + kSegmentWords - 1) / kSegmentWords;
-      for (std::size_t s = seg; s < seg + nsegs; ++s) {
-        if (segs[s].cls >= 0)
-          throw TmLogicError("small live block inside a large-object segment");
-        segs[s].cls = -2;  // large-object segment: excluded from free lists
-        max_seg = std::max(max_seg, s);
-      }
-      continue;
-    }
-    SegInfo& si = segs[seg];
-    if (si.cls == -2) throw TmLogicError("small live block inside a large-object segment");
-    const std::uint32_t cw = kSizeClasses[static_cast<std::size_t>(cls)];
-    if (si.cls == -1) {
-      si.cls = cls;
-      si.used.assign(SegmentSpace::slots_per_segment(cw), false);
-    } else if (si.cls != cls) {
-      throw TmLogicError("live blocks of mixed size classes within one segment");
-    }
-    const std::size_t slot = space_.slot_of(b.addr, cw);
-    if ((b.addr - space_.segment_base(seg)) % cw != 0)
-      throw TmLogicError("live block not aligned to its size class slot");
-    si.used[slot] = true;
-    max_seg = std::max(max_seg, seg);
-  }
-
-  // Pass 2: free slots of touched segments go to the global reclaimed
-  // lists (threads refill from there in batches); untouched segments below
-  // the high-water mark are recycled whole.
-  seg_bump_ = max_seg + 1;
-  for (std::size_t seg = 0; seg < seg_bump_; ++seg) {
-    SegInfo& si = segs[seg];
-    if (si.cls == -2) continue;  // large object: fully in use
-    if (si.cls == -1) {
-      free_segments_.push_back(seg);
-      continue;
-    }
-    const std::uint32_t cw = kSizeClasses[static_cast<std::size_t>(si.cls)];
-    const gaddr_t base = space_.segment_base(seg);
-    for (std::size_t slot = 0; slot < si.used.size(); ++slot) {
-      if (si.used[slot]) continue;
-      global_free_[static_cast<std::size_t>(si.cls)].push_back(base + slot * cw);
-    }
-  }
 }
 
 AllocStats TxAllocator::stats() const {

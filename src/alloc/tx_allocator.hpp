@@ -13,15 +13,15 @@
 // alloc/free effects are journaled through small per-thread intent
 // records armed before the transaction's durability marker and applied
 // after it (DESIGN.md Sec. 12 has the full crash argument). Recovery
-// reconstructs the allocator from the pool alone; rebuild from live
-// blocks survives as an optional cross-check (verify_rebuild) and as the
-// authoritative path for standalone allocators (rebuild).
+// reconstructs the allocator from the pool alone; the paper's live-block
+// iterator survives only as an optional cross-check (verify_rebuild).
 //
-// Reuse safety: when attached to a runtime ThreadRegistry the allocator
-// routes committed frees through epoch-based reclamation (alloc/ebr.hpp)
-// so lock-free read-only snapshots never observe a recycled node. The
-// durable allocation bit is still cleared at commit — a crash destroys
-// every reader, so persistence and synchronization stay decoupled.
+// Reuse safety: committed frees go through epoch-based reclamation
+// (alloc/ebr.hpp) so lock-free read-only snapshots never observe a
+// recycled node; the owning TM bounds the reservation scans by its
+// runtime ThreadRegistry. The durable allocation bit is still cleared at
+// commit — a crash destroys every reader, so persistence and
+// synchronization stay decoupled.
 //
 // Allocation from per-thread heaps is transaction-neutral: it touches no
 // shared transactional state, so it cannot abort a hardware transaction.
@@ -30,8 +30,8 @@
 // exactly that by raising an explicit HTM abort (code kAllocAbortCode) so
 // the attempt is retried with a pre-warmed heap or falls back to software.
 //
-// Contract for the non-transactional interface in attached (TM-managed)
-// mode: raw_alloc/raw_free/raw_alloc_large are setup-phase operations.
+// Contract for the non-transactional interface: raw_alloc/raw_free/
+// raw_alloc_large are setup-phase operations.
 // They persist their effects eagerly (store + flush + fence) and must not
 // interleave with transactional traffic on the same addresses — a stale
 // intent record re-applied at recovery would win over a later raw_free of
@@ -64,7 +64,7 @@ struct AllocStats {
   std::uint64_t allocs = 0;
   std::uint64_t frees = 0;
   std::uint64_t segments_acquired = 0;
-  // Epoch-based reclamation (attached mode; all zero standalone).
+  // Epoch-based reclamation.
   std::uint64_t retired = 0;    ///< frees moved into limbo at commit
   std::uint64_t reclaimed = 0;  ///< limbo entries made reusable
   std::uint64_t limbo = 0;      ///< retired - reclaimed (current depth)
@@ -102,7 +102,8 @@ class TxAllocator {
  public:
   /// Manages words [heap_begin, pool.capacity_words()). heap_begin defaults
   /// to one line past null so word 0 is never handed out. Reserves the
-  /// persistent metadata region (metadata_words) from the pool's raw space.
+  /// persistent metadata region (metadata_words) from the pool's raw space
+  /// and durably seeds its header unless the pool already holds one.
   explicit TxAllocator(PmemPool& pool, gaddr_t heap_begin = kWordsPerLine);
 
   TxAllocator(const TxAllocator&) = delete;
@@ -133,12 +134,12 @@ class TxAllocator {
   /// on every commit, so the no-effects case (no pending alloc/free and
   /// an empty limbo list) must stay an inline early return.
   void on_commit(int tid) {
-    if (!has_pending(tid) && (!tm_managed_ || ebr_.limbo_empty(tid))) return;
+    if (!has_pending(tid) && ebr_.limbo_empty(tid)) return;
     on_commit_slow(tid);
   }
   void on_abort(int tid);
 
-  // ---- Crash consistency (TM persist path; attached mode only) ---------
+  // ---- Crash consistency (TM persist path) ------------------------------
   /// Writes `tid`'s pending alloc/free effects into its persistent intent
   /// record, tagged with the transaction's durability arm id (the
   /// pre-bump pVerNum). The TM calls this before the fence that precedes
@@ -170,14 +171,9 @@ class TxAllocator {
   gaddr_t raw_alloc_large(int tid, std::size_t nwords);
 
   // ---- Runtime integration ---------------------------------------------
-  /// Puts the allocator into TM-managed mode: persistent metadata is
-  /// maintained (eagerly for raw ops, via arm/apply for transactions) and
-  /// committed frees defer physical reuse through epoch-based
-  /// reclamation bounded by the registry's reservation scan. Called once
-  /// by the owning TM's constructor; standalone allocators stay volatile
-  /// with immediate reuse (seed semantics).
-  void attach_registry(const runtime::ThreadRegistry* reg);
-  bool tm_managed() const { return tm_managed_; }
+  /// Bounds epoch-based reclamation's reservation scans by the owning TM's
+  /// registry. Called once by the TM's constructor.
+  void attach_registry(const runtime::ThreadRegistry* reg) { ebr_.attach_registry(reg); }
 
   /// Epoch service (transaction attempts pin/unpin through this).
   alloc::EpochService& epochs() { return ebr_; }
@@ -208,13 +204,6 @@ class TxAllocator {
   /// protocol) and returns how many it reclaimed.
   std::uint64_t verify_rebuild(std::span<const LiveBlock> live);
 
-  /// Rebuilds the volatile allocator state from the set of live blocks
-  /// (paper Sec. 4: "the user must provide an iterator that the allocator
-  /// can utilize to determine which parts of memory are in use"). The
-  /// authoritative path for standalone allocators; TM-managed recovery
-  /// uses recover_metadata + verify_rebuild instead.
-  void rebuild(std::span<const LiveBlock> live);
-
   /// Drops all volatile state back to a pristine heap (tests).
   void reset();
 
@@ -234,7 +223,7 @@ class TxAllocator {
 
   /// Scans the persistent metadata (headers, bitmaps, intent records).
   /// Must run quiescently; all-zero with metadata_present=false when the
-  /// allocator is standalone or the header never became durable.
+  /// header never became durable.
   AllocDurableSummary durable_summary() const;
 
  private:
@@ -305,13 +294,16 @@ class TxAllocator {
 
   bool metadata_present() const { return pool_.raw_load(meta_base_) == kMetaMagic; }
 
+  /// Durably writes a fresh metadata header on `tid` (magic last, so a
+  /// partially persisted line reads as "no metadata").
+  void seed_header(int tid);
+
   /// Hands a reclaimed (or recovered-free) slot back to `tid`'s heap
   /// without recounting it as a new free.
   void restock(int tid, gaddr_t a, std::uint32_t nwords);
 
   /// Out-of-line tail of on_commit: retire pending frees into limbo and
-  /// drain the reclaimable prefix (attached), or release frees to the
-  /// free lists (standalone).
+  /// drain the reclaimable prefix.
   void on_commit_slow(int tid);
 
   PmemPool& pool_;
@@ -324,8 +316,7 @@ class TxAllocator {
 
   std::vector<ThreadHeap> heaps_;
 
-  // TM-managed mode (persistent metadata + epoch-based reclamation).
-  bool tm_managed_ = false;
+  // Persistent metadata + epoch-based reclamation.
   alloc::EpochService ebr_;
   std::size_t meta_base_ = 0;
   std::size_t intent_base_ = 0;

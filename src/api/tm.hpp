@@ -137,20 +137,14 @@ class TransactionalMemory {
   /// Must be called quiescently, before any new transactions.
   virtual void recover_data() = 0;
 
-  /// Complete recovery from the pool alone.
-  void recover() { recover_data(); }
-
-  /// Optional recovery cross-check: validates the recovered allocator
-  /// metadata against the live blocks a structure walk discovered, and
-  /// sweeps marked-used blocks no structure owns. (For a standalone —
-  /// never TM-attached — allocator this is the authoritative rebuild, the
-  /// paper's Sec. 4 protocol.)
-  virtual void rebuild_allocator(std::span<const LiveBlock> live) = 0;
-
-  /// Recovery plus the live-set cross-check / leak sweep.
-  void recover(std::span<const LiveBlock> live) {
-    recover_data();
-    rebuild_allocator(live);
+  /// Optional recovery cross-check, run after recover_data(): validates the
+  /// recovered allocator metadata against the live blocks a structure walk
+  /// discovered (TxAllocator::verify_rebuild) and sweeps marked-used blocks
+  /// no structure owns. The paper's Sec. 4 rebuild from a live-block
+  /// iterator survives only as this check — recover_data() has already
+  /// rebuilt the allocator from its persistent metadata.
+  virtual void rebuild_allocator(std::span<const LiveBlock> live) {
+    allocator().verify_rebuild(live);
   }
 
   virtual PmemPool& pool() = 0;

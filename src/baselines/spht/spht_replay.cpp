@@ -203,19 +203,15 @@ bool SphtTm::checkpoint(int tid) {
   pool_.raw_store(tid, ckpt_gen_raw_idx_, pool_.raw_load(ckpt_gen_raw_idx_) + 1);
   pool_.flush_raw(tid, ckpt_gen_raw_idx_);
   if constexpr (telemetry::kLevel >= 1) {
-    if (frec_)
-      frec_->record(tid, telemetry::EventKind::kCheckpoint, 0xFF,
-                    static_cast<std::uint16_t>(pool_.raw_load(ckpt_gen_raw_idx_) & 0xFFFF));
+    if (telemetry::FlightRecorder* fr = flight_recorder())
+      fr->record(tid, telemetry::EventKind::kCheckpoint, 0xFF,
+                 static_cast<std::uint16_t>(pool_.raw_load(ckpt_gen_raw_idx_) & 0xFFFF));
   }
   pool_.fence(tid);
   return true;
 }
 
-void SphtTm::recover_data() {
-  // Postmortem first: decode the flight recorder from the crash image
-  // before any recovery write can disturb it (read-only, never throws).
-  if (frec_)
-    last_postmortem_ = std::make_unique<telemetry::PostmortemReport>(frec_->postmortem());
+void SphtTm::recover_state() {
   // Post-crash: the staged view equals the durable one. Bring the NVM heap
   // image up to the durable marker, then rebuild the volatile image.
   gpm_volatile_.value.store(pool_.raw_load(gpm_raw_idx_), std::memory_order_relaxed);
@@ -249,39 +245,18 @@ void SphtTm::recover_data() {
   // ever freed — so the committed-ness predicate is vacuous.
   alloc_iface_.recover_metadata(0, [](int, std::uint64_t) { return false; });
   for (int t = 0; t < cfg_.max_threads; ++t) bump_[t] = BumpState{};
-  // Re-arm the recorder over the recovered image (stamps a recovery event).
-  if (frec_) frec_->on_recover(0);
 }
 
 void SphtTm::rebuild_allocator(std::span<const LiveBlock> live) {
-  if (alloc_iface_.tm_managed()) {
-    // recover_data() already rebuilt the carver; the live set is a
-    // cross-check only. SPHT bump blocks are sub-chunk carvings inside
-    // durably-recorded large extents (not size-class slots), so the check
-    // here is containment: every live block must lie below the durable
-    // segment watermark. Blocks leaked by aborted transactions stay
-    // unreachable — the artificially cheap allocator the paper calls out
-    // has no free path to sweep them into.
-    const gaddr_t wm_end = alloc_iface_.heap_begin() +
-                           static_cast<gaddr_t>(alloc_iface_.durable_watermark()) * kSegmentWords;
-    for (const LiveBlock& b : live) {
-      if (b.addr < alloc_iface_.heap_begin() || b.addr + b.nwords > wm_end)
-        throw TmLogicError("SPHT live block outside the durably carved heap");
-    }
-    for (int t = 0; t < cfg_.max_threads; ++t) bump_[t] = BumpState{};
-    return;
-  }
-  // Standalone fallback (volatile carver): rebuild with one large in-use
-  // block covering everything up to the live high-water mark; fresh chunks
-  // continue beyond it.
-  const gaddr_t heap_begin = alloc_iface_.heap_begin();
-  gaddr_t max_end = heap_begin;
-  for (const LiveBlock& b : live) max_end = std::max<gaddr_t>(max_end, b.addr + b.nwords);
-  if (max_end > heap_begin) {
-    const LiveBlock whole{heap_begin, static_cast<std::uint32_t>(max_end - heap_begin)};
-    alloc_iface_.rebuild(std::span<const LiveBlock>(&whole, 1));
-  } else {
-    alloc_iface_.rebuild({});
+  // recover_data() already rebuilt the carver; the live set is a
+  // cross-check only. Blocks leaked by aborted transactions stay
+  // unreachable — the artificially cheap allocator the paper calls out
+  // has no free path to sweep them into.
+  const gaddr_t wm_end = alloc_iface_.heap_begin() +
+                         static_cast<gaddr_t>(alloc_iface_.durable_watermark()) * kSegmentWords;
+  for (const LiveBlock& b : live) {
+    if (b.addr < alloc_iface_.heap_begin() || b.addr + b.nwords > wm_end)
+      throw TmLogicError("SPHT live block outside the durably carved heap");
   }
   for (int t = 0; t < cfg_.max_threads; ++t) bump_[t] = BumpState{};
 }

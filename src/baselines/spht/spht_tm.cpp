@@ -79,12 +79,7 @@ SphtTm::SphtTm(const SphtConfig& cfg, PmemPool& pool, htm::SimHtm& htm, TxAlloca
   // SPHT never frees, so the epoch machinery stays idle (no pins needed)
   // and no per-transaction allocator intents are ever armed.
   alloc_iface_.attach_registry(&registry_);
-  // Flight recorder: same conditional-reservation discipline as the
-  // checkpoint generation word above.
-  if (cfg_.flight_recorder) {
-    frec_ = std::make_unique<telemetry::FlightRecorder>(pool_);
-    for (int t = 0; t < ctx_.size(); ++t) ctx_[t].recorder = frec_.get();
-  }
+  if (cfg_.flight_recorder) enable_flight_recorder(pool_, ctx_);
 }
 
 SphtTm::~SphtTm() = default;

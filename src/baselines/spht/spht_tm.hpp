@@ -36,7 +36,6 @@
 #include "htm/sim_htm.hpp"
 #include "locks/contention.hpp"
 #include "runtime/tm_runtime.hpp"
-#include "telemetry/flight_recorder.hpp"
 #include "util/common.hpp"
 
 namespace nvhalt {
@@ -74,7 +73,10 @@ class SphtTm final : public runtime::TmRuntime {
   SphtTm(const SphtConfig& cfg, PmemPool& pool, htm::SimHtm& htm, TxAllocator& alloc_iface);
   ~SphtTm() override;
 
-  void recover_data() override;
+  /// Containment check instead of verify_rebuild: SPHT bump blocks are
+  /// sub-chunk carvings inside durably recorded large extents, not
+  /// size-class slots, so every live block must lie below the durable
+  /// segment watermark.
   void rebuild_allocator(std::span<const LiveBlock> live) override;
 
   /// Log replay + truncation as a checkpoint (cfg.checkpoint): bounded
@@ -98,12 +100,6 @@ class SphtTm final : public runtime::TmRuntime {
   /// SPHT has exactly one lock — the global fallback lock — so its
   /// contention observatory is a single stripe (stripe 0).
   const ContentionTable* contention() const override { return &contention_; }
-  const telemetry::PostmortemReport* last_postmortem() const override {
-    return last_postmortem_.get();
-  }
-
-  /// Flight recorder, or null when cfg.flight_recorder is off.
-  telemetry::FlightRecorder* flight_recorder() { return frec_.get(); }
 
   /// Checkpoints every persisted log record into the NVM heap image,
   /// durably advances the marker over the checkpointed timestamps, and
@@ -135,6 +131,10 @@ class SphtTm final : public runtime::TmRuntime {
   /// attempts back off (SPHT's historical behaviour), and the software
   /// fallback runs under the global lock.
   bool run_registered(int tid, TxMode mode, TxBody body) override;
+
+  /// Replays the durable log prefix into the heap image, rebuilds the
+  /// volatile image and the carver, and resets the volatile ordering state.
+  void recover_state() override;
 
  private:
   friend class SphtHwTx;
@@ -206,8 +206,6 @@ class SphtTm final : public runtime::TmRuntime {
   std::size_t ckpt_gen_raw_idx_ = 0;  // allocated only when cfg_.checkpoint
   std::mutex gpm_mu_;
   ContentionTable contention_{1};  // one stripe: the global fallback lock
-  std::unique_ptr<telemetry::FlightRecorder> frec_;  // only when cfg_.flight_recorder
-  std::unique_ptr<telemetry::PostmortemReport> last_postmortem_;
 
   /// Published (ts << 1 | persisted) per thread; see persist_committed.
   std::unique_ptr<CacheLinePadded<std::atomic<std::uint64_t>>[]> ts_pub_;

@@ -1,19 +1,17 @@
 #include "baselines/trinity/trinity_tm.hpp"
 
 #include <algorithm>
-#include <shared_mutex>
 #include <vector>
 
-#include "core/record_recovery.hpp"
 #include "htm/small_map.hpp"
-#include "pmem/checkpoint.hpp"
 #include "pmem/crash_sim.hpp"
 #include "runtime/per_thread.hpp"
 
 namespace nvhalt {
 
 /// Stats, RNG and the pver cache live in the shared runtime::TxThreadState
-/// base; this adds Trinity's TL2 scratch.
+/// base; this adds Trinity's TL2 scratch and the write set staged for the
+/// undo-record engine.
 struct alignas(kCacheLineBytes) TrinityTm::ThreadCtx : runtime::TxThreadState {
   struct ReadEnt {
     std::atomic<std::uint64_t>* lock_s;
@@ -29,6 +27,7 @@ struct alignas(kCacheLineBytes) TrinityTm::ThreadCtx : runtime::TxThreadState {
   htm::SmallIndexMap wr_index;                    // gaddr -> wrset index
   htm::SmallIndexMap lock_dedupe;                 // lock ptr -> first wrset index
   std::vector<std::atomic<std::uint64_t>*> held;  // locks acquired this commit
+  std::vector<UndoRecords::Entry> persist_buf;    // the write set UndoRecords::commit persists
   std::uint64_t rv = 0;
 };
 
@@ -39,7 +38,8 @@ TrinityTm::TrinityTm(const TrinityConfig& cfg, PmemPool& pool, TxAllocator& allo
       pool_(pool),
       alloc_(alloc),
       locks_(LockMode::kTable, cfg.lock_table_entries, pool.capacity_words()),
-      ctx_(kMaxThreads) {
+      ctx_(kMaxThreads),
+      undo_(pool, alloc, cfg.checkpoint) {
   gv_.value.store(0, std::memory_order_relaxed);
   for (int t = 0; t < ctx_.size(); ++t) {
     ctx_[t].rng.reseed(0x7121717 + static_cast<std::uint64_t>(t));
@@ -48,32 +48,16 @@ TrinityTm::TrinityTm(const TrinityConfig& cfg, PmemPool& pool, TxAllocator& allo
     ctx_[t].rdset.reserve(256);
     ctx_[t].wrset.reserve(64);
     ctx_[t].held.reserve(64);
+    ctx_[t].persist_buf.reserve(64);
   }
-  // TM-managed allocator: persistent metadata, epoch-based reclamation
-  // bounded by this registry, and crash recovery from the pool alone.
+  // Epoch-based reclamation bounded by this registry.
   alloc_.attach_registry(&registry_);
-  // Checkpoint/compaction: reserves its raw region only when enabled.
-  if (cfg_.checkpoint) ckpt_ = std::make_unique<CheckpointManager>(pool_, &alloc_);
-  // Flight recorder: same conditional-reservation discipline, allocated
-  // after the checkpoint region for stable raw offsets.
-  if (cfg_.flight_recorder) {
-    frec_ = std::make_unique<telemetry::FlightRecorder>(pool_);
-    for (int t = 0; t < ctx_.size(); ++t) ctx_[t].recorder = frec_.get();
-  }
+  if (cfg_.flight_recorder) enable_flight_recorder(pool_, ctx_);
 }
 
 TrinityTm::~TrinityTm() = default;
 
-bool TrinityTm::checkpoint(int tid) {
-  if (!ckpt_) return false;
-  ckpt_->checkpoint(tid);
-  if (frec_) {
-    ctx_[tid].fr(tid, telemetry::EventKind::kCheckpoint, 0xFF,
-                 static_cast<std::uint16_t>(ckpt_->generation() & 0xFFFF));
-    pool_.fence(tid);
-  }
-  return true;
-}
+bool TrinityTm::checkpoint(int tid) { return undo_.checkpoint(tid, ctx_[tid]); }
 
 /// Tx handle for one TL2 attempt.
 class TrinityTx final : public Tx {
@@ -130,22 +114,9 @@ class TrinityTx final : public Tx {
         // No data words written, but the transaction allocated or freed:
         // the allocator effects still need the arm → marker → apply
         // durability sequence (no locks needed — reads were validated at
-        // read time, and the effects are per-thread allocator state). This
-        // is still a persist phase: hold the checkpoint guard so a
-        // concurrent checkpoint's intent quiesce cannot race the arm. No
-        // record stores happen, so there are no dirty lines to mark.
-        std::shared_lock<std::shared_mutex> persist_phase;
-        if (tm_.ckpt_) persist_phase = tm_.ckpt_->persist_phase();
-        tm_.alloc_.persist_arm(tid_, ctx_.pver);
-        ctx_.fr(tid_, telemetry::EventKind::kAllocArm);
-        ctx_.fr(tid_, telemetry::EventKind::kFence, 0xFF, 0);
-        tm_.pool_.fence(tid_);
-        ++ctx_.pver;
-        tm_.pool_.store_pver(tid_, ctx_.pver);
-        tm_.pool_.flush_pver(tid_);
-        tm_.alloc_.persist_apply(tid_);
-        ctx_.fr(tid_, telemetry::EventKind::kAllocApply);
-        tm_.pool_.fence(tid_);
+        // read time, and the effects are per-thread allocator state).
+        ctx_.persist_buf.clear();
+        tm_.undo_.commit(tid_, ctx_, ctx_.persist_buf, nullptr);
         return;
       }
       ctx_.stats.read_only_commits++;
@@ -198,52 +169,15 @@ class TrinityTx final : public Tx {
       }
     }
 
-    // Persist with Trinity records while the locks are held, then apply.
-    ctx_.tel.write_set_size.record(ctx_.wrset.size());
+    // Persist with undo records while the locks are held, then apply.
     telemetry::trace1(telemetry::EventKind::kLockAcquire, tid_, ctx_.held.size());
     ctx_.fr(tid_, telemetry::EventKind::kLockAcquire, 0xFF,
             static_cast<std::uint16_t>(
                 std::min<std::size_t>(ctx_.held.size(), 0xFFFF)));
-    // Checkpointing: durably publish the write set's dirty-line bits
-    // before any record store is staged (write-barrier invariant), under
-    // the persist-phase guard checkpoints drain.
-    std::shared_lock<std::shared_mutex> persist_phase;
-    if (tm_.ckpt_) {
-      persist_phase = tm_.ckpt_->persist_phase();
-      bool need_fence = false;
-      for (const auto& w : ctx_.wrset) need_fence |= tm_.ckpt_->mark(tid_, w.addr);
-      if (need_fence) {
-        tm_.pool_.fence(tid_);
-        tm_.ckpt_->commit_marks(tid_);
-      }
-    }
-    // Allocator intent record: armed under this transaction's pre-bump
-    // pVerNum and flushed with the write set, so it is durable before the
-    // marker can be. Recovery replays it iff pver crossed the arm id.
-    tm_.alloc_.persist_arm(tid_, ctx_.pver);
-    for (const auto& w : ctx_.wrset) {
-      const word_t old = tm_.pool_.load(w.addr);
-      tm_.pool_.record_write(tid_, w.addr, old, w.val, ctx_.pver);
-      tm_.pool_.flush_record(tid_, w.addr);
-      tm_.pool_.word_ptr(w.addr)->store(w.val, std::memory_order_seq_cst);
-    }
-    // Flight-recorder notes ride the write-set fence below.
-    if (tm_.alloc_.has_pending(tid_))
-      ctx_.fr(tid_, telemetry::EventKind::kAllocArm);
-    ctx_.fr(tid_, telemetry::EventKind::kFence, 0xFF,
-            static_cast<std::uint16_t>(
-                std::min<std::size_t>(ctx_.wrset.size(), 0xFFFF)));
-    tm_.pool_.fence(tid_);
-    ++ctx_.pver;
-    tm_.pool_.store_pver(tid_, ctx_.pver);
-    tm_.pool_.flush_pver(tid_);
-    // Allocation-bitmap apply rides the marker's fence: apply-durable
-    // implies marker-durable (enqueue order), and recovery re-normalizes
-    // the still-armed record idempotently either way.
-    const bool applied = tm_.alloc_.has_pending(tid_);
-    tm_.alloc_.persist_apply(tid_);
-    if (applied) ctx_.fr(tid_, telemetry::EventKind::kAllocApply);
-    tm_.pool_.fence(tid_);
+    ctx_.persist_buf.clear();
+    for (const auto& w : ctx_.wrset)
+      ctx_.persist_buf.push_back({w.addr, tm_.pool_.load(w.addr), w.val});
+    tm_.undo_.commit(tid_, ctx_, ctx_.persist_buf, nullptr);
 
     // Release with version wv: readers that started before us see
     // version > rv and abort/revalidate.
@@ -277,7 +211,7 @@ TrinityTm::AttemptResult TrinityTm::attempt(int tid, TxBody body) {
   // Reclamation epoch: the quiescent refresh keeps this thread's
   // persistent reservation current, so no node this transaction may read
   // can be recycled under it (alloc/ebr.hpp).
-  alloc::quiesce_attempt(alloc_.epochs(), tid);
+  alloc_.epochs().quiesce(tid);
   ThreadCtx& ctx = ctx_[tid];
   ctx.rdset.clear();
   ctx.wrset.clear();
@@ -326,47 +260,11 @@ bool TrinityTm::run_registered(int tid, TxMode mode, TxBody body) {
   return runtime::run_retry_loop(policy_, tid, ctx, env);
 }
 
-void TrinityTm::recover_data() {
-  const int rtid = 0;  // serial tid; workers take the dedicated top range
-  // Postmortem first: decode the flight recorder from the crash image
-  // before any recovery write can disturb it (read-only, never throws).
-  if (frec_)
-    last_postmortem_ = std::make_unique<telemetry::PostmortemReport>(frec_->postmortem());
-  std::uint64_t durable_pver[kMaxThreads];
-  for (int t = 0; t < kMaxThreads; ++t) durable_pver[t] = pool_.load_pver(t);
-
-  // Shared record-revert engine (core/record_recovery.cpp): bounded by the
-  // checkpoint's dirty-line bitmap when enabled, partitioned across
-  // cfg_.recovery_threads workers either way.
-  RecordRecoveryOptions ropt;
-  ropt.rtid = rtid;
-  ropt.workers = cfg_.recovery_threads;
-  ropt.ckpt = ckpt_.get();
-  recover_records(pool_, durable_pver, ropt);
-
+void TrinityTm::recover_state() {
+  undo_.recover(/*rtid=*/0, cfg_.recovery_threads);
   locks_.reset();
   gv_.value.store(0, std::memory_order_relaxed);
   ctx_.for_each([](ThreadCtx& c) { c.pver_loaded = false; });
-
-  // Reconstruct allocator state from the pool's persistent metadata: the
-  // committed-ness predicate mirrors the data pass (record stamped with a
-  // pre-bump pVerNum is committed iff the durable marker crossed it).
-  alloc_.recover_metadata(
-      rtid, [&](int t, std::uint64_t seq) { return seq < durable_pver[t]; },
-      cfg_.recovery_threads);
-
-  // Start a fresh checkpoint generation over the recovered image.
-  if (ckpt_) ckpt_->recover(rtid);
-  // Re-arm the recorder over the recovered image (stamps a recovery event).
-  if (frec_) frec_->on_recover(rtid);
-}
-
-void TrinityTm::rebuild_allocator(std::span<const LiveBlock> live) {
-  if (alloc_.tm_managed()) {
-    alloc_.verify_rebuild(live);
-    return;
-  }
-  alloc_.rebuild(live);
 }
 
 TmStats TrinityTm::stats() const { return runtime::aggregate_thread_stats(ctx_); }

@@ -10,10 +10,11 @@
 // (wv), the read set is validated unless wv == rv + 1, the writes are
 // performed, and the locks are released with version wv.
 //
-// Persistence: identical Trinity record mechanism as NV-HALT's software
-// path — per-word {cur, old, pver} records flushed while the write-set
-// locks are held, then the thread's persistent version number is advanced
-// and persisted. (The original Trinity uses a global sequence number
+// Persistence: the undo-record engine NV-HALT uses (core/undo_records.hpp)
+// — per-word {cur, old, pver} records flushed while the write-set locks
+// are held, then the thread's persistent version number is advanced and
+// persisted; the same code persists, checkpoints and recovers both TMs.
+// (The original Trinity uses a global sequence number
 // coupled with its flat-combining/TL2 integration; the per-thread version
 // scheme is the generalization the paper itself adopts for NV-HALT and is
 // what makes concurrent disjoint writers durably recoverable. Documented
@@ -27,22 +28,20 @@
 #include <memory>
 
 #include "api/tm.hpp"
+#include "core/undo_records.hpp"
 #include "locks/lock_table.hpp"
 #include "runtime/tm_runtime.hpp"
-#include "telemetry/flight_recorder.hpp"
 #include "util/common.hpp"
 
 namespace nvhalt {
 
-class CheckpointManager;
-
 struct TrinityConfig {
   std::size_t lock_table_entries = std::size_t{1} << 16;
 
-  /// Checkpoint/compaction (DESIGN.md Sec. 13): same dirty-line bitmap +
-  /// generation watermark as NV-HALT (the persistence mechanism is
-  /// identical). Off by default; the raw region is allocated only when
-  /// enabled so the pool layout stays byte-identical otherwise.
+  /// Checkpoint/compaction (DESIGN.md Sec. 13): the same dirty-line bitmap +
+  /// generation watermark as NV-HALT (one engine persists both). Off by
+  /// default; the raw region is allocated only when enabled so the pool
+  /// layout stays byte-identical otherwise.
   bool checkpoint = false;
 
   /// Recovery worker pool size; any count recovers a byte-identical image.
@@ -60,12 +59,10 @@ class TrinityTm final : public runtime::TmRuntime {
   TrinityTm(const TrinityConfig& cfg, PmemPool& pool, TxAllocator& alloc);
   ~TrinityTm() override;
 
-  void recover_data() override;
-  void rebuild_allocator(std::span<const LiveBlock> live) override;
   bool checkpoint(int tid) override;
 
   /// Checkpoint subsystem, or null when cfg.checkpoint is off (tests).
-  CheckpointManager* checkpoint_manager() { return ckpt_.get(); }
+  CheckpointManager* checkpoint_manager() { return undo_.checkpoint_manager(); }
 
   PmemPool& pool() override { return pool_; }
   TxAllocator& allocator() override { return alloc_; }
@@ -74,12 +71,6 @@ class TrinityTm final : public runtime::TmRuntime {
   void reset_stats() override;
   telemetry::TmTelemetry telemetry() const override;
   const ContentionTable* contention() const override { return &locks_.contention(); }
-  const telemetry::PostmortemReport* last_postmortem() const override {
-    return last_postmortem_.get();
-  }
-
-  /// Flight recorder, or null when cfg.flight_recorder is off.
-  telemetry::FlightRecorder* flight_recorder() { return frec_.get(); }
 
   std::uint64_t gv() const { return gv_.value.load(std::memory_order_acquire); }
 
@@ -87,6 +78,9 @@ class TrinityTm final : public runtime::TmRuntime {
   /// Software-only instantiation of the unified retry loop (htm_attempts
   /// is pinned to 0: Trinity has no hardware path).
   bool run_registered(int tid, TxMode mode, TxBody body) override;
+
+  /// Undo-record recovery, then a reset of the TL2 clock and locks.
+  void recover_state() override;
 
  private:
   friend class TrinityTx;
@@ -99,11 +93,9 @@ class TrinityTm final : public runtime::TmRuntime {
   PmemPool& pool_;
   TxAllocator& alloc_;
   LockSpace locks_;
-  std::unique_ptr<CheckpointManager> ckpt_;  // only when cfg_.checkpoint
-  std::unique_ptr<telemetry::FlightRecorder> frec_;  // only when cfg_.flight_recorder
-  std::unique_ptr<telemetry::PostmortemReport> last_postmortem_;
   CacheLinePadded<std::atomic<std::uint64_t>> gv_;  // TL2 global version clock
   runtime::PerThread<ThreadCtx> ctx_;
+  UndoRecords undo_;  // constructed before the flight recorder: stable raw offsets
 };
 
 }  // namespace nvhalt

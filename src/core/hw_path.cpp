@@ -115,7 +115,7 @@ NvHaltTm::AttemptResult NvHaltTm::attempt_hw(int tid, TxBody body) {
   // Reclamation epoch: the quiescent refresh keeps this thread's
   // persistent reservation current, so no node this transaction may read
   // can be recycled under it (alloc/ebr.hpp).
-  alloc::quiesce_attempt(alloc_.epochs(), tid);
+  alloc_.epochs().quiesce(tid);
   ThreadCtx& ctx = ctx_[tid];
   ctx.hw_undo.clear();
   ctx.hw_locks.clear();
@@ -159,7 +159,7 @@ NvHaltTm::AttemptResult NvHaltTm::attempt_hw(int tid, TxBody body) {
     ctx.persist_buf.clear();
     for (const auto& u : ctx.hw_undo)
       ctx.persist_buf.push_back({u.addr, u.old, pool_.load(u.addr)});
-    persist_and_bump_pver(tid, ctx);
+    undo_.commit(tid, ctx, ctx.persist_buf, &htm_);
   }
 
   // This hardware transaction published lock acquisitions at xend: bump

@@ -95,12 +95,7 @@ struct alignas(kCacheLineBytes) NvHaltTm::ThreadCtx : runtime::TxThreadState {
   std::uint64_t ro_seq = 0;
 
   // ---- Shared persistence scratch ---------------------------------------
-  struct PersistEnt {
-    gaddr_t addr;
-    word_t old;
-    word_t val;
-  };
-  std::vector<PersistEnt> persist_buf;
+  std::vector<UndoRecords::Entry> persist_buf;  // the write set UndoRecords::commit persists
 
   /// Pre-sizes every per-transaction scratch vector once at TM
   /// construction so the steady state never reallocates on the hot path

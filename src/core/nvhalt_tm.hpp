@@ -5,7 +5,9 @@
 // fine-grained versioned locks* that protect data. Locks acquired inside a
 // hardware transaction become visible atomically at xend and remain held
 // afterwards, protecting the modified addresses while they are persisted
-// with Trinity-style colocated undo records; only then are they released.
+// with Trinity-style colocated undo records (core/undo_records.hpp, the
+// engine NV-HALT shares with the Trinity baseline); only then are they
+// released.
 // The software fallback path is a TL2-style commit-time-locking STM whose
 // write set is persisted the same way while its locks are held, so an
 // address can be non-durable only while its lock is held — the invariant
@@ -29,16 +31,14 @@
 #include <memory>
 
 #include "api/tm.hpp"
+#include "core/undo_records.hpp"
 #include "htm/sim_htm.hpp"
 #include "htm/small_map.hpp"
 #include "locks/lock_table.hpp"
 #include "runtime/tm_runtime.hpp"
-#include "telemetry/flight_recorder.hpp"
 #include "util/rng.hpp"
 
 namespace nvhalt {
-
-class CheckpointManager;
 
 struct NvHaltConfig {
   std::size_t lock_table_entries = std::size_t{1} << 16;
@@ -107,8 +107,6 @@ class NvHaltTm final : public runtime::TmRuntime {
            TxAllocator& alloc);
   ~NvHaltTm() override;
 
-  void recover_data() override;
-  void rebuild_allocator(std::span<const LiveBlock> live) override;
   bool checkpoint(int tid) override;
 
   PmemPool& pool() override { return pool_; }
@@ -118,15 +116,12 @@ class NvHaltTm final : public runtime::TmRuntime {
   void reset_stats() override;
   telemetry::TmTelemetry telemetry() const override;
   const ContentionTable* contention() const override { return &locks_.contention(); }
-  const telemetry::PostmortemReport* last_postmortem() const override {
-    return last_postmortem_.get();
-  }
 
   const NvHaltConfig& config() const { return cfg_; }
+  /// The undo-record durability engine (persist, checkpoint, recovery).
+  UndoRecords& undo_records() { return undo_; }
   /// Checkpoint subsystem, or null when cfg.checkpoint is off (tests).
-  CheckpointManager* checkpoint_manager() { return ckpt_.get(); }
-  /// Flight recorder, or null when cfg.flight_recorder is off.
-  telemetry::FlightRecorder* flight_recorder() { return frec_.get(); }
+  CheckpointManager* checkpoint_manager() { return undo_.checkpoint_manager(); }
   htm::SimHtm& htm() { return htm_; }
   LockSpace& locks() { return locks_; }
   std::uint64_t gclock() const { return gclock_.value.load(std::memory_order_acquire); }
@@ -153,6 +148,10 @@ class NvHaltTm final : public runtime::TmRuntime {
   /// fast path when the caller hinted TxMode::kReadOnly.
   bool run_registered(int tid, TxMode mode, TxBody body) override;
 
+  /// Undo-record recovery (paper Sec. 3.5), then a reset of this TM's
+  /// volatile synchronization metadata.
+  void recover_state() override;
+
  private:
   friend class NvHaltSwTx;
   friend class NvHaltHwTx;
@@ -175,11 +174,6 @@ class NvHaltTm final : public runtime::TmRuntime {
   RoAttemptOutcome attempt_ro_hw(int tid, TxBody body);
   RoAttemptOutcome run_ro(int tid, TxBody body);
 
-  /// Persists a set of (addr, old, new) triples with Trinity undo records
-  /// while the corresponding locks are held, then advances and persists the
-  /// calling thread's persistent version number (Sec. 3.2).
-  void persist_and_bump_pver(int tid, ThreadCtx& ctx);
-
   NvHaltConfig cfg_;
   /// NV-HALT-SP (Fig. 7) rather than the weak-progressive protocol.
   const bool strong_;
@@ -195,16 +189,6 @@ class NvHaltTm final : public runtime::TmRuntime {
   TxAllocator& alloc_;
   LockSpace locks_;
 
-  /// Dirty-line tracking + generation watermark; built only when
-  /// cfg_.checkpoint (reserves pool raw space in the constructor).
-  std::unique_ptr<CheckpointManager> ckpt_;
-
-  /// Persistent flight recorder; built only when cfg_.flight_recorder
-  /// (reserves pool raw space in the constructor).
-  std::unique_ptr<telemetry::FlightRecorder> frec_;
-  /// Postmortem decoded by the most recent recover_data().
-  std::unique_ptr<telemetry::PostmortemReport> last_postmortem_;
-
   /// Global software clock (NV-HALT-SP only). Accessed through the HTM
   /// simulator so hardware transactions could in principle subscribe to it
   /// (they never do: avoiding that bottleneck is the point of hVer).
@@ -217,6 +201,11 @@ class NvHaltTm final : public runtime::TmRuntime {
   CacheLinePadded<std::atomic<std::uint64_t>> commit_seq_;
 
   runtime::PerThread<ThreadCtx> ctx_;
+
+  /// Undo records, pVerNum markers and (when cfg_.checkpoint) the
+  /// checkpoint region; constructed after the allocator's metadata and
+  /// before the flight recorder, which keeps their raw offsets stable.
+  UndoRecords undo_;
 };
 
 }  // namespace nvhalt

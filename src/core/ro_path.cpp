@@ -202,7 +202,7 @@ NvHaltTm::RoAttemptOutcome NvHaltTm::attempt_ro_sw(int tid, TxBody body) {
   // The snapshot engine reads lock-free: the epoch reservation is the
   // only thing standing between this reader and a concurrent free+recycle
   // of a node it is about to read (alloc/ebr.hpp).
-  alloc::quiesce_attempt(alloc_.epochs(), tid);
+  alloc_.epochs().quiesce(tid);
   ThreadCtx& ctx = ctx_[tid];
   ctx.ro_set.clear();
   ctx.ro_filter = 0;
@@ -238,7 +238,7 @@ NvHaltTm::RoAttemptOutcome NvHaltTm::attempt_ro_hw(int tid, TxBody body) {
   // Invisible readers subscribe nothing until the pre-commit batch check:
   // the epoch reservation keeps freed nodes from being recycled
   // mid-snapshot.
-  alloc::quiesce_attempt(alloc_.epochs(), tid);
+  alloc_.epochs().quiesce(tid);
   ThreadCtx& ctx = ctx_[tid];
   ctx.ro_set.clear();
   ctx.ro_filter = 0;

@@ -129,7 +129,7 @@ class NvHaltSwTx final : public Tx {
         // durability sequence (no locks to hold — reads were validated at
         // read time, and the effects are per-thread allocator state).
         ctx_.persist_buf.clear();
-        tm_.persist_and_bump_pver(tid_, ctx_);
+        tm_.undo_.commit(tid_, ctx_, ctx_.persist_buf, &tm_.htm_);
         return;
       }
       ctx_.stats.read_only_commits++;
@@ -185,7 +185,7 @@ class NvHaltSwTx final : public Tx {
     ctx_.persist_buf.clear();
     for (const auto& w : ctx_.wrset)
       ctx_.persist_buf.push_back({w.addr, tm_.pool_.load(w.addr), w.val});
-    tm_.persist_and_bump_pver(tid_, ctx_);
+    tm_.undo_.commit(tid_, ctx_, ctx_.persist_buf, &tm_.htm_);
 
     // Publication point for the read-validation cache: the bump must
     // happen before any lock release, so a reader whose sandwich read
@@ -247,7 +247,7 @@ NvHaltTm::AttemptResult NvHaltTm::attempt_sw(int tid, TxBody body) {
   // Reclamation epoch: the quiescent refresh keeps this thread's
   // persistent reservation current, so no node this transaction may read
   // can be recycled under it (alloc/ebr.hpp).
-  alloc::quiesce_attempt(alloc_.epochs(), tid);
+  alloc_.epochs().quiesce(tid);
   ThreadCtx& ctx = ctx_[tid];
   ctx.rdset.clear();
   ctx.wrset.clear();

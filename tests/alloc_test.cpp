@@ -1,6 +1,7 @@
 // Unit tests for the transaction-aware allocator: size classes, txn
 // commit/abort hooks, segment recycling, large blocks, HTM interaction and
-// recovery-time reconstruction from a live-block iterator.
+// the verify_rebuild cross-check of a live-block set against the
+// persistent metadata.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -151,34 +152,17 @@ TEST(TxAllocator, ConcurrentAllocationsAreDisjoint) {
   EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads) * kPerThread);
 }
 
-TEST(TxAllocator, RebuildPreservesLiveAndRecyclesRest) {
-  PmemPool pool(pool_cfg());
-  TxAllocator alloc(pool);
-  std::vector<gaddr_t> live_addrs;
-  for (int i = 0; i < 100; ++i) {
-    const gaddr_t a = alloc.raw_alloc(0, 8);
-    if (i % 3 == 0) live_addrs.push_back(a);  // every third survives
-  }
-  std::vector<LiveBlock> live;
-  for (const gaddr_t a : live_addrs) live.push_back({a, 8});
-  alloc.rebuild(live);
-
-  // New allocations must avoid every live block.
-  std::set<gaddr_t> live_set(live_addrs.begin(), live_addrs.end());
-  for (int i = 0; i < 500; ++i) {
-    const gaddr_t a = alloc.raw_alloc(1, 8);
-    EXPECT_EQ(live_set.count(a), 0u);
-  }
-}
-
 TEST(TxAllocator, RebuildHandlesLargeBlocks) {
   PmemPool pool(pool_cfg(std::size_t{1} << 20));
   TxAllocator alloc(pool);
   const std::size_t n = 2 * kSegmentWords;
   const gaddr_t big = alloc.raw_alloc_large(n);
   const gaddr_t small = alloc.raw_alloc(0, 4);
+  // A large extent is classified by its durable header, not its size.
   std::vector<LiveBlock> live{{big, static_cast<std::uint32_t>(n)}, {small, 4}};
-  alloc.rebuild(live);
+  EXPECT_EQ(alloc.verify_rebuild(live), 0u);
+  const std::vector<LiveBlock> overrun{{big, static_cast<std::uint32_t>(n + 1)}};
+  EXPECT_THROW(alloc.verify_rebuild(overrun), TmLogicError);
   for (int i = 0; i < 1000; ++i) {
     const gaddr_t a = alloc.raw_alloc(0, 4);
     EXPECT_TRUE(a + 4 <= big || a >= big + n) << "allocated inside live large block";
@@ -189,18 +173,18 @@ TEST(TxAllocator, RebuildHandlesLargeBlocks) {
 TEST(TxAllocator, RebuildRejectsMixedClassSegments) {
   PmemPool pool(pool_cfg());
   TxAllocator alloc(pool);
-  // Two live blocks of different classes claimed to be in one segment.
-  const gaddr_t base = alloc.heap_begin();
-  std::vector<LiveBlock> live{{base, 8}, {base + 16, 4}};
-  EXPECT_THROW(alloc.rebuild(live), TmLogicError);
+  // A carved class-8 segment, and a class-4 block claimed to live in it.
+  const gaddr_t a = alloc.raw_alloc(0, 8);
+  std::vector<LiveBlock> live{{a, 8}, {a + 16, 4}};
+  EXPECT_THROW(alloc.verify_rebuild(live), TmLogicError);
 }
 
 TEST(TxAllocator, RebuildRejectsMisalignedBlock) {
   PmemPool pool(pool_cfg());
   TxAllocator alloc(pool);
-  const gaddr_t base = alloc.heap_begin();
-  std::vector<LiveBlock> live{{base + 3, 8}};  // not a multiple of class 8
-  EXPECT_THROW(alloc.rebuild(live), TmLogicError);
+  const gaddr_t a = alloc.raw_alloc(0, 8);
+  std::vector<LiveBlock> live{{a + 3, 8}};  // not a multiple of class 8
+  EXPECT_THROW(alloc.verify_rebuild(live), TmLogicError);
 }
 
 TEST(TxAllocator, StatsCountAllocsAndSegments) {

@@ -4,16 +4,19 @@
 // record recovery, SPHT's native log compaction, and the torn-checkpoint
 // window — a crash at any fence boundary between checkpoint publication
 // and the watermark flip recovers identically from either generation,
-// pinned with replayable (hash, prefix, seed) triples.
+// pinned with replayable (hash, prefix, seed) triples — and the
+// undo-record protocol NV-HALT and Trinity share, pinned by identical pool
+// images.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "baselines/spht/spht_tm.hpp"
 #include "baselines/trinity/trinity_tm.hpp"
 #include "core/nvhalt_tm.hpp"
-#include "core/record_recovery.hpp"
 #include "crash_harness.hpp"
 #include "pmem/checkpoint.hpp"
 #include "pmem/crash_enum.hpp"
@@ -98,13 +101,8 @@ TEST(CheckpointBoundedRecoveryTest, RevertPassVisitsOnlyDeltaSinceCheckpoint) {
   }));
 
   pool.crash(CrashPolicy{});
-  std::uint64_t durable_pver[kMaxThreads];
-  for (int t = 0; t < kMaxThreads; ++t) durable_pver[t] = pool.load_pver(t);
-
-  RecordRecoveryOptions opts;
-  opts.workers = 2;
-  opts.ckpt = manager_of(tm);
-  const RecordRecoveryReport rep = recover_records(pool, durable_pver, opts);
+  const UndoRecoveryReport rep =
+      dynamic_cast<NvHaltTm&>(tm).undo_records().recover(/*rtid=*/0, /*workers=*/2);
   EXPECT_TRUE(rep.bounded) << "valid checkpoint region but the full scan ran";
   EXPECT_GT(rep.lines_scanned, 0u);
   // The checkpoint retired the 64-slot history; the revert pass visits
@@ -212,6 +210,75 @@ TEST_P(CheckpointTornWindowTest, EveryWindowBoundaryRecoversIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(Checkpoint, CheckpointTornWindowTest, testing::ValuesIn(all_kinds()),
                          kind_param_name);
+
+// ---- One undo-record protocol ----------------------------------------------
+
+// NV-HALT and Trinity persist, checkpoint and recover through the same
+// engine (core/undo_records.hpp). On one single-threaded history they must
+// therefore leave byte-identical pool images — volatile, staged and durable
+// — before a crash and after recovery, whatever the checkpoint and flight
+// recorder settings. This pins the protocol against a later fork.
+struct ImageHashes {
+  std::uint64_t pre_crash = 0;
+  std::uint64_t recovered = 0;
+};
+
+/// 20 allocating commits (checkpoints after the 4th, 11th and 18th), 7
+/// free-only commits, 5 read-modify-write commits, then a crash.
+ImageHashes run_undo_history(const RunnerConfig& cfg) {
+  TmRunner runner(cfg);
+  auto& tm = runner.tm();
+  std::vector<gaddr_t> nodes;
+  for (int i = 0; i < 20; ++i) {
+    gaddr_t n = kNullAddr;
+    EXPECT_TRUE(tm.run(0, [&](Tx& tx) {
+      n = tx.alloc(4);
+      for (int w = 0; w < 4; ++w) tx.write(n + w, static_cast<word_t>(100 * i + w));
+    }));
+    nodes.push_back(n);
+    if (i == 3 || i == 10 || i == 17) {
+      EXPECT_EQ(tm.checkpoint(0), cfg.trinity.checkpoint);
+    }
+  }
+  for (int i = 0; i < 7; ++i) EXPECT_TRUE(tm.run(0, [&](Tx& tx) { tx.free(nodes[i], 4); }));
+  for (int i = 10; i < 15; ++i)
+    EXPECT_TRUE(tm.run(0, [&](Tx& tx) { tx.write(nodes[i], tx.read(nodes[i]) + 1); }));
+  ImageHashes h;
+  h.pre_crash = runner.pool().image_hash();
+  runner.pool().crash(CrashPolicy{0.0, 1});
+  tm.recover_data();
+  h.recovered = runner.pool().image_hash();
+  return h;
+}
+
+class UndoRecordsEquivalence : public testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(UndoRecordsEquivalence, NvHaltAndTrinityLeaveIdenticalImages) {
+  const auto [checkpoint, recorder] = GetParam();
+  const ImageHashes trinity =
+      run_undo_history(crash_config(TmKind::kTrinity, checkpoint, recorder));
+
+  RunnerConfig sw_only = crash_config(TmKind::kNvHalt, checkpoint, recorder);
+  sw_only.nvhalt.htm_attempts = 0;
+  const ImageHashes nvhalt_sw = run_undo_history(sw_only);
+  EXPECT_EQ(nvhalt_sw.pre_crash, trinity.pre_crash);
+  EXPECT_EQ(nvhalt_sw.recovered, trinity.recovered);
+
+  // Hardware commits write kHwCommit records into an enabled recorder, so
+  // the default configuration matches only with the recorder off.
+  if (!recorder) {
+    const ImageHashes nvhalt = run_undo_history(crash_config(TmKind::kNvHalt, checkpoint, false));
+    EXPECT_EQ(nvhalt.pre_crash, trinity.pre_crash);
+    EXPECT_EQ(nvhalt.recovered, trinity.recovered);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CheckpointRecorder, UndoRecordsEquivalence, testing::Combine(testing::Bool(), testing::Bool()),
+    [](const testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+      return std::string(std::get<0>(info.param) ? "Checkpoint" : "NoCheckpoint") +
+             (std::get<1>(info.param) ? "Recorder" : "NoRecorder");
+    });
 
 }  // namespace
 }  // namespace nvhalt

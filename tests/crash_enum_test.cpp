@@ -366,6 +366,10 @@ TEST(CrashJournalTest, FenceCrashCanLeavePartiallyPersistedQueue) {
 
 // ---- Allocator crash coverage ---------------------------------------------
 
+// Both TMs that persist through the undo-record engine: its allocator-only
+// commit and intent arm/apply run under each one's own concurrency control.
+constexpr TmKind kUndoRecordKinds[] = {TmKind::kNvHalt, TmKind::kTrinity};
+
 // A transaction allocates a node, publishes its address into a raw flag and
 // crashes at every fence boundary. The durable allocation bit must agree
 // with the durability marker everywhere: committed -> bit applied,
@@ -374,46 +378,49 @@ TEST(CrashJournalTest, FenceCrashCanLeavePartiallyPersistedQueue) {
 // marker, so the sweep itself is exercised, and that image re-derives
 // identically for replay.
 TEST(CrashEnumAllocTest, AllocThenCrashBeforeCommitIsSweptAsOrphan) {
-  PersistJournal journal;
-  RunnerConfig cfg = crash_config(TmKind::kNvHalt);
-  cfg.pmem.journal = &journal;
-  TmRunner runner(cfg);
-  const gaddr_t flag = runner.alloc().raw_alloc(0, 1);
-  constexpr std::size_t kNode = 4;
-  gaddr_t node = 0;
-  ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) {
-    node = tx.alloc(kNode);
-    tx.write(node, 0xFEED);
-    tx.write(flag, node);  // durably nonzero iff the alloc committed
-  }));
-  const auto events = journal.events();
+  for (const TmKind kind : kUndoRecordKinds) {
+    SCOPED_TRACE(tm_kind_name(kind));
+    PersistJournal journal;
+    RunnerConfig cfg = crash_config(kind);
+    cfg.pmem.journal = &journal;
+    TmRunner runner(cfg);
+    const gaddr_t flag = runner.alloc().raw_alloc(0, 1);
+    constexpr std::size_t kNode = 4;
+    gaddr_t node = 0;
+    ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) {
+      node = tx.alloc(kNode);
+      tx.write(node, 0xFEED);
+      tx.write(flag, node);  // durably nonzero iff the alloc committed
+    }));
+    const auto events = journal.events();
 
-  TmRunner verifier(crash_config(TmKind::kNvHalt));
-  CrashEnumerator en(events, CrashEnumOptions{});
-  std::uint64_t swept_total = 0;
-  std::size_t swept_prefix = events.size() + 1;
-  for (const std::size_t prefix : en.boundaries()) {
-    const CrashImage img = materialize_crash_image(events, prefix, 0);
-    verifier.pool().install_crash_image(img.words);
-    verifier.tm().recover_data();
-    word_t f = 0;
-    verifier.tm().run(0, [&](Tx& tx) { f = tx.read(flag); });
-    const bool committed = f != 0;
-    EXPECT_EQ(verifier.alloc().slot_bit(node, kNode), committed) << "prefix " << prefix;
-    if (committed) {
-      EXPECT_EQ(f, node);
+    TmRunner verifier(crash_config(kind));
+    CrashEnumerator en(events, CrashEnumOptions{});
+    std::uint64_t swept_total = 0;
+    std::size_t swept_prefix = events.size() + 1;
+    for (const std::size_t prefix : en.boundaries()) {
+      const CrashImage img = materialize_crash_image(events, prefix, 0);
+      verifier.pool().install_crash_image(img.words);
+      verifier.tm().recover_data();
+      word_t f = 0;
+      verifier.tm().run(0, [&](Tx& tx) { f = tx.read(flag); });
+      const bool committed = f != 0;
+      EXPECT_EQ(verifier.alloc().slot_bit(node, kNode), committed) << "prefix " << prefix;
+      if (committed) {
+        EXPECT_EQ(f, node);
+      }
+      const AllocRecoveryReport& rep = verifier.alloc().last_recovery();
+      if (rep.orphans_swept > 0 && swept_prefix > events.size()) swept_prefix = prefix;
+      swept_total += rep.orphans_swept;
     }
-    const AllocRecoveryReport& rep = verifier.alloc().last_recovery();
-    if (rep.orphans_swept > 0 && swept_prefix > events.size()) swept_prefix = prefix;
-    swept_total += rep.orphans_swept;
-  }
-  ASSERT_GT(swept_total, 0u) << "no boundary ever exercised the orphan sweep";
+    ASSERT_GT(swept_total, 0u) << "no boundary ever exercised the orphan sweep";
 
-  const CrashImage again = materialize_crash_image(events, swept_prefix, 0);
-  verifier.pool().install_crash_image(again.words);
-  verifier.tm().recover_data();
-  EXPECT_GT(verifier.alloc().last_recovery().orphans_swept, 0u);
-  EXPECT_FALSE(verifier.alloc().slot_bit(node, kNode));
+    const CrashImage again = materialize_crash_image(events, swept_prefix, 0);
+    verifier.pool().install_crash_image(again.words);
+    verifier.tm().recover_data();
+    EXPECT_GT(verifier.alloc().last_recovery().orphans_swept, 0u);
+    EXPECT_FALSE(verifier.alloc().slot_bit(node, kNode));
+  }
 }
 
 // A committed node is freed by a second transaction that crashes at every
@@ -423,60 +430,63 @@ TEST(CrashEnumAllocTest, AllocThenCrashBeforeCommitIsSweptAsOrphan) {
 // free committed -> bit clear and the slot reusable once; free uncommitted
 // -> the block survives and is never handed out again.
 TEST(CrashEnumAllocTest, FreeThenCrashMidFenceNeitherDoubleFreesNorLosesBlock) {
-  PersistJournal journal;
-  RunnerConfig cfg = crash_config(TmKind::kNvHalt);
-  cfg.pmem.journal = &journal;
-  TmRunner runner(cfg);
-  const gaddr_t flag = runner.alloc().raw_alloc(0, 1);
-  constexpr std::size_t kNode = 4;
-  gaddr_t node = 0;
-  ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) {
-    node = tx.alloc(kNode);
-    tx.write(node, 0xBEEF);
-    tx.write(flag, node);
-  }));
-  const std::size_t free_begin = journal.size();
-  ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) {
-    tx.free(node, kNode);
-    tx.write(flag, 0);  // durably zero iff the free committed
-  }));
-  const auto events = journal.events();
-
-  TmRunner verifier(crash_config(TmKind::kNvHalt));
-  CrashEnumerator en(events, CrashEnumOptions{});
-  const auto check_image = [&](std::size_t prefix, std::uint64_t seed) {
-    const CrashImage img = materialize_crash_image(events, prefix, seed);
-    verifier.pool().install_crash_image(img.words);
-    verifier.tm().recover_data();
-    word_t f = 0;
-    verifier.tm().run(0, [&](Tx& tx) { f = tx.read(flag); });
-    const bool freed = f == 0;
-    EXPECT_EQ(verifier.alloc().slot_bit(node, kNode), !freed)
-        << "prefix " << prefix << " seed " << seed;
-    std::vector<LiveBlock> live;
-    if (verifier.alloc().slot_bit(flag, 1)) live.push_back({flag, 1});
-    if (!freed) live.push_back({node, kNode});
-    EXPECT_EQ(verifier.alloc().verify_rebuild(live), 0u)
-        << "unexpected leak at prefix " << prefix << " seed " << seed;
-    // A double-freed slot would be handed out twice; a lost one never.
-    std::vector<gaddr_t> got;
-    ASSERT_TRUE(verifier.tm().run(0, [&](Tx& tx) {
-      got.clear();  // the body may be re-executed
-      for (int i = 0; i < 6; ++i) got.push_back(tx.alloc(kNode));
+  for (const TmKind kind : kUndoRecordKinds) {
+    SCOPED_TRACE(tm_kind_name(kind));
+    PersistJournal journal;
+    RunnerConfig cfg = crash_config(kind);
+    cfg.pmem.journal = &journal;
+    TmRunner runner(cfg);
+    const gaddr_t flag = runner.alloc().raw_alloc(0, 1);
+    constexpr std::size_t kNode = 4;
+    gaddr_t node = 0;
+    ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) {
+      node = tx.alloc(kNode);
+      tx.write(node, 0xBEEF);
+      tx.write(flag, node);
     }));
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
-        << "duplicate allocation at prefix " << prefix << " seed " << seed;
-    if (!freed) {
-      EXPECT_EQ(std::find(got.begin(), got.end(), node), got.end())
-          << "live block recycled at prefix " << prefix << " seed " << seed;
+    const std::size_t free_begin = journal.size();
+    ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) {
+      tx.free(node, kNode);
+      tx.write(flag, 0);  // durably zero iff the free committed
+    }));
+    const auto events = journal.events();
+
+    TmRunner verifier(crash_config(kind));
+    CrashEnumerator en(events, CrashEnumOptions{});
+    const auto check_image = [&](std::size_t prefix, std::uint64_t seed) {
+      const CrashImage img = materialize_crash_image(events, prefix, seed);
+      verifier.pool().install_crash_image(img.words);
+      verifier.tm().recover_data();
+      word_t f = 0;
+      verifier.tm().run(0, [&](Tx& tx) { f = tx.read(flag); });
+      const bool freed = f == 0;
+      EXPECT_EQ(verifier.alloc().slot_bit(node, kNode), !freed)
+          << "prefix " << prefix << " seed " << seed;
+      std::vector<LiveBlock> live;
+      if (verifier.alloc().slot_bit(flag, 1)) live.push_back({flag, 1});
+      if (!freed) live.push_back({node, kNode});
+      EXPECT_EQ(verifier.alloc().verify_rebuild(live), 0u)
+          << "unexpected leak at prefix " << prefix << " seed " << seed;
+      // A double-freed slot would be handed out twice; a lost one never.
+      std::vector<gaddr_t> got;
+      ASSERT_TRUE(verifier.tm().run(0, [&](Tx& tx) {
+        got.clear();  // the body may be re-executed
+        for (int i = 0; i < 6; ++i) got.push_back(tx.alloc(kNode));
+      }));
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
+          << "duplicate allocation at prefix " << prefix << " seed " << seed;
+      if (!freed) {
+        EXPECT_EQ(std::find(got.begin(), got.end(), node), got.end())
+            << "live block recycled at prefix " << prefix << " seed " << seed;
+      }
+    };
+    for (const std::size_t prefix : en.boundaries()) {
+      if (prefix < free_begin) continue;
+      check_image(prefix, 0);
+      check_image(prefix, en.subset_seed_for(prefix, 0));
+      check_image(prefix, en.subset_seed_for(prefix, 1));
     }
-  };
-  for (const std::size_t prefix : en.boundaries()) {
-    if (prefix < free_begin) continue;
-    check_image(prefix, 0);
-    check_image(prefix, en.subset_seed_for(prefix, 0));
-    check_image(prefix, en.subset_seed_for(prefix, 1));
   }
 }
 
@@ -488,45 +498,50 @@ TEST(CrashEnumAllocTest, FreeThenCrashMidFenceNeitherDoubleFreesNorLosesBlock) {
 // it must not let recovery re-apply arm 1 with that payload: that clears
 // the allocation bit of a node that is still live.
 TEST(CrashEnumAllocTest, TornRearmKeepsLiveBlockAllocated) {
-  PersistJournal journal;
-  RunnerConfig cfg = crash_config(TmKind::kNvHalt);
-  cfg.pmem.journal = &journal;
-  TmRunner runner(cfg);
-  constexpr std::size_t kNode = 4;
-  gaddr_t node = 0;
-  ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) {
-    node = tx.alloc(kNode);
-    tx.write(node, 0xC0DE);
-  }));
-  const std::size_t commit1_end = journal.size();
-  ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) { tx.free(node, kNode); }));
-  const auto events = journal.events();
-  ASSERT_EQ(events[commit1_end - 1].kind, PersistEventKind::kFence);
+  for (const TmKind kind : kUndoRecordKinds) {
+    SCOPED_TRACE(tm_kind_name(kind));
+    PersistJournal journal;
+    RunnerConfig cfg = crash_config(kind);
+    cfg.pmem.journal = &journal;
+    TmRunner runner(cfg);
+    constexpr std::size_t kNode = 4;
+    gaddr_t node = 0;
+    ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) {
+      node = tx.alloc(kNode);
+      tx.write(node, 0xC0DE);
+    }));
+    const std::size_t commit1_end = journal.size();
+    ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) { tx.free(node, kNode); }));
+    const auto events = journal.events();
+    ASSERT_EQ(events[commit1_end - 1].kind, PersistEventKind::kFence);
 
-  // The intent records follow the allocator's one-line metadata header;
-  // thread 0's entry 0 (payload word, then tag word) sits one line into
-  // its record, after the state line.
-  const std::uint64_t entry0 = runner.alloc().meta_base() + 2 * kWordsPerLine;
-  const auto payload = std::find_if(
-      events.begin() + static_cast<std::ptrdiff_t>(commit1_end), events.end(),
-      [&](const PersistEvent& ev) { return ev.kind == PersistEventKind::kStore && ev.word == entry0; });
-  ASSERT_NE(payload, events.end()) << "transaction 2 never re-armed entry 0";
+    // The intent records follow the allocator's one-line metadata header;
+    // thread 0's entry 0 (payload word, then tag word) sits one line into
+    // its record, after the state line.
+    const std::uint64_t entry0 = runner.alloc().meta_base() + 2 * kWordsPerLine;
+    const auto payload = std::find_if(
+        events.begin() + static_cast<std::ptrdiff_t>(commit1_end), events.end(),
+        [&](const PersistEvent& ev) {
+          return ev.kind == PersistEventKind::kStore && ev.word == entry0;
+        });
+    ASSERT_NE(payload, events.end()) << "transaction 2 never re-armed entry 0";
 
-  // Fence-boundary image after commit 1, plus the re-arm's first payload
-  // store without the tag store that follows it on the same line.
-  CrashImage img = materialize_crash_image(events, commit1_end, 0);
-  ASSERT_NE(image_value(img, entry0), 0u) << "commit 1 left no armed entry to tear";
-  ASSERT_NE(image_value(img, entry0), payload->value);
-  const auto slot = std::find_if(img.words.begin(), img.words.end(),
-                                 [&](const auto& w) { return w.first == entry0; });
-  slot->second = payload->value;
+    // Fence-boundary image after commit 1, plus the re-arm's first payload
+    // store without the tag store that follows it on the same line.
+    CrashImage img = materialize_crash_image(events, commit1_end, 0);
+    ASSERT_NE(image_value(img, entry0), 0u) << "commit 1 left no armed entry to tear";
+    ASSERT_NE(image_value(img, entry0), payload->value);
+    const auto slot = std::find_if(img.words.begin(), img.words.end(),
+                                   [&](const auto& w) { return w.first == entry0; });
+    slot->second = payload->value;
 
-  TmRunner verifier(crash_config(TmKind::kNvHalt));
-  verifier.pool().install_crash_image(img.words);
-  verifier.tm().recover_data();
-  EXPECT_TRUE(verifier.alloc().slot_bit(node, kNode)) << "recovery freed a live block";
-  const std::vector<LiveBlock> live = {{node, kNode}};
-  EXPECT_NO_THROW(verifier.alloc().verify_rebuild(live));
+    TmRunner verifier(crash_config(kind));
+    verifier.pool().install_crash_image(img.words);
+    verifier.tm().recover_data();
+    EXPECT_TRUE(verifier.alloc().slot_bit(node, kNode)) << "recovery freed a live block";
+    const std::vector<LiveBlock> live = {{node, kNode}};
+    EXPECT_NO_THROW(verifier.alloc().verify_rebuild(live));
+  }
 }
 
 // ---- SPHT log replay -------------------------------------------------------

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <string>
 
+#include <unistd.h>
+
 #include "pmem/crash_sim.hpp"
 #include "pmem/pmem_inspector.hpp"
 #include "pmem/pmem_pool.hpp"
@@ -290,8 +292,11 @@ TEST(PmemInspector, ReportsInFlightAndDurability) {
 class FileBackedPmemTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "nvhalt_pool_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".pm";
+    // Process id plus test name: unique across the processes a parallel
+    // ctest runs at once (a heap address is not — ASan processes share
+    // their layout).
+    path_ = testing::TempDir() + "nvhalt_pool_" + std::to_string(::getpid()) + "_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() + ".pm";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

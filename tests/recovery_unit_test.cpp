@@ -123,7 +123,7 @@ TEST_F(RecoveryUnitTest, InspectorShowsNoInFlightRecordsAfterRecovery) {
 
 TEST_F(RecoveryUnitTest, InspectorSummarizesAllocatorMetadata) {
   PmemInspector inspector(*pool_);
-  // TM-managed allocator: the metadata header is durable from construction.
+  // The metadata header is durable from the allocator's construction.
   AllocDurableSummary s = inspector.scan_alloc(runner_->alloc());
   ASSERT_TRUE(s.metadata_present);
   EXPECT_EQ(s.segment_count, runner_->alloc().segment_count());
@@ -143,11 +143,6 @@ TEST_F(RecoveryUnitTest, InspectorSummarizesAllocatorMetadata) {
   ASSERT_TRUE(runner_->tm().run(0, [&](Tx& tx) { tx.free(b, 4); }));
   const AllocDurableSummary after = inspector.scan_alloc(runner_->alloc());
   EXPECT_EQ(after.used_slots + 1, s.used_slots);
-
-  // Standalone allocators keep no persistent metadata to summarize.
-  PmemPool spool(PmemConfig{});
-  TxAllocator salloc(spool);
-  EXPECT_FALSE(PmemInspector(spool).scan_alloc(salloc).metadata_present);
 }
 
 TEST_F(RecoveryUnitTest, UntouchedWordsRemainZero) {
