@@ -185,22 +185,20 @@ Sample measure_mixed(const Mixed& p, const Scale& sc) {
   if (spht != nullptr) spht->replay(runner.config().spht.replay_threads);
 
   const TmStats st = tm.stats();
-  const telemetry::TmTelemetry tel = tm.telemetry();
-  const auto& tax = tel.tx.taxonomy;
   s["commits"] = static_cast<double>(st.commits);
   s["hw_commits"] = static_cast<double>(st.hw_commits);
   s["sw_commits"] = static_cast<double>(st.sw_commits);
   s["ro_commits"] = static_cast<double>(st.ro_commits);
   s["hw_aborts"] = static_cast<double>(st.hw_aborts);
   for (std::size_t c = 0; c < std::size(kHwCauses); ++c)
-    s[kHwCauses[c]] = static_cast<double>(tax.hw_by_cause[c]);
-  s["sw_aborts"] = static_cast<double>(tax.sw_aborts);
+    s[kHwCauses[c]] = static_cast<double>(st.hw_by_cause[c]);
+  s["sw_aborts"] = static_cast<double>(st.sw_aborts);
   s["ro_aborts"] = static_cast<double>(st.ro_aborts);
   for (std::size_t c = 0; c < std::size(kRoCauses); ++c)
-    s[kRoCauses[c]] = static_cast<double>(tax.ro_by_cause[c]);
-  s["user_aborts"] = static_cast<double>(tax.user_aborts);
+    s[kRoCauses[c]] = static_cast<double>(st.ro_by_cause[c]);
+  s["user_aborts"] = static_cast<double>(st.user_aborts);
   s["fallbacks"] = static_cast<double>(st.fallbacks);
-  s["write_set_p99"] = static_cast<double>(tel.tx.write_set_size.quantile_bound(0.99));
+  s["write_set_p99"] = static_cast<double>(st.write_set_size.quantile_bound(0.99));
 
   // Epoch ledger over the phase: retired and reclaimed are phase deltas,
   // limbo_start/limbo the limbo depth at its start and end.

@@ -20,7 +20,6 @@
 #include "core/tm_stats.hpp"
 #include "pmem/pmem_pool.hpp"
 #include "runtime/thread_registry.hpp"
-#include "telemetry/tx_telemetry.hpp"
 #include "util/common.hpp"
 #include "util/function_ref.hpp"
 
@@ -150,13 +149,12 @@ class TransactionalMemory {
   virtual PmemPool& pool() = 0;
   virtual TxAllocator& allocator() = 0;
   virtual const char* name() const = 0;
+
+  /// Every thread's outcome record summed (counters, abort causes,
+  /// latency/size histograms). Callable any time, exact only when no
+  /// transactions are in flight.
   virtual TmStats stats() const = 0;
   virtual void reset_stats() = 0;
-
-  /// Aggregated telemetry (abort taxonomy, latency/size histograms). Same
-  /// quiescence contract as stats(): callable any time, exact only when no
-  /// transactions are in flight.
-  virtual telemetry::TmTelemetry telemetry() const = 0;
 
   /// Per-stripe lock-contention observatory, or null for TMs without one.
   /// Same quiescence contract as stats().

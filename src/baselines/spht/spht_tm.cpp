@@ -191,7 +191,7 @@ void SphtTm::persist_marker_until(int tid, std::uint64_t ts) {
 void SphtTm::persist_committed(int tid, std::uint64_t ts_commit,
                                std::span<const std::pair<gaddr_t, word_t>> redo) {
   ThreadCtx& ctx = ctx_[tid];
-  ctx.tel.write_set_size.record(redo.size());
+  ctx.stats.write_set_size.record(redo.size());
   [[maybe_unused]] std::uint64_t ack_t0 = 0;
   if constexpr (telemetry::kLevel >= 1) ack_t0 = telemetry::now_ticks();
 
@@ -232,7 +232,7 @@ void SphtTm::persist_committed(int tid, std::uint64_t ts_commit,
   // the ack latency.
   if constexpr (telemetry::kLevel >= 1) {
     const std::uint64_t waited = telemetry::now_ticks() - ack_t0;
-    ctx.tel.ack_latency.record(waited);
+    ctx.stats.ack_latency.record(waited);
     telemetry::trace1(telemetry::EventKind::kDurabilityAck, tid, waited);
   }
 }
@@ -446,10 +446,6 @@ TmStats SphtTm::stats() const { return runtime::aggregate_thread_stats(ctx_); }
 void SphtTm::reset_stats() {
   runtime::reset_thread_stats(ctx_);
   contention_.reset();
-}
-
-telemetry::TmTelemetry SphtTm::telemetry() const {
-  return runtime::aggregate_thread_telemetry(ctx_);
 }
 
 }  // namespace nvhalt

@@ -96,7 +96,6 @@ class SphtTm final : public runtime::TmRuntime {
   const char* name() const override { return "SPHT"; }
   TmStats stats() const override;
   void reset_stats() override;
-  telemetry::TmTelemetry telemetry() const override;
   /// SPHT has exactly one lock — the global fallback lock — so its
   /// contention observatory is a single stripe (stripe 0).
   const ContentionTable* contention() const override { return &contention_; }

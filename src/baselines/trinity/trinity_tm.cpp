@@ -274,8 +274,4 @@ void TrinityTm::reset_stats() {
   locks_.contention().reset();
 }
 
-telemetry::TmTelemetry TrinityTm::telemetry() const {
-  return runtime::aggregate_thread_telemetry(ctx_);
-}
-
 }  // namespace nvhalt

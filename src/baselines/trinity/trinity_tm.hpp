@@ -69,7 +69,6 @@ class TrinityTm final : public runtime::TmRuntime {
   const char* name() const override { return "Trinity"; }
   TmStats stats() const override;
   void reset_stats() override;
-  telemetry::TmTelemetry telemetry() const override;
   const ContentionTable* contention() const override { return &locks_.contention(); }
 
   std::uint64_t gv() const { return gv_.value.load(std::memory_order_acquire); }

@@ -46,10 +46,6 @@ void NvHaltTm::reset_stats() {
   locks_.contention().reset();
 }
 
-telemetry::TmTelemetry NvHaltTm::telemetry() const {
-  return runtime::aggregate_thread_telemetry(ctx_);
-}
-
 bool NvHaltTm::checkpoint(int tid) { return undo_.checkpoint(tid, ctx_[tid]); }
 
 void NvHaltTm::recover_state() {

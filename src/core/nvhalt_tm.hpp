@@ -114,7 +114,6 @@ class NvHaltTm final : public runtime::TmRuntime {
   const char* name() const override;
   TmStats stats() const override;
   void reset_stats() override;
-  telemetry::TmTelemetry telemetry() const override;
   const ContentionTable* contention() const override { return &locks_.contention(); }
 
   const NvHaltConfig& config() const { return cfg_; }

@@ -106,7 +106,7 @@ UndoRecords::~UndoRecords() = default;
 
 void UndoRecords::commit(int tid, runtime::TxThreadState& ts, std::span<const Entry> writes,
                          htm::SimHtm* publish) {
-  ts.tel.write_set_size.record(writes.size());
+  ts.stats.write_set_size.record(writes.size());
   // Checkpointing: hold the persist-phase guard across the whole phase
   // (checkpoints drain these, so a checkpoint's intent quiesce cannot race
   // the arm below, even in an allocator-only commit), and durably publish

@@ -1,6 +1,4 @@
-#include "htm/htm_stats.hpp"
-
-#include <sstream>
+#include "htm/htm_types.hpp"
 
 namespace nvhalt::htm {
 
@@ -13,23 +11,6 @@ const char* abort_cause_name(AbortCause c) {
     case AbortCause::kFlush: return "flush";
     default: return "unknown";
   }
-}
-
-void HtmStats::add(const HtmThreadStats& t) {
-  begins += t.begins;
-  commits += t.commits;
-  for (std::size_t i = 0; i < aborts.size(); ++i) aborts[i] += t.aborts[i];
-}
-
-std::string HtmStats::to_string() const {
-  std::ostringstream os;
-  os << "htm{begins=" << begins << " commits=" << commits;
-  for (std::size_t i = 0; i < aborts.size(); ++i) {
-    if (aborts[i] != 0)
-      os << " " << abort_cause_name(static_cast<AbortCause>(i)) << "=" << aborts[i];
-  }
-  os << "}";
-  return os.str();
 }
 
 }  // namespace nvhalt::htm

@@ -1,43 +1,27 @@
-// Per-thread hardware-transaction statistics, aggregated for reporting.
+// Hardware-transaction statistics: one record per thread, summed for
+// reporting.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "htm/htm_types.hpp"
 #include "util/common.hpp"
 
 namespace nvhalt::htm {
 
-struct HtmThreadStats {
-  std::uint64_t begins = 0;
-  std::uint64_t commits = 0;
-  std::array<std::uint64_t, static_cast<std::size_t>(AbortCause::kNumCauses)> aborts{};
-
-  std::uint64_t total_aborts() const {
-    std::uint64_t s = 0;
-    for (auto a : aborts) s += a;
-    return s;
-  }
-
-  void reset() { *this = HtmThreadStats{}; }
-};
-
-/// Aggregate over all threads.
 struct HtmStats {
   std::uint64_t begins = 0;
   std::uint64_t commits = 0;
   std::array<std::uint64_t, static_cast<std::size_t>(AbortCause::kNumCauses)> aborts{};
 
-  std::uint64_t total_aborts() const {
-    std::uint64_t s = 0;
-    for (auto a : aborts) s += a;
-    return s;
+  void add(const HtmStats& o) {
+    begins += o.begins;
+    commits += o.commits;
+    for (std::size_t i = 0; i < aborts.size(); ++i) aborts[i] += o.aborts[i];
   }
 
-  void add(const HtmThreadStats& t);
-  std::string to_string() const;
+  void reset() { *this = HtmStats{}; }
 };
 
 }  // namespace nvhalt::htm

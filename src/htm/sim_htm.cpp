@@ -69,7 +69,7 @@ struct alignas(kCacheLineBytes) SimHtm::Context {
   std::vector<std::uint8_t> l1_set_count;
 
   Xoshiro256 rng;
-  HtmThreadStats stats;
+  HtmStats stats;
 };
 
 SimHtm::SimHtm(const HtmConfig& cfg)
@@ -533,8 +533,6 @@ HtmStats SimHtm::aggregate_stats() const {
 void SimHtm::reset_stats() {
   for (int t = 0; t < kMaxThreads; ++t) ctx_[t].stats.reset();
 }
-
-const HtmThreadStats& SimHtm::thread_stats(int tid) const { return ctx_[tid].stats; }
 
 void SimHtm::reset() {
   // Force-clear: after a simulated crash, threads died mid-transaction and

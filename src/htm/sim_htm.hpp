@@ -155,7 +155,6 @@ class SimHtm {
   bool thread_in_txn(int tid) const;
   HtmStats aggregate_stats() const;
   void reset_stats();
-  const HtmThreadStats& thread_stats(int tid) const;
 
   /// Clears all conflict-tracking state; only valid when no thread is in a
   /// transaction (used by recovery and tests).

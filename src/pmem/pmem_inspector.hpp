@@ -11,7 +11,6 @@
 
 #include "alloc/tx_allocator.hpp"
 #include "pmem/pmem_pool.hpp"
-#include "telemetry/flight_recorder.hpp"
 
 namespace nvhalt {
 
@@ -43,12 +42,6 @@ class PmemInspector {
   /// `alloc` must be backed by the inspected pool.
   AllocDurableSummary scan_alloc(const TxAllocator& alloc) const { return alloc.durable_summary(); }
   static std::string alloc_to_string(const AllocDurableSummary& s);
-
-  /// Postmortem decode of `fr`'s durable rings (flight recorder must be
-  /// backed by the inspected pool). Read-only; must run quiescently.
-  telemetry::PostmortemReport scan_recorder(const telemetry::FlightRecorder& fr) const {
-    return fr.postmortem();
-  }
 
  private:
   const PmemPool& pool_;

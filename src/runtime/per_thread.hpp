@@ -1,7 +1,7 @@
 // Unified per-thread state for the TM runtime layer.
 //
-// TxThreadState is the slice of per-thread context every TM needs — outcome
-// stats, the backoff RNG, telemetry counters, and the cached persistent
+// TxThreadState is the slice of per-thread context every TM needs — the
+// TmStats outcome record, the backoff RNG, and the cached persistent
 // version number. Each TM's ThreadCtx derives from it and adds its
 // path-specific scratch (read/write sets, redo/undo logs, ...).
 //
@@ -17,19 +17,15 @@
 #include "htm/htm_types.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
-#include "telemetry/tx_telemetry.hpp"
 #include "util/rng.hpp"
 
 namespace nvhalt::runtime {
 
 /// Per-registry-slot runtime state shared by every TM's thread context.
 struct TxThreadState {
-  TmThreadStats stats;
+  /// This thread's outcome record (counters, abort causes, histograms).
+  TmStats stats;
   Xoshiro256 rng;
-
-  /// Telemetry counters (abort taxonomy + latency/size histograms). Live at
-  /// every NVHALT_TELEMETRY level; see telemetry/tx_telemetry.hpp.
-  telemetry::TxTelemetry tel;
 
   /// Cached persistent version number (loaded lazily from the pool header
   /// the first time a slot runs a transaction, invalidated by recovery).
@@ -54,11 +50,11 @@ struct TxThreadState {
   }
 
   /// The one place a hardware abort is accounted: bumps the coarse counter
-  /// and the per-cause taxonomy in lockstep so they can never disagree.
-  /// `code` is the xabort code for explicit aborts (trace payload only).
+  /// and its cause in lockstep so they can never disagree. `code` is the
+  /// xabort code for explicit aborts (trace payload only).
   void record_hw_abort(int tid, htm::AbortCause c, std::uint8_t code = 0) {
     stats.hw_aborts++;
-    tel.taxonomy.hw_by_cause[static_cast<std::size_t>(c)]++;
+    stats.hw_by_cause[static_cast<std::size_t>(c)]++;
     telemetry::trace1(telemetry::EventKind::kHwAbort, tid, code,
                       static_cast<std::uint8_t>(c));
     fr(tid, telemetry::EventKind::kHwAbort, static_cast<std::uint8_t>(c), code);
@@ -68,7 +64,7 @@ struct TxThreadState {
   /// record_hw_abort: sum(ro_by_cause) == stats.ro_aborts by construction.
   void record_ro_abort(int tid, telemetry::RoAbortCause c) {
     stats.ro_aborts++;
-    tel.taxonomy.ro_by_cause[static_cast<std::size_t>(c)]++;
+    stats.ro_by_cause[static_cast<std::size_t>(c)]++;
     telemetry::trace1(telemetry::EventKind::kRoAbort, tid, 0,
                       static_cast<std::uint8_t>(c));
   }
@@ -100,8 +96,8 @@ class PerThread {
   std::unique_ptr<Slot[]> slots_;
 };
 
-/// Aggregates every slot's TmThreadStats (Ctx must derive from
-/// TxThreadState or expose a `stats` member).
+/// Sums every slot's TmStats (Ctx must derive from TxThreadState or expose
+/// a `stats` member).
 template <typename Ctx>
 TmStats aggregate_thread_stats(const PerThread<Ctx>& per_thread) {
   TmStats agg;
@@ -111,28 +107,7 @@ TmStats aggregate_thread_stats(const PerThread<Ctx>& per_thread) {
 
 template <typename Ctx>
 void reset_thread_stats(PerThread<Ctx>& per_thread) {
-  per_thread.for_each([](Ctx& c) {
-    c.stats.reset();
-    c.tel.reset();
-  });
-}
-
-/// Aggregates every slot's telemetry block into a per-TM view. The
-/// taxonomy's sw/user tallies are mirrored from TmThreadStats here (they
-/// are not tracked twice per-thread), so they agree with stats() by
-/// construction; hw_by_cause comes from record_hw_abort, which bumps
-/// stats.hw_aborts at the same site — sum(hw_by_cause) == hw_aborts
-/// exactly.
-template <typename Ctx>
-telemetry::TmTelemetry aggregate_thread_telemetry(const PerThread<Ctx>& per_thread) {
-  telemetry::TmTelemetry agg;
-  for (int i = 0; i < per_thread.size(); ++i) {
-    const Ctx& c = per_thread[i];
-    agg.tx.add(c.tel);
-    agg.tx.taxonomy.sw_aborts += c.stats.sw_aborts;
-    agg.tx.taxonomy.user_aborts += c.stats.user_aborts;
-  }
-  return agg;
+  per_thread.for_each([](Ctx& c) { c.stats.reset(); });
 }
 
 }  // namespace nvhalt::runtime

@@ -81,7 +81,7 @@ bool run_retry_loop(const PathPolicy& pol, int tid, State& ts, Env&& env) {
       case AttemptStatus::kCommitted:
         tel::trace1(tel::EventKind::kHwCommit, tid);
         ts.fr(tid, tel::EventKind::kHwCommit);
-        if constexpr (tel::kLevel >= 1) ts.tel.tx_latency_hw.record(tel::now_ticks() - t0);
+        if constexpr (tel::kLevel >= 1) ts.stats.tx_latency_hw.record(tel::now_ticks() - t0);
         return true;
       case AttemptStatus::kUserAborted:
         tel::trace1(tel::EventKind::kUserAbort, tid);
@@ -107,7 +107,7 @@ bool run_retry_loop(const PathPolicy& pol, int tid, State& ts, Env&& env) {
         tel::trace1(tel::EventKind::kSwCommit, tid, static_cast<std::uint64_t>(retries));
         ts.fr(tid, tel::EventKind::kSwCommit, 0xFF,
               static_cast<std::uint16_t>(std::min(retries, 0xFFFF)));
-        if constexpr (tel::kLevel >= 1) ts.tel.tx_latency_sw.record(tel::now_ticks() - t0);
+        if constexpr (tel::kLevel >= 1) ts.stats.tx_latency_sw.record(tel::now_ticks() - t0);
         return true;
       case AttemptStatus::kUserAborted:
         tel::trace1(tel::EventKind::kUserAbort, tid);

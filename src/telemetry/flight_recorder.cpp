@@ -1,44 +1,8 @@
 #include "telemetry/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <sstream>
 
 namespace nvhalt::telemetry {
-
-namespace {
-
-// Terminal lifecycle kinds: a kTxBegin followed (in seq order) by one of
-// these is closed; hw/sw attempt aborts retry within the same transaction
-// and do not close it.
-bool closes_tx(EventKind k) {
-  return k == EventKind::kHwCommit || k == EventKind::kSwCommit ||
-         k == EventKind::kUserAbort || k == EventKind::kRoCommit ||
-         k == EventKind::kRoAbort;
-}
-
-EventKind kind_from_name(const std::string& name) {
-  for (int i = 0; i < static_cast<int>(EventKind::kNumKinds); ++i) {
-    const auto k = static_cast<EventKind>(i);
-    if (name == event_kind_name(k)) return k;
-  }
-  return EventKind::kNumKinds;
-}
-
-void append(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(PmemPool& pool, std::uint32_t slots_per_thread)
     : pool_(pool),
@@ -82,64 +46,35 @@ void FlightRecorder::record_impl(int tid, EventKind kind, std::uint8_t cause,
 
 PostmortemReport FlightRecorder::postmortem() const {
   PostmortemReport rep;
-  const std::uint64_t hdr = pool_.raw_load_durable(base_);
-  rep.header_valid = hdr == pack_header(slots_);
-  rep.threads = kMaxThreads;
-  rep.slots_per_thread = slots_;
+  rep.header_valid = pool_.raw_load_durable(base_) == pack_header(slots_);
   if (!rep.header_valid) return rep;
 
   for (int tid = 0; tid < kMaxThreads; ++tid) {
-    FrThreadPostmortem tp;
-    tp.tid = tid;
+    ThreadTrace t;
+    t.tid = tid;
+    t.capacity = slots_;
     const std::size_t tb = thread_base(tid);
     for (std::uint32_t s = 0; s < slots_; ++s) {
       const std::uint64_t w0 = pool_.raw_load_durable(tb + s * 2);
       const std::uint64_t w1 = pool_.raw_load_durable(tb + s * 2 + 1);
       if (w0 == 0 && w1 == 0) continue;  // never written
+      ++t.pushed;
       if (w1 != checksum(w0) || (w0 >> 32) == 0) {
-        tp.torn++;
+        ++t.torn;
         continue;
       }
-      FrEvent ev;
-      ev.seq = static_cast<std::uint32_t>(w0 >> 32);
+      TraceEvent ev;
+      ev.ticks = w0 >> 32;
       ev.kind = static_cast<EventKind>((w0 >> 24) & 0xFF);
       ev.cause = static_cast<std::uint8_t>((w0 >> 16) & 0xFF);
-      ev.arg = static_cast<std::uint16_t>(w0 & 0xFFFF);
-      tp.events.push_back(ev);
-      tp.valid++;
+      ev.arg = w0 & 0xFFFF;
+      ev.tid = static_cast<std::uint16_t>(tid);
+      t.events.push_back(ev);
     }
-    if (tp.events.empty() && tp.torn == 0) continue;
-
-    std::sort(tp.events.begin(), tp.events.end(),
-              [](const FrEvent& a, const FrEvent& b) { return a.seq < b.seq; });
-    if (!tp.events.empty()) tp.last_seq = tp.events.back().seq;
-
-    // In-flight reconstruction: the last kTxBegin with no later closing
-    // record leaves an open transaction; its kLockAcquire records name how
-    // many lock lines were held; everything after the last kFence is the
-    // pending (possibly un-durable) persist work.
-    std::size_t open_begin = tp.events.size();
-    std::size_t last_fence = tp.events.size();
-    for (std::size_t i = 0; i < tp.events.size(); ++i) {
-      const FrEvent& ev = tp.events[i];
-      if (ev.kind == EventKind::kTxBegin) open_begin = i;
-      if (closes_tx(ev.kind)) open_begin = tp.events.size();
-      if (ev.kind == EventKind::kFence) last_fence = i;
-      if (ev.cause != 0xFF) tp.last_cause = ev.cause;
-    }
-    if (open_begin < tp.events.size()) {
-      tp.open_tx = true;
-      std::uint32_t held = 0;
-      for (std::size_t i = open_begin; i < tp.events.size(); ++i)
-        if (tp.events[i].kind == EventKind::kLockAcquire) held += tp.events[i].arg;
-      tp.held_locks = static_cast<std::uint16_t>(std::min<std::uint32_t>(held, 0xFFFF));
-    }
-    tp.pending_fence = static_cast<std::uint32_t>(
-        last_fence == tp.events.size() ? tp.events.size() : tp.events.size() - last_fence - 1);
-
-    rep.total_valid += tp.valid;
-    rep.total_torn += tp.torn;
-    rep.per_thread.push_back(std::move(tp));
+    if (t.pushed == 0) continue;
+    std::sort(t.events.begin(), t.events.end(),
+              [](const TraceEvent& a, const TraceEvent& b) { return a.ticks < b.ticks; });
+    rep.trace.threads.push_back(std::move(t));
   }
   return rep;
 }
@@ -149,13 +84,12 @@ void FlightRecorder::on_recover(int rtid) {
   for (int tid = 0; tid < kMaxThreads; ++tid) {
     cur_[static_cast<std::size_t>(tid)] = Cursor{};
   }
-  for (const FrThreadPostmortem& tp : rep.per_thread) {
-    Cursor& c = cur_[static_cast<std::size_t>(tp.tid)];
-    c.seq = tp.last_seq + 1;
-    // Resume after the highest-seq slot so decoded history is overwritten
-    // oldest-first, exactly as live operation would.
-    const std::uint64_t filled = tp.valid + tp.torn;
-    c.pos = static_cast<std::uint32_t>(filled % slots_);
+  for (const ThreadTrace& t : rep.trace.threads) {
+    Cursor& c = cur_[static_cast<std::size_t>(t.tid)];
+    if (!t.events.empty()) c.seq = static_cast<std::uint32_t>(t.events.back().ticks) + 1;
+    // Resume after the slots that held data so decoded history is
+    // overwritten oldest-first, exactly as live operation would.
+    c.pos = static_cast<std::uint32_t>(t.pushed % slots_);
   }
   if (!rep.header_valid) {
     pool_.raw_store(rtid, base_, pack_header(slots_));
@@ -163,155 +97,6 @@ void FlightRecorder::on_recover(int rtid) {
   }
   record(rtid, EventKind::kRecovery);
   pool_.fence(rtid);
-}
-
-std::string PostmortemReport::to_string() const {
-  std::string out;
-  append(out, "flight recorder postmortem: header %s, %" PRIu64
-              " records decoded, %" PRIu64 " torn slot(s) skipped\n",
-         header_valid ? "valid" : "INVALID", total_valid, total_torn);
-  for (const FrThreadPostmortem& tp : per_thread) {
-    append(out, "  thread %d: %u records (%u torn)", tp.tid, tp.valid, tp.torn);
-    if (tp.open_tx)
-      append(out, ", OPEN tx holding %u lock line(s)", tp.held_locks);
-    if (tp.pending_fence > 0)
-      append(out, ", %u record(s) past last fence", tp.pending_fence);
-    if (tp.last_cause != 0xFF) append(out, ", last cause %u", tp.last_cause);
-    if (!tp.events.empty()) {
-      append(out, "\n    tail:");
-      const std::size_t from = tp.events.size() > 5 ? tp.events.size() - 5 : 0;
-      for (std::size_t i = from; i < tp.events.size(); ++i)
-        append(out, " %s", event_kind_name(tp.events[i].kind));
-    }
-    out += "\n";
-  }
-  return out;
-}
-
-std::string serialize_postmortem(const PostmortemReport& r, const char* tm_name) {
-  std::string out;
-  append(out,
-         "# nvhalt-postmortem-v1 tm=%s threads=%d slots=%u header_valid=%d "
-         "valid=%" PRIu64 " torn=%" PRIu64 "\n",
-         tm_name, r.threads, r.slots_per_thread, r.header_valid ? 1 : 0,
-         r.total_valid, r.total_torn);
-  for (const FrThreadPostmortem& tp : r.per_thread) {
-    append(out,
-           "# thread tid=%d valid=%u torn=%u last_seq=%u open_tx=%d "
-           "held_locks=%u pending_fence=%u last_cause=%u\n",
-           tp.tid, tp.valid, tp.torn, tp.last_seq, tp.open_tx ? 1 : 0,
-           tp.held_locks, tp.pending_fence, tp.last_cause);
-    for (const FrEvent& ev : tp.events) {
-      if (ev.cause == 0xFF)
-        append(out, "%u %s - %u\n", ev.seq, event_kind_name(ev.kind), ev.arg);
-      else
-        append(out, "%u %s %u %u\n", ev.seq, event_kind_name(ev.kind), ev.cause,
-               ev.arg);
-    }
-  }
-  return out;
-}
-
-bool parse_postmortem(const std::string& text, PostmortemReport& out,
-                      std::string* tm_name, std::string* err) {
-  auto fail = [&](const std::string& msg) {
-    if (err) *err = msg;
-    return false;
-  };
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line)) return fail("empty postmortem file");
-  {
-    std::istringstream hs(line);
-    std::string hash, tag;
-    hs >> hash >> tag;
-    if (hash != "#" || tag != "nvhalt-postmortem-v1")
-      return fail("bad postmortem header: " + line);
-    std::string kv;
-    int hv = 0;
-    while (hs >> kv) {
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) continue;
-      const std::string key = kv.substr(0, eq), val = kv.substr(eq + 1);
-      if (key == "tm" && tm_name) *tm_name = val;
-      else if (key == "threads") out.threads = std::atoi(val.c_str());
-      else if (key == "slots") out.slots_per_thread = static_cast<std::uint32_t>(std::atoi(val.c_str()));
-      else if (key == "header_valid") hv = std::atoi(val.c_str());
-      else if (key == "valid") out.total_valid = std::strtoull(val.c_str(), nullptr, 10);
-      else if (key == "torn") out.total_torn = std::strtoull(val.c_str(), nullptr, 10);
-    }
-    out.header_valid = hv != 0;
-  }
-  FrThreadPostmortem* cur = nullptr;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      std::istringstream ts(line);
-      std::string hash, tag;
-      ts >> hash >> tag;
-      if (tag != "thread") return fail("unexpected section: " + line);
-      FrThreadPostmortem tp;
-      std::string kv;
-      while (ts >> kv) {
-        const auto eq = kv.find('=');
-        if (eq == std::string::npos) continue;
-        const std::string key = kv.substr(0, eq), val = kv.substr(eq + 1);
-        const long v = std::atol(val.c_str());
-        if (key == "tid") tp.tid = static_cast<int>(v);
-        else if (key == "valid") tp.valid = static_cast<std::uint32_t>(v);
-        else if (key == "torn") tp.torn = static_cast<std::uint32_t>(v);
-        else if (key == "last_seq") tp.last_seq = static_cast<std::uint32_t>(v);
-        else if (key == "open_tx") tp.open_tx = v != 0;
-        else if (key == "held_locks") tp.held_locks = static_cast<std::uint16_t>(v);
-        else if (key == "pending_fence") tp.pending_fence = static_cast<std::uint32_t>(v);
-        else if (key == "last_cause") tp.last_cause = static_cast<std::uint8_t>(v);
-      }
-      out.per_thread.push_back(tp);
-      cur = &out.per_thread.back();
-      continue;
-    }
-    if (!cur) return fail("record line before any thread section: " + line);
-    std::istringstream rs(line);
-    std::string kind_name, cause_tok;
-    unsigned long seq = 0, arg = 0;
-    if (!(rs >> seq >> kind_name >> cause_tok >> arg))
-      return fail("bad record line: " + line);
-    FrEvent ev;
-    ev.seq = static_cast<std::uint32_t>(seq);
-    ev.kind = kind_from_name(kind_name);
-    if (ev.kind == EventKind::kNumKinds)
-      return fail("unknown record kind: " + kind_name);
-    ev.cause = cause_tok == "-" ? 0xFF
-                                : static_cast<std::uint8_t>(std::atoi(cause_tok.c_str()));
-    ev.arg = static_cast<std::uint16_t>(arg);
-    cur->events.push_back(ev);
-  }
-  for (const FrThreadPostmortem& tp : out.per_thread)
-    if (tp.events.size() != tp.valid)
-      return fail("thread record count mismatch (tid " + std::to_string(tp.tid) + ")");
-  return true;
-}
-
-std::vector<ThreadTrace> postmortem_to_traces(const PostmortemReport& r) {
-  std::vector<ThreadTrace> out;
-  for (const FrThreadPostmortem& tp : r.per_thread) {
-    ThreadTrace tt;
-    tt.tid = tp.tid;
-    tt.pushed = tp.valid;
-    tt.dropped = 0;
-    tt.capacity = r.slots_per_thread;
-    for (const FrEvent& ev : tp.events) {
-      TraceEvent te;
-      te.ticks = ev.seq;  // sequence numbers as the (unitless) timeline
-      te.arg = ev.arg;
-      te.kind = ev.kind;
-      te.cause = ev.cause;
-      te.tid = static_cast<std::uint16_t>(tp.tid);
-      tt.events.push_back(te);
-    }
-    out.push_back(std::move(tt));
-  }
-  return out;
 }
 
 }  // namespace nvhalt::telemetry

@@ -24,6 +24,11 @@
 //                             and skipped — recovery NEVER fails on it
 //   * checksum valid       -> decoded; per-thread records sort by seq
 //
+// postmortem() decodes into the same ThreadTrace/TraceEvent records the
+// DRAM rings produce (sequence numbers as ticks, torn slots counted in the
+// ring), so one writer (write_raw_trace), one checker (check_trace) and one
+// in-flight reconstruction (in_flight) serve both.
+//
 // Crash-consistency of the recorder itself (DESIGN.md Sec. 14): records
 // are advisory, never load-bearing — recovery correctness does not read
 // them; the postmortem pass only *reports*. Torn tails therefore cost
@@ -36,59 +41,27 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "pmem/pmem_pool.hpp"
 #include "telemetry/telemetry.hpp"
+#include "telemetry/trace_io.hpp"
 #include "util/common.hpp"
 #include "util/rng.hpp"
 
 namespace nvhalt::telemetry {
 
-/// One decoded flight-recorder record.
-struct FrEvent {
-  std::uint32_t seq = 0;
-  EventKind kind = EventKind::kNumKinds;
-  std::uint8_t cause = 0xFF;
-  std::uint16_t arg = 0;
-};
-
-/// Reconstructed "in flight at crash" state of one thread.
-struct FrThreadPostmortem {
-  int tid = 0;
-  std::uint32_t valid = 0;        ///< checksum-verified records decoded
-  std::uint32_t torn = 0;         ///< nonzero slots failing the checksum
-  std::uint32_t last_seq = 0;     ///< highest decoded sequence number
-  bool open_tx = false;           ///< last kTxBegin had no commit/user-abort
-  std::uint16_t held_locks = 0;   ///< lock lines acquired in the open tx
-  std::uint32_t pending_fence = 0;///< records since the thread's last kFence
-  std::uint8_t last_cause = 0xFF; ///< cause byte of the latest caused record
-  std::vector<FrEvent> events;    ///< decoded records, oldest first
-};
-
+/// What postmortem() recovered from the durable rings.
 struct PostmortemReport {
+  /// The recorder header checked out. When false the image holds no
+  /// recorder, or a garbled one, and `trace` has no rings.
   bool header_valid = false;
-  int threads = 0;
-  std::uint32_t slots_per_thread = 0;
-  std::uint64_t total_valid = 0;
-  std::uint64_t total_torn = 0;
-  std::vector<FrThreadPostmortem> per_thread;  ///< only threads with records
-
-  /// Human-readable multi-line summary.
-  std::string to_string() const;
+  /// One ring per thread whose slots hold anything, ordered by tid:
+  /// checksum-valid records sorted by sequence number, which stands in for
+  /// ticks (ticks_per_us = 1). Per ring, pushed counts the slots that held
+  /// data, torn the ones failing their checksum, capacity the ring's slots;
+  /// dropped is 0 — sequence gaps show what was overwritten.
+  TraceDump trace;
 };
-
-/// Text round-trip for tools/postmortem and crash_sweep artifacts
-/// (format: "# nvhalt-postmortem-v1 ..." header, "# thread ..." sections,
-/// "<seq> <kind> <cause|-> <arg>" record lines).
-std::string serialize_postmortem(const PostmortemReport& r, const char* tm_name);
-bool parse_postmortem(const std::string& text, PostmortemReport& out,
-                      std::string* tm_name = nullptr, std::string* err = nullptr);
-
-/// Chrome-trace bridge: postmortem records as a TraceDump (ticks = seq,
-/// ticks_per_us = 1) so trace_io::write_chrome_trace renders it unchanged.
-std::vector<ThreadTrace> postmortem_to_traces(const PostmortemReport& r);
 
 class FlightRecorder {
  public:
@@ -121,9 +94,9 @@ class FlightRecorder {
   }
 
   /// Quiescent postmortem decode of the *durable* image: validates the
-  /// header and every slot checksum, skips torn slots, reconstructs
-  /// per-thread in-flight state. Read-only — safe to call before recovery
-  /// mutates anything.
+  /// header and every slot checksum, counts torn slots and keeps the valid
+  /// records (in_flight() reconstructs each thread's state from them).
+  /// Read-only — safe to call before recovery mutates anything.
   PostmortemReport postmortem() const;
 
   /// Post-recovery adoption: reseeds the volatile cursors past the highest
@@ -133,7 +106,7 @@ class FlightRecorder {
   void on_recover(int rtid);
 
   std::uint32_t slots_per_thread() const { return slots_; }
-  /// Raw index of the recorder region (PmemInspector).
+  /// Raw index of the recorder region (header line first).
   std::size_t base_raw_index() const { return base_; }
 
  private:

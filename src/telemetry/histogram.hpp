@@ -5,8 +5,8 @@
 // Recording is one increment plus a bit scan — cheap enough to stay on at
 // telemetry level 0 (the "counters only" level) — and merging is a
 // bucket-wise add, so per-thread instances aggregate exactly like the
-// existing TmThreadStats counters: written by the owning thread, merged at
-// quiescent points (stats()/telemetry() snapshots).
+// TmStats counters beside them: written by the owning thread, merged at
+// quiescent points (stats() snapshots).
 #pragma once
 
 #include <array>

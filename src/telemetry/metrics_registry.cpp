@@ -1,8 +1,8 @@
 #include "telemetry/metrics_registry.hpp"
 
-#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <numeric>
 
 #include "htm/htm_types.hpp"
 #include "telemetry/telemetry.hpp"
@@ -11,13 +11,20 @@ namespace nvhalt::telemetry {
 
 namespace {
 
+/// printf-style append with no length cap: measures, then formats in place.
 void append(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
+  va_list ap, again;
   va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_copy(again, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, ap);
   va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(std::min<int>(n, sizeof(buf) - 1)));
+  if (n > 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt, again);
+    out.resize(at + static_cast<std::size_t>(n));
+  }
+  va_end(again);
 }
 
 void json_hist(std::string& out, const char* key, const PowHistogram& h) {
@@ -34,7 +41,10 @@ void json_hist(std::string& out, const char* key, const PowHistogram& h) {
   out += "]}";
 }
 
-void json_taxonomy(std::string& out, const AbortTaxonomy& t) {
+void json_taxonomy(std::string& out, const TmStats& t) {
+  const auto total = [](const auto& by_cause) {
+    return std::accumulate(by_cause.begin(), by_cause.end(), std::uint64_t{0});
+  };
   out += "\"abort_taxonomy\":{";
   for (std::size_t c = 0; c < kNumAbortCauses; ++c) {
     append(out, "%s\"%s\":%llu", c ? "," : "",
@@ -46,8 +56,8 @@ void json_taxonomy(std::string& out, const AbortTaxonomy& t) {
            static_cast<unsigned long long>(t.ro_by_cause[c]));
   }
   append(out, ",\"hw_total\":%llu,\"ro_total\":%llu,\"sw_aborts\":%llu,\"user_aborts\":%llu}",
-         static_cast<unsigned long long>(t.hw_total()),
-         static_cast<unsigned long long>(t.ro_total()),
+         static_cast<unsigned long long>(total(t.hw_by_cause)),
+         static_cast<unsigned long long>(total(t.ro_by_cause)),
          static_cast<unsigned long long>(t.sw_aborts),
          static_cast<unsigned long long>(t.user_aborts));
 }
@@ -102,7 +112,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     TmMetrics m;
     m.name = e.label;
     m.stats = e.tm->stats();
-    m.tel = e.tm->telemetry();
     if (const ContentionTable* ct = e.tm->contention()) {
       m.has_contention = true;
       m.contention_stripes = ct->stripes();
@@ -153,15 +162,15 @@ std::string MetricsSnapshot::to_json() const {
            static_cast<unsigned long long>(m.stats.ro_aborts),
            static_cast<unsigned long long>(m.stats.fallbacks),
            static_cast<unsigned long long>(m.stats.user_aborts));
-    json_taxonomy(out, m.tel.tx.taxonomy);
+    json_taxonomy(out, m.stats);
     out += ",";
-    json_hist(out, "tx_latency_hw_ticks", m.tel.tx.tx_latency_hw);
+    json_hist(out, "tx_latency_hw_ticks", m.stats.tx_latency_hw);
     out += ",";
-    json_hist(out, "tx_latency_sw_ticks", m.tel.tx.tx_latency_sw);
+    json_hist(out, "tx_latency_sw_ticks", m.stats.tx_latency_sw);
     out += ",";
-    json_hist(out, "write_set_words", m.tel.tx.write_set_size);
+    json_hist(out, "write_set_words", m.stats.write_set_size);
     out += ",";
-    json_hist(out, "ack_latency_ticks", m.tel.tx.ack_latency);
+    json_hist(out, "ack_latency_ticks", m.stats.ack_latency);
     if (m.has_contention) {
       append(out,
              ",\"contention\":{\"stripes\":%llu,\"stalls\":%llu,\"stall_ticks\":%llu,"
@@ -282,24 +291,24 @@ std::string MetricsSnapshot::to_prometheus() const {
     prom_counter(out, "commits_total", tm_label + ",path=\"ro\"", m.stats.ro_commits);
     prom_counter(out, "read_only_commits_total", tm_label, m.stats.read_only_commits);
     prom_counter(out, "fallbacks_total", tm_label, m.stats.fallbacks);
-    prom_counter(out, "sw_aborts_total", tm_label, m.tel.tx.taxonomy.sw_aborts);
-    prom_counter(out, "user_aborts_total", tm_label, m.tel.tx.taxonomy.user_aborts);
+    prom_counter(out, "sw_aborts_total", tm_label, m.stats.sw_aborts);
+    prom_counter(out, "user_aborts_total", tm_label, m.stats.user_aborts);
     for (std::size_t c = 0; c < kNumAbortCauses; ++c) {
       prom_counter(out, "hw_aborts_total",
                    tm_label + ",cause=\"" +
                        htm::abort_cause_name(static_cast<htm::AbortCause>(c)) + "\"",
-                   m.tel.tx.taxonomy.hw_by_cause[c]);
+                   m.stats.hw_by_cause[c]);
     }
     for (std::size_t c = 0; c < kNumRoAbortCauses; ++c) {
       prom_counter(out, "ro_aborts_total",
                    tm_label + ",cause=\"" +
                        ro_abort_cause_name(static_cast<RoAbortCause>(c)) + "\"",
-                   m.tel.tx.taxonomy.ro_by_cause[c]);
+                   m.stats.ro_by_cause[c]);
     }
-    prom_hist(out, "tx_latency_ticks", tm_label + ",path=\"hw\"", m.tel.tx.tx_latency_hw);
-    prom_hist(out, "tx_latency_ticks", tm_label + ",path=\"sw\"", m.tel.tx.tx_latency_sw);
-    prom_hist(out, "write_set_words", tm_label, m.tel.tx.write_set_size);
-    prom_hist(out, "ack_latency_ticks", tm_label, m.tel.tx.ack_latency);
+    prom_hist(out, "tx_latency_ticks", tm_label + ",path=\"hw\"", m.stats.tx_latency_hw);
+    prom_hist(out, "tx_latency_ticks", tm_label + ",path=\"sw\"", m.stats.tx_latency_sw);
+    prom_hist(out, "write_set_words", tm_label, m.stats.write_set_size);
+    prom_hist(out, "ack_latency_ticks", tm_label, m.stats.ack_latency);
     if (m.has_contention) {
       prom_counter(out, "lock_stalls_total", tm_label, m.contention.stalls);
       prom_counter(out, "lock_stall_ticks_total", tm_label, m.contention.stall_ticks);

@@ -4,8 +4,8 @@
 //
 // Registration stores non-owning pointers — register objects that outlive
 // the registry or deregister-by-destroying the registry first. snapshot()
-// calls stats()/telemetry() on each TM, so it carries their quiescence
-// contract: exact only when no transactions are in flight.
+// calls stats() on each TM, so it carries its quiescence contract: exact
+// only when no transactions are in flight.
 #pragma once
 
 #include <string>
@@ -16,7 +16,7 @@
 #include "core/tm_stats.hpp"
 #include "locks/contention.hpp"
 #include "pmem/pmem_pool.hpp"
-#include "telemetry/tx_telemetry.hpp"
+#include "telemetry/histogram.hpp"
 
 namespace nvhalt::telemetry {
 
@@ -24,7 +24,6 @@ namespace nvhalt::telemetry {
 struct TmMetrics {
   std::string name;
   TmStats stats;
-  TmTelemetry tel;
   /// Contention observatory (lock-stripe heat), captured when the TM
   /// exposes a ContentionTable (all five TMs do).
   bool has_contention = false;

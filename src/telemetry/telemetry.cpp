@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "telemetry/tx_telemetry.hpp"
-
 namespace nvhalt::telemetry {
 
 const char* ro_abort_cause_name(RoAbortCause c) {

@@ -3,8 +3,8 @@
 //
 // Levels (set -DNVHALT_TELEMETRY=<n> at configure time):
 //   0  counters only (default). trace1/trace2 compile to nothing; the
-//      taxonomy and histograms in TxThreadState stay live (they are plain
-//      per-thread increments, same cost class as TmThreadStats).
+//      TmStats record in TxThreadState stays live (plain per-thread
+//      increments: counters, abort causes, size histograms).
 //   1  lifecycle events: tx begin, hw attempt, decoded abort cause,
 //      fallback transition, sw validation/extension, lock acquire/stall,
 //      commit, flush-enqueue, fence, durability ack.
@@ -31,11 +31,29 @@
 #include <memory>
 #include <vector>
 
+#include "htm/htm_types.hpp"
 #include "util/common.hpp"
 
 namespace nvhalt::telemetry {
 
 inline constexpr int kLevel = NVHALT_TELEMETRY;
+
+inline constexpr std::size_t kNumAbortCauses =
+    static_cast<std::size_t>(htm::AbortCause::kNumCauses);
+
+/// Why a read-only fast-path attempt ended without committing:
+///   kRoValidation — a snapshot/lock-word validation failed (either RO
+///                   engine), including hardware conflict aborts of an RO
+///                   attempt;
+///   kRoDemotion   — the body wrote/allocated/freed, so the attempt was
+///                   abandoned and the transaction rerouted to the general
+///                   path.
+enum class RoAbortCause : std::uint8_t { kRoValidation = 0, kRoDemotion, kNumCauses };
+
+inline constexpr std::size_t kNumRoAbortCauses =
+    static_cast<std::size_t>(RoAbortCause::kNumCauses);
+
+const char* ro_abort_cause_name(RoAbortCause c);
 
 /// Cycle-granularity timestamps: rdtsc where available, steady_clock
 /// nanoseconds otherwise. Only relative values within one process run are
@@ -86,8 +104,8 @@ enum class EventKind : std::uint8_t {
 
 const char* event_kind_name(EventKind k);
 
-/// One decoded ring slot. `cause` is only meaningful for kHwAbort (it holds
-/// htm::AbortCause as a raw byte); 0xFF elsewhere.
+/// One decoded ring slot. `cause` holds htm::AbortCause for kHwAbort and
+/// RoAbortCause for kRoAbort as a raw byte; 0xFF elsewhere.
 struct TraceEvent {
   std::uint64_t ticks = 0;
   std::uint64_t arg = 0;
@@ -171,12 +189,16 @@ class TraceRing {
 
 /// Everything one ring held at snapshot time. `capacity` is carried so a
 /// saved trace alone can reconstruct dropped() (= pushed - capacity when
-/// positive) without knowing the build's ring size.
+/// positive) without knowing the build's ring size. A DRAM ring never has
+/// torn slots; a flight-recorder ring (FlightRecorder::postmortem) counts
+/// the slots whose checksum failed, and pushed - dropped == events + torn
+/// holds for both.
 struct ThreadTrace {
   int tid = 0;
   std::uint64_t pushed = 0;
   std::uint64_t dropped = 0;
   std::uint64_t capacity = 0;
+  std::uint64_t torn = 0;
   std::vector<TraceEvent> events;
 };
 

@@ -1,11 +1,11 @@
 #include "telemetry/trace_io.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
-
-#include "htm/htm_types.hpp"
 
 namespace nvhalt::telemetry {
 
@@ -21,18 +21,35 @@ bool kind_from_name(const std::string& name, EventKind& out) {
   return false;
 }
 
-bool cause_from_name(const std::string& name, std::uint8_t& out) {
-  if (name == "-") {
-    out = 0xFF;
-    return true;
-  }
-  for (std::uint8_t c = 0; c < static_cast<std::uint8_t>(htm::AbortCause::kNumCauses); ++c) {
-    if (name == htm::abort_cause_name(static_cast<htm::AbortCause>(c))) {
-      out = c;
+/// Inverse of event_cause_name for an event of kind `e.kind`.
+bool cause_from_name(const std::string& name, TraceEvent& e) {
+  e.cause = 0xFF;
+  if (name == "-") return true;
+  TraceEvent probe = e;
+  for (probe.cause = 0; const char* n = event_cause_name(probe); ++probe.cause) {
+    if (name == n) {
+      e.cause = probe.cause;
       return true;
     }
   }
   return false;
+}
+
+/// `kv` is `key` followed by a whole number; never throws.
+bool field(const std::string& kv, const char* key, std::uint64_t& out) {
+  const std::size_t klen = std::char_traits<char>::length(key);
+  if (kv.compare(0, klen, key) != 0 || kv.size() == klen) return false;
+  const char* end = kv.data() + kv.size();
+  const auto [p, ec] = std::from_chars(kv.data() + klen, end, out);
+  return ec == std::errc() && p == end;
+}
+
+bool field(const std::string& kv, const char* key, double& out) {
+  const std::size_t klen = std::char_traits<char>::length(key);
+  if (kv.compare(0, klen, key) != 0 || kv.size() == klen) return false;
+  char* end = nullptr;
+  out = std::strtod(kv.c_str() + klen, &end);
+  return end == kv.c_str() + kv.size();
 }
 
 void json_escape(std::ostream& os, const std::string& s) {
@@ -40,6 +57,15 @@ void json_escape(std::ostream& os, const std::string& s) {
     if (c == '"' || c == '\\') os << '\\';
     os << c;
   }
+}
+
+// Terminal lifecycle kinds: a kTxBegin followed by one of these is closed;
+// hw/sw attempt aborts retry within the same transaction and do not close
+// it.
+bool closes_tx(EventKind k) {
+  return k == EventKind::kHwCommit || k == EventKind::kSwCommit ||
+         k == EventKind::kUserAbort || k == EventKind::kRoCommit ||
+         k == EventKind::kRoAbort;
 }
 
 }  // namespace
@@ -56,6 +82,12 @@ std::uint64_t TraceDump::total_dropped() const {
   return n;
 }
 
+std::uint64_t TraceDump::total_torn() const {
+  std::uint64_t n = 0;
+  for (const ThreadTrace& t : threads) n += t.torn;
+  return n;
+}
+
 TraceDump collect_trace_dump() {
   TraceDump dump;
   if constexpr (kLevel >= 1) {
@@ -65,22 +97,24 @@ TraceDump collect_trace_dump() {
   return dump;
 }
 
+const char* event_cause_name(const TraceEvent& e) {
+  if (e.kind == EventKind::kHwAbort && e.cause < kNumAbortCauses)
+    return htm::abort_cause_name(static_cast<htm::AbortCause>(e.cause));
+  if (e.kind == EventKind::kRoAbort && e.cause < kNumRoAbortCauses)
+    return ro_abort_cause_name(static_cast<RoAbortCause>(e.cause));
+  return nullptr;
+}
+
 void write_raw_trace(std::ostream& os, const TraceDump& dump) {
   os << "# nvhalt-trace-v1 level=" << dump.level
      << " ticks_per_us=" << dump.ticks_per_us << "\n";
   for (const ThreadTrace& t : dump.threads) {
-    os << "# ring tid=" << t.tid << " pushed=" << t.pushed
-       << " dropped=" << t.dropped << " capacity=" << t.capacity << "\n";
+    os << "# ring tid=" << t.tid << " pushed=" << t.pushed << " dropped=" << t.dropped
+       << " capacity=" << t.capacity << " torn=" << t.torn << "\n";
     for (const TraceEvent& e : t.events) {
+      const char* cause = event_cause_name(e);
       os << e.ticks << ' ' << event_kind_name(e.kind) << ' ' << e.tid << ' '
-         << e.arg << ' ';
-      if (e.kind == EventKind::kHwAbort &&
-          e.cause < static_cast<std::uint8_t>(htm::AbortCause::kNumCauses)) {
-        os << htm::abort_cause_name(static_cast<htm::AbortCause>(e.cause));
-      } else {
-        os << '-';
-      }
-      os << '\n';
+         << e.arg << ' ' << (cause != nullptr ? cause : "-") << '\n';
     }
   }
 }
@@ -91,7 +125,6 @@ bool read_raw_trace(std::istream& is, TraceDump& dump, std::string* err) {
     return false;
   };
   dump = TraceDump{};
-  dump.threads.clear();
 
   std::string line;
   if (!std::getline(is, line)) return fail("empty input");
@@ -99,11 +132,11 @@ bool read_raw_trace(std::istream& is, TraceDump& dump, std::string* err) {
     std::istringstream hs(line);
     std::string hash, magic, level_kv, tpu_kv;
     hs >> hash >> magic >> level_kv >> tpu_kv;
-    if (hash != "#" || magic != "nvhalt-trace-v1" ||
-        level_kv.rfind("level=", 0) != 0 || tpu_kv.rfind("ticks_per_us=", 0) != 0)
-      return fail("bad header: " + line);
-    dump.level = std::stoi(level_kv.substr(6));
-    dump.ticks_per_us = std::stod(tpu_kv.substr(13));
+    std::uint64_t level = 0;
+    if (hash != "#" || magic != "nvhalt-trace-v1" || !field(level_kv, "level=", level) ||
+        level > 2 || !field(tpu_kv, "ticks_per_us=", dump.ticks_per_us))
+      return fail("bad header at line 1: " + line);
+    dump.level = static_cast<int>(level);
   }
 
   ThreadTrace* cur = nullptr;
@@ -113,18 +146,16 @@ bool read_raw_trace(std::istream& is, TraceDump& dump, std::string* err) {
     if (line.empty()) continue;
     if (line[0] == '#') {
       std::istringstream hs(line);
-      std::string hash, tag, tid_kv, pushed_kv, dropped_kv, cap_kv;
-      hs >> hash >> tag >> tid_kv >> pushed_kv >> dropped_kv >> cap_kv;
-      if (tag != "ring" || tid_kv.rfind("tid=", 0) != 0 ||
-          pushed_kv.rfind("pushed=", 0) != 0 || dropped_kv.rfind("dropped=", 0) != 0)
-        return fail("bad ring header at line " + std::to_string(lineno));
+      std::string hash, tag, tid_kv, pushed_kv, dropped_kv, cap_kv, torn_kv;
+      hs >> hash >> tag >> tid_kv >> pushed_kv >> dropped_kv >> cap_kv >> torn_kv;
       ThreadTrace t;
-      t.tid = std::stoi(tid_kv.substr(4));
-      t.pushed = std::stoull(pushed_kv.substr(7));
-      t.dropped = std::stoull(dropped_kv.substr(8));
-      // capacity= is optional (pre-v1.1 dumps lack it); when present,
-      // dropped counts stay reconstructible from pushed and ring size.
-      if (cap_kv.rfind("capacity=", 0) == 0) t.capacity = std::stoull(cap_kv.substr(9));
+      std::uint64_t tid = 0;
+      if (tag != "ring" || !field(tid_kv, "tid=", tid) || tid > 0xFFFF ||
+          !field(pushed_kv, "pushed=", t.pushed) || !field(dropped_kv, "dropped=", t.dropped) ||
+          (!cap_kv.empty() && !field(cap_kv, "capacity=", t.capacity)) ||
+          (!torn_kv.empty() && !field(torn_kv, "torn=", t.torn)))
+        return fail("bad ring header at line " + std::to_string(lineno) + ": " + line);
+      t.tid = static_cast<int>(tid);
       dump.threads.push_back(std::move(t));
       cur = &dump.threads.back();
       continue;
@@ -139,11 +170,61 @@ bool read_raw_trace(std::istream& is, TraceDump& dump, std::string* err) {
     e.tid = static_cast<std::uint16_t>(tid);
     if (!kind_from_name(kind_name, e.kind))
       return fail("unknown event kind '" + kind_name + "' at line " + std::to_string(lineno));
-    if (!cause_from_name(cause_name, e.cause))
+    if (!cause_from_name(cause_name, e))
       return fail("unknown abort cause '" + cause_name + "' at line " + std::to_string(lineno));
     cur->events.push_back(e);
   }
   return true;
+}
+
+bool check_trace(const TraceDump& dump, std::string* err) {
+  for (const ThreadTrace& t : dump.threads) {
+    const auto fail = [&](const std::string& msg) {
+      if (err) *err = "tid " + std::to_string(t.tid) + ": " + msg;
+      return false;
+    };
+    // Surviving events and torn slots are what the capture still holds;
+    // with the dropped count they can exceed pushed only if the file was
+    // corrupted or hand-edited.
+    const std::uint64_t held = t.events.size() + t.torn;
+    if (held + t.dropped > t.pushed)
+      return fail(std::to_string(t.events.size()) + " events + " + std::to_string(t.torn) +
+                  " torn + " + std::to_string(t.dropped) + " dropped > pushed " +
+                  std::to_string(t.pushed));
+    // With the ring capacity known, dropped is fully reconstructible: the
+    // ring keeps at most `capacity` slots, so pushed - dropped must equal
+    // what it holds.
+    if (t.capacity > 0 && held > t.capacity)
+      return fail(std::to_string(held) + " slots exceed ring capacity " +
+                  std::to_string(t.capacity));
+    if (t.capacity > 0 && t.pushed - t.dropped != held)
+      return fail("pushed " + std::to_string(t.pushed) + " - dropped " +
+                  std::to_string(t.dropped) + " != " + std::to_string(held) +
+                  " surviving slots");
+    for (std::size_t i = 1; i < t.events.size(); ++i)
+      if (t.events[i].ticks < t.events[i - 1].ticks)
+        return fail("non-monotonic timestamps within one ring");
+  }
+  return true;
+}
+
+InFlight in_flight(const ThreadTrace& t) {
+  InFlight f;
+  const std::size_t n = t.events.size();
+  std::size_t open_begin = n;
+  std::size_t last_fence = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const TraceEvent& e = t.events[i];
+    if (e.kind == EventKind::kTxBegin) open_begin = i;
+    if (closes_tx(e.kind)) open_begin = n;
+    if (e.kind == EventKind::kFence) last_fence = i;
+    if (e.cause != 0xFF) f.last_caused = e;
+  }
+  f.open_tx = open_begin < n;
+  for (std::size_t i = open_begin; i < n; ++i)
+    if (t.events[i].kind == EventKind::kLockAcquire) f.held_locks += t.events[i].arg;
+  f.past_fence = last_fence == n ? n : n - last_fence - 1;
+  return f;
 }
 
 void write_chrome_trace(std::ostream& os, const TraceDump& dump) {
@@ -196,10 +277,9 @@ void write_chrome_trace(std::ostream& os, const TraceDump& dump) {
           json_escape(os, event_kind_name(e.kind));
           os << "\",\"cat\":\"tm\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << ts_us(e.ticks)
              << ",\"pid\":0,\"tid\":" << t.tid << ",\"args\":{\"arg\":" << e.arg;
-          if (e.kind == EventKind::kHwAbort &&
-              e.cause < static_cast<std::uint8_t>(htm::AbortCause::kNumCauses)) {
+          if (const char* cause = event_cause_name(e)) {
             os << ",\"cause\":\"";
-            json_escape(os, htm::abort_cause_name(static_cast<htm::AbortCause>(e.cause)));
+            json_escape(os, cause);
             os << "\"";
           }
           if (e.kind == EventKind::kLockStall) {

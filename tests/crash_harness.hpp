@@ -330,21 +330,24 @@ class CrashImageVerifier {
     tm.recover_data();
 
     // ---- 0. Flight-recorder postmortem ---------------------------------
-    // Every enumerated crash image must yield a decodable postmortem whose
-    // artifact serialization round-trips. Torn recorder tails are expected
-    // (the report counts them); what must never happen is recovery failing
-    // on recorder state or the artifact failing to parse back.
+    // Every enumerated crash image must yield a postmortem that reads back
+    // whole from the artifact crash_sweep --postmortem-out writes and passes
+    // the trace_dump --check consistency rules. Torn recorder tails are
+    // expected (each ring counts them); what must never happen is recovery
+    // failing on recorder state or the artifact failing to read back.
     if (tr_.opt.flight_recorder) {
       const telemetry::PostmortemReport* pm = tm.last_postmortem();
       if (pm == nullptr)
         return fail(why, prefix, "flight recorder enabled but recovery produced no postmortem");
-      telemetry::PostmortemReport rt;
+      std::stringstream artifact;
+      telemetry::write_raw_trace(artifact, pm->trace);
+      telemetry::TraceDump rt;
       std::string perr;
-      if (!telemetry::parse_postmortem(telemetry::serialize_postmortem(*pm, tm.name()), rt,
-                                       nullptr, &perr))
-        return fail(why, prefix, "postmortem artifact round-trip failed: ", perr);
-      if (rt.total_valid != pm->total_valid || rt.total_torn != pm->total_torn ||
-          rt.per_thread.size() != pm->per_thread.size())
+      if (!telemetry::read_raw_trace(artifact, rt, &perr) || !telemetry::check_trace(rt, &perr))
+        return fail(why, prefix, "postmortem artifact rejected: ", perr);
+      if (rt.total_events() != pm->trace.total_events() ||
+          rt.total_torn() != pm->trace.total_torn() ||
+          rt.threads.size() != pm->trace.threads.size())
         return fail(why, prefix, "postmortem artifact round-trip lost records");
     }
 

@@ -74,8 +74,9 @@ void usage(const char* argv0) {
                "  --mutate          run NV-HALT with broken recovery; exit 0 iff caught\n"
                "  --postmortem      enable the persistent flight recorder; every enumerated\n"
                "                    crash image must yield a valid postmortem decode\n"
-               "  --postmortem-out FILE  write the final image's postmortem artifact per TM\n"
-               "                    (FILE gets a .<tm> suffix; implies --postmortem)\n"
+               "  --postmortem-out FILE  write the final image's postmortem per TM as an\n"
+               "                    nvhalt-trace-v1 file for trace_dump (FILE gets a .<tm>\n"
+               "                    suffix; implies --postmortem)\n"
                "  --replay FILE TRIPLE   recheck one hash:prefix:seed triple of a saved bundle\n"
                "  --trace-out FILE  dump a raw telemetry trace per TM (FILE gets a .<tm> suffix;\n"
                "                    needs an NVHALT_TELEMETRY>=1 build to be non-empty)\n"
@@ -231,10 +232,10 @@ int run_sweep(const SweepArgs& a) {
       if (a.postmortem) {
         if (const auto* pm = verifier.runner().tm().last_postmortem()) {
           ++pm_images;
-          pm_torn_total += pm->total_torn;
-          if (pm->total_torn > 0) ++pm_torn_images;
-          for (const auto& tp : pm->per_thread) {
-            if (tp.open_tx) {
+          pm_torn_total += pm->trace.total_torn();
+          if (pm->trace.total_torn() > 0) ++pm_torn_images;
+          for (const telemetry::ThreadTrace& t : pm->trace.threads) {
+            if (telemetry::in_flight(t).open_tx) {
               ++pm_open_tx_images;
               break;
             }
@@ -262,9 +263,7 @@ int run_sweep(const SweepArgs& a) {
         // the deepest crash boundary the budget reached.
         if (const auto* pm = verifier.runner().tm().last_postmortem()) {
           const std::string path = a.postmortem_out + "." + tm_kind_name(kind);
-          std::ofstream f(path);
-          f << telemetry::serialize_postmortem(*pm, tm_kind_name(kind));
-          if (!f) {
+          if (!telemetry::write_raw_trace_file(path, pm->trace)) {
             std::fprintf(stderr, "cannot write postmortem artifact: %s\n", path.c_str());
             return 2;
           }

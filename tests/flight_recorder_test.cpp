@@ -1,11 +1,13 @@
 // Tests for the persistent flight recorder (telemetry/flight_recorder.hpp):
-// header seeding, record round-trips, torn-slot detection against the
-// documented on-NVM slot format, recovery cursor adoption, the crash-prefix
-// sweep over recorder fence boundaries for all five TMs, a replayable
-// torn-record triple, and a TSan-facing concurrency stress
-// (FlightRecorderConcurrency, matched by the tsan-concurrency preset).
+// header seeding, record round-trips through the nvhalt-trace-v1 artifact,
+// in-flight reconstruction, torn-slot detection against the documented
+// on-NVM slot format, recovery cursor adoption, the crash-prefix sweep over
+// recorder fence boundaries for all five TMs, a replayable torn-record
+// triple, and a TSan-facing concurrency stress (FlightRecorderConcurrency,
+// matched by the tsan-concurrency preset).
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,10 +58,10 @@ TEST(FlightRecorderTest, HeaderSeededDurablyOnConstruction) {
   tel::FlightRecorder fr(pool);
   const tel::PostmortemReport pm = fr.postmortem();
   EXPECT_TRUE(pm.header_valid);
-  EXPECT_EQ(pm.slots_per_thread, tel::FlightRecorder::kDefaultSlots);
-  EXPECT_EQ(pm.total_valid, 0u);
-  EXPECT_EQ(pm.total_torn, 0u);
-  EXPECT_TRUE(pm.per_thread.empty());
+  EXPECT_EQ(fr.slots_per_thread(), tel::FlightRecorder::kDefaultSlots);
+  EXPECT_EQ(pm.trace.total_events(), 0u);
+  EXPECT_EQ(pm.trace.total_torn(), 0u);
+  EXPECT_TRUE(pm.trace.threads.empty());
 }
 
 TEST(FlightRecorderTest, RecordRoundTripAndOpenTxReconstruction) {
@@ -82,38 +84,42 @@ TEST(FlightRecorderTest, RecordRoundTripAndOpenTxReconstruction) {
 
   const tel::PostmortemReport pm = fr.postmortem();
   ASSERT_TRUE(pm.header_valid);
-  EXPECT_EQ(pm.total_valid, 6u);
-  EXPECT_EQ(pm.total_torn, 0u);
-  ASSERT_EQ(pm.per_thread.size(), 2u);
+  EXPECT_EQ(pm.trace.total_events(), 6u);
+  EXPECT_EQ(pm.trace.total_torn(), 0u);
+  ASSERT_EQ(pm.trace.threads.size(), 2u);
 
-  const tel::FrThreadPostmortem& t0 = pm.per_thread[0];
+  const tel::ThreadTrace& t0 = pm.trace.threads[0];
   EXPECT_EQ(t0.tid, 0);
-  EXPECT_EQ(t0.valid, 4u);
-  EXPECT_FALSE(t0.open_tx);
+  EXPECT_EQ(t0.pushed, 4u);
+  EXPECT_EQ(t0.capacity, fr.slots_per_thread());
+  EXPECT_FALSE(tel::in_flight(t0).open_tx);
   ASSERT_EQ(t0.events.size(), 4u);
   EXPECT_EQ(t0.events.front().kind, tel::EventKind::kTxBegin);
   EXPECT_EQ(t0.events[1].kind, tel::EventKind::kLockAcquire);
   EXPECT_EQ(t0.events[1].arg, 3u);
   EXPECT_EQ(t0.events.back().kind, tel::EventKind::kHwCommit);
+  EXPECT_EQ(tel::in_flight(t0).past_fence, 1u) << "the commit follows the fence stamp";
   for (std::size_t i = 1; i < t0.events.size(); ++i)
-    EXPECT_GT(t0.events[i].seq, t0.events[i - 1].seq) << "records must sort by seq";
+    EXPECT_GT(t0.events[i].ticks, t0.events[i - 1].ticks) << "records must sort by seq";
 
-  const tel::FrThreadPostmortem& t1 = pm.per_thread[1];
+  const tel::ThreadTrace& t1 = pm.trace.threads[1];
   EXPECT_EQ(t1.tid, 1);
-  EXPECT_TRUE(t1.open_tx);
-  EXPECT_EQ(t1.held_locks, 1u);
+  EXPECT_TRUE(tel::in_flight(t1).open_tx);
+  EXPECT_EQ(tel::in_flight(t1).held_locks, 1u);
 
-  // The artifact serialization round-trips losslessly.
-  const std::string text = tel::serialize_postmortem(pm, "unit");
-  tel::PostmortemReport rt;
-  std::string tm_name, err;
-  ASSERT_TRUE(tel::parse_postmortem(text, rt, &tm_name, &err)) << err;
-  EXPECT_EQ(tm_name, "unit");
-  EXPECT_EQ(rt.total_valid, pm.total_valid);
-  EXPECT_EQ(rt.total_torn, pm.total_torn);
-  ASSERT_EQ(rt.per_thread.size(), pm.per_thread.size());
-  EXPECT_EQ(rt.per_thread[1].open_tx, true);
-  EXPECT_EQ(rt.per_thread[1].held_locks, 1u);
+  // The artifact (an nvhalt-trace-v1 file) round-trips losslessly and
+  // passes the trace_dump --check rules.
+  std::stringstream artifact;
+  tel::write_raw_trace(artifact, pm.trace);
+  tel::TraceDump rt;
+  std::string err;
+  ASSERT_TRUE(tel::read_raw_trace(artifact, rt, &err)) << err;
+  EXPECT_TRUE(tel::check_trace(rt, &err)) << err;
+  EXPECT_EQ(rt.total_events(), pm.trace.total_events());
+  EXPECT_EQ(rt.total_torn(), pm.trace.total_torn());
+  ASSERT_EQ(rt.threads.size(), pm.trace.threads.size());
+  EXPECT_TRUE(tel::in_flight(rt.threads[1]).open_tx);
+  EXPECT_EQ(tel::in_flight(rt.threads[1]).held_locks, 1u);
 }
 
 TEST(FlightRecorderTest, TornAndZeroSeqSlotsAreCountedNeverFatal) {
@@ -141,12 +147,14 @@ TEST(FlightRecorderTest, TornAndZeroSeqSlotsAreCountedNeverFatal) {
 
   const tel::PostmortemReport pm = fr.postmortem();
   ASSERT_TRUE(pm.header_valid);
-  EXPECT_EQ(pm.total_valid, 1u);
-  EXPECT_EQ(pm.total_torn, 2u);
-  ASSERT_EQ(pm.per_thread.size(), 1u);
-  EXPECT_EQ(pm.per_thread[0].valid, 1u);
-  EXPECT_EQ(pm.per_thread[0].torn, 2u);
-  EXPECT_EQ(pm.per_thread[0].events.front().kind, tel::EventKind::kTxBegin);
+  EXPECT_EQ(pm.trace.total_events(), 1u);
+  EXPECT_EQ(pm.trace.total_torn(), 2u);
+  ASSERT_EQ(pm.trace.threads.size(), 1u);
+  EXPECT_EQ(pm.trace.threads[0].pushed, 3u);
+  EXPECT_EQ(pm.trace.threads[0].torn, 2u);
+  EXPECT_EQ(pm.trace.threads[0].events.front().kind, tel::EventKind::kTxBegin);
+  std::string err;
+  EXPECT_TRUE(tel::check_trace(pm.trace, &err)) << err;
 }
 
 TEST(FlightRecorderTest, OnRecoverResumesSequencesPastDecodedHistory) {
@@ -159,7 +167,7 @@ TEST(FlightRecorderTest, OnRecoverResumesSequencesPastDecodedHistory) {
   fr.record(0, tel::EventKind::kHwCommit);
   pool.fence(0);
   const tel::PostmortemReport before = fr.postmortem();
-  const std::uint32_t last = before.per_thread.at(0).last_seq;
+  const std::uint64_t last = before.trace.threads.at(0).events.back().ticks;
 
   fr.on_recover(0);
   fr.record(0, tel::EventKind::kTxBegin);
@@ -167,15 +175,15 @@ TEST(FlightRecorderTest, OnRecoverResumesSequencesPastDecodedHistory) {
 
   const tel::PostmortemReport after = fr.postmortem();
   ASSERT_TRUE(after.header_valid);
-  const tel::FrThreadPostmortem& t0 = after.per_thread.at(0);
+  const tel::ThreadTrace& t0 = after.trace.threads.at(0);
   // kRecovery stamp + the new begin, both sequenced past decoded history.
   bool saw_recovery = false;
-  for (const tel::FrEvent& e : t0.events) {
+  for (const tel::TraceEvent& e : t0.events) {
     saw_recovery |= e.kind == tel::EventKind::kRecovery;
-    if (e.kind == tel::EventKind::kRecovery || e.seq > last) EXPECT_GT(e.seq, last);
+    if (e.kind == tel::EventKind::kRecovery || e.ticks > last) EXPECT_GT(e.ticks, last);
   }
   EXPECT_TRUE(saw_recovery);
-  EXPECT_TRUE(t0.open_tx) << "new begin after the recovery stamp is open";
+  EXPECT_TRUE(tel::in_flight(t0).open_tx) << "new begin after the recovery stamp is open";
 }
 
 // ---- Crash-prefix sweep over recorder fence boundaries, all five TMs ------
@@ -201,8 +209,9 @@ TEST_P(FlightRecorderCrashSweep, EveryBoundaryYieldsValidPostmortem) {
   CrashEnumerator en(tr.events, eopt);
   ASSERT_GT(en.boundaries().size(), 20u);
 
-  // The verifier's section 0 requires a decodable, round-trippable
-  // postmortem from every image on top of the durability invariants.
+  // The verifier's section 0 requires a postmortem from every image that
+  // round-trips through its artifact and passes check_trace, on top of the
+  // durability invariants.
   CrashImageVerifier verifier(tr);
   const auto failure = en.run(verifier.checker());
   ASSERT_FALSE(failure.has_value())
@@ -257,7 +266,7 @@ TEST(FlightRecorderTest, TornRecordTripleIsReplayable) {
       const std::uint64_t seed = s == 0 ? 0 : en.subset_seed_for(prefix, s);
       const tel::PostmortemReport pm =
           decode(materialize_crash_image(trace, prefix, seed));
-      if (pm.header_valid && pm.total_torn == 1 && pm.total_valid == 0)
+      if (pm.header_valid && pm.trace.total_torn() == 1 && pm.trace.total_events() == 0)
         torn_triple = CrashTriple{hash, prefix, seed};
     }
     if (torn_triple) break;
@@ -270,8 +279,8 @@ TEST(FlightRecorderTest, TornRecordTripleIsReplayable) {
       materialize_crash_image(trace, torn_triple->prefix, torn_triple->subset_seed);
   const tel::PostmortemReport pm = decode(again);
   EXPECT_TRUE(pm.header_valid);
-  EXPECT_EQ(pm.total_torn, 1u);
-  EXPECT_EQ(pm.total_valid, 0u);
+  EXPECT_EQ(pm.trace.total_torn(), 1u);
+  EXPECT_EQ(pm.trace.total_events(), 0u);
   EXPECT_EQ(PersistJournal::hash(trace), torn_triple->trace_hash);
 }
 
@@ -296,16 +305,16 @@ TEST(FlightRecorderConcurrency, ConcurrentRecordersStayDisjoint) {
   const tel::PostmortemReport pm = fr.postmortem();
   ASSERT_TRUE(pm.header_valid);
   if constexpr (tel::kLevel >= 1) {
-    ASSERT_EQ(pm.per_thread.size(), static_cast<std::size_t>(kThreads));
-    for (const tel::FrThreadPostmortem& t : pm.per_thread) {
+    ASSERT_EQ(pm.trace.threads.size(), static_cast<std::size_t>(kThreads));
+    for (const tel::ThreadTrace& t : pm.trace.threads) {
       // Quiescent full-ring decode: every surviving slot checks out and the
       // ring holds exactly the last slots_per_thread records.
       EXPECT_EQ(t.torn, 0u);
-      EXPECT_EQ(t.valid, fr.slots_per_thread());
-      EXPECT_EQ(t.last_seq, static_cast<std::uint32_t>(2 * kRecords));
+      EXPECT_EQ(t.events.size(), fr.slots_per_thread());
+      EXPECT_EQ(t.events.back().ticks, 2u * kRecords);
     }
   } else {
-    EXPECT_EQ(pm.total_valid, 0u);
+    EXPECT_EQ(pm.trace.total_events(), 0u);
   }
 }
 

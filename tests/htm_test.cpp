@@ -46,7 +46,7 @@ TEST(SimHtm, ExplicitAbortDiscardsWrites) {
   EXPECT_THROW(htm.xabort(0, 0x7), HtmAbort);
   EXPECT_EQ(mem.at(1)->load(), 0u);
   EXPECT_FALSE(htm.thread_in_txn(0));
-  EXPECT_EQ(htm.thread_stats(0).aborts[static_cast<int>(AbortCause::kExplicit)], 1u);
+  EXPECT_EQ(htm.aggregate_stats().aborts[static_cast<int>(AbortCause::kExplicit)], 1u);
 }
 
 TEST(SimHtm, XabortCarriesCode) {
@@ -75,7 +75,7 @@ TEST(SimHtm, AbortOnFlushModelsClflush) {
   htm.begin(0);
   EXPECT_THROW(abort_on_flush(), HtmAbort);
   EXPECT_FALSE(htm.thread_in_txn(0));
-  EXPECT_EQ(htm.thread_stats(0).aborts[static_cast<int>(AbortCause::kFlush)], 1u);
+  EXPECT_EQ(htm.aggregate_stats().aborts[static_cast<int>(AbortCause::kFlush)], 1u);
 }
 
 TEST(SimHtm, AbortOnFlushOutsideTxnIsLogicError) {
@@ -122,7 +122,7 @@ TEST(SimHtm, WriteSetCapacityMatchesL1Shape) {
     EXPECT_EQ(a.cause, AbortCause::kCapacity);
   }
   EXPECT_TRUE(aborted);
-  EXPECT_EQ(htm.thread_stats(0).aborts[static_cast<int>(AbortCause::kCapacity)], 1u);
+  EXPECT_EQ(htm.aggregate_stats().aborts[static_cast<int>(AbortCause::kCapacity)], 1u);
 }
 
 TEST(SimHtm, SameLineWritesDoNotCountTwice) {
@@ -518,7 +518,7 @@ TEST(SimHtm, MemoHitReadsDoNotCountTowardReadCapacity) {
   for (int rep = 0; rep < 100; ++rep) htm.load(0, loc_pool(0), mem.at(0));
   // ...but a fifth distinct line still trips the capacity bound.
   EXPECT_THROW(htm.load(0, loc_pool(4 * 8), mem.at(4)), HtmAbort);
-  EXPECT_EQ(htm.thread_stats(0).aborts[static_cast<int>(AbortCause::kCapacity)], 1u);
+  EXPECT_EQ(htm.aggregate_stats().aborts[static_cast<int>(AbortCause::kCapacity)], 1u);
 }
 
 TEST(SimHtm, MemoResetAtBeginReregistersLines) {
@@ -557,7 +557,7 @@ TEST(SimHtm, BeginAfterCommitReusesContext) {
     htm.commit(0);
   }
   EXPECT_EQ(mem.at(1)->load(), 100u);
-  EXPECT_EQ(htm.thread_stats(0).commits, 100u);
+  EXPECT_EQ(htm.aggregate_stats().commits, 100u);
 }
 
 TEST(SimHtm, ManyThreadsDisjointStripesAllCommit) {

@@ -119,7 +119,7 @@ void ro_sw_writer_between_reads(bool hw_writer) {
   });
   EXPECT_EQ(r, Outcome::kAborted);
   EXPECT_FALSE(inconsistent_observed);
-  EXPECT_GE(tm.telemetry().tx.taxonomy.ro_by_cause[kRoValidation], 1u);
+  EXPECT_GE(tm.stats().ro_by_cause[kRoValidation], 1u);
 }
 
 TEST(RoPathTest, SwEngineCatchesSwWriterBetweenReads) {
@@ -169,7 +169,7 @@ TEST(RoPathTest, HwEngineCatchesWriterBetweenReads) {
   writer.join();
   EXPECT_EQ(r, Outcome::kAborted);
   EXPECT_FALSE(inconsistent_observed);
-  EXPECT_GE(tm.telemetry().tx.taxonomy.ro_by_cause[kRoValidation], 1u);
+  EXPECT_GE(tm.stats().ro_by_cause[kRoValidation], 1u);
 }
 
 /// A writer on a disjoint line moves commit_seq — forcing one snapshot
@@ -208,14 +208,14 @@ TEST(RoPathTest, WritingBodyDemotesBothEngines) {
   EXPECT_EQ(tm.attempt_ro_sw_once(0, [&](Tx& tx) { tx.write(a, 1); }), Outcome::kDemoted);
   EXPECT_EQ(tm.attempt_ro_hw_once(0, [&](Tx& tx) { tx.write(a, 1); }), Outcome::kDemoted);
   EXPECT_EQ(tm.attempt_ro_sw_once(0, [&](Tx& tx) { (void)tx.alloc(4); }), Outcome::kDemoted);
-  EXPECT_EQ(tm.telemetry().tx.taxonomy.ro_by_cause[kRoDemotion], 3u);
+  EXPECT_EQ(tm.stats().ro_by_cause[kRoDemotion], 3u);
   EXPECT_EQ(tm.stats().ro_aborts, 3u);
   EXPECT_EQ(tm.stats().ro_commits, 0u);
 }
 
 /// A transaction *hinted* read-only whose body writes anyway must still
 /// commit correctly — it is demoted to the general loop, the write lands,
-/// and the demotion is visible in the taxonomy.
+/// and the demotion is visible in its abort cause.
 TEST(RoPathTest, HintedWriterStillCommitsViaGeneralLoop) {
   TmRunner runner(small_config(TmKind::kNvHalt));
   auto& tm = nv(runner);
@@ -228,9 +228,9 @@ TEST(RoPathTest, HintedWriterStillCommitsViaGeneralLoop) {
 
   const TmStats s = tm.stats();
   EXPECT_EQ(s.ro_commits, 1u);  // only the audit above
-  const auto tax = tm.telemetry().tx.taxonomy;
-  EXPECT_GE(tax.ro_by_cause[kRoDemotion], 1u);
-  EXPECT_EQ(tax.ro_total(), s.ro_aborts) << "sum-equals-total invariant";
+  EXPECT_GE(s.ro_by_cause[kRoDemotion], 1u);
+  EXPECT_EQ(s.ro_by_cause[kRoDemotion] + s.ro_by_cause[kRoValidation], s.ro_aborts)
+      << "sum-equals-total invariant";
 }
 
 // -------------------------------------------------- routing and gating
@@ -479,7 +479,7 @@ TEST_P(RoPathStress, RoReadersNeverObserveTornSums) {
   EXPECT_GT(s.ro_commits, 0u) << "stress never exercised the fast path";
   EXPECT_EQ(s.commits, s.hw_commits + s.sw_commits + s.ro_commits)
       << "every commit attributed to exactly one path";
-  EXPECT_EQ(tm.telemetry().tx.taxonomy.ro_total(), s.ro_aborts);
+  EXPECT_EQ(s.ro_by_cause[kRoDemotion] + s.ro_by_cause[kRoValidation], s.ro_aborts);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Telemetry layer tests: PowHistogram bucketing, TraceRing ordering /
 // wraparound / overflow-drop accounting (including a TSan-targeted
 // concurrent-writer suite), abort-cause decoding into the per-thread
-// taxonomy, the taxonomy-vs-stats agreement invariant across all five TMs,
+// TmStats record, the cause-sum invariant across all five TMs,
 // MetricsRegistry JSON/Prometheus export, and the raw-trace/chrome-trace
 // serialization round trip (which works at any NVHALT_TELEMETRY level —
 // rings are constructed directly).
@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <thread>
 
@@ -181,9 +182,14 @@ TEST(TraceRingConcurrency, BufferCollectGathersPerTidRings) {
   EXPECT_TRUE(buf.collect().empty());
 }
 
-// -------------------------------------------------------- abort taxonomy
+// ------------------------------------------------------------ abort causes
 
-TEST(AbortTaxonomy, RecordHwAbortKeepsAllViewsInLockstep) {
+template <std::size_t N>
+std::uint64_t total(const std::array<std::uint64_t, N>& by_cause) {
+  return std::accumulate(by_cause.begin(), by_cause.end(), std::uint64_t{0});
+}
+
+TEST(AbortCauses, RecordHwAbortKeepsAllViewsInLockstep) {
   runtime::TxThreadState ts;
   ts.record_hw_abort(0, htm::AbortCause::kConflict);
   ts.record_hw_abort(0, htm::AbortCause::kCapacity);
@@ -191,13 +197,13 @@ TEST(AbortTaxonomy, RecordHwAbortKeepsAllViewsInLockstep) {
   ts.record_hw_abort(0, htm::AbortCause::kExplicit, /*code=*/0x42);
 
   EXPECT_EQ(ts.stats.hw_aborts, 4u);
-  EXPECT_EQ(ts.tel.taxonomy.hw_total(), 4u);  // never loses history
-  EXPECT_EQ(ts.tel.taxonomy.hw_by_cause[0], 2u);  // conflict
-  EXPECT_EQ(ts.tel.taxonomy.hw_by_cause[1], 1u);  // capacity
-  EXPECT_EQ(ts.tel.taxonomy.hw_by_cause[2], 1u);  // explicit
+  EXPECT_EQ(total(ts.stats.hw_by_cause), 4u);  // never loses history
+  EXPECT_EQ(ts.stats.hw_by_cause[0], 2u);  // conflict
+  EXPECT_EQ(ts.stats.hw_by_cause[1], 1u);  // capacity
+  EXPECT_EQ(ts.stats.hw_by_cause[2], 1u);  // explicit
 }
 
-TEST(AbortTaxonomy, CapacityAbortsAreDecoded) {
+TEST(AbortCauses, CapacityAbortsAreDecoded) {
   RunnerConfig cfg = test::small_config(TmKind::kNvHalt);
   cfg.htm.l1_ways = 1;
   cfg.htm.l1_sets = 1;  // any two distinct written lines overflow
@@ -212,13 +218,12 @@ TEST(AbortTaxonomy, CapacityAbortsAreDecoded) {
   });
 
   const TmStats stats = tm.stats();
-  const tel::TmTelemetry t = tm.telemetry();
   EXPECT_GT(stats.hw_aborts, 0u);
-  EXPECT_GT(t.tx.taxonomy.hw_by_cause[static_cast<std::size_t>(htm::AbortCause::kCapacity)], 0u);
-  EXPECT_EQ(t.tx.taxonomy.hw_total(), stats.hw_aborts);
+  EXPECT_GT(stats.hw_by_cause[static_cast<std::size_t>(htm::AbortCause::kCapacity)], 0u);
+  EXPECT_EQ(total(stats.hw_by_cause), stats.hw_aborts);
 }
 
-TEST(AbortTaxonomy, SpuriousAbortsAreDecoded) {
+TEST(AbortCauses, SpuriousAbortsAreDecoded) {
   RunnerConfig cfg = test::small_config(TmKind::kNvHalt);
   cfg.htm.spurious_abort_prob = 1.0;  // every hardware access aborts
   TmRunner runner(cfg);
@@ -228,18 +233,17 @@ TEST(AbortTaxonomy, SpuriousAbortsAreDecoded) {
   tm.run(0, [&](Tx& tx) { tx.write(a, 7); });
 
   const TmStats stats = tm.stats();
-  const tel::TmTelemetry t = tm.telemetry();
   EXPECT_GT(stats.hw_aborts, 0u);
-  EXPECT_EQ(t.tx.taxonomy.hw_by_cause[static_cast<std::size_t>(htm::AbortCause::kSpurious)],
+  EXPECT_EQ(stats.hw_by_cause[static_cast<std::size_t>(htm::AbortCause::kSpurious)],
             stats.hw_aborts);
-  EXPECT_EQ(t.tx.taxonomy.hw_total(), stats.hw_aborts);
+  EXPECT_EQ(total(stats.hw_by_cause), stats.hw_aborts);
 }
 
 class TaxonomyAgreementTest : public testing::TestWithParam<TmKind> {};
 
-// The acceptance-criteria invariant, per TM under real contention: the
-// taxonomy's per-cause sum equals the aggregated hw_aborts counter exactly,
-// and the mirrored sw/user tallies equal their stats counterparts.
+// The cause-sum invariant, per TM under real contention: the per-cause sums
+// equal the aggregated hw_aborts / ro_aborts counters exactly, and reset
+// clears the whole record.
 TEST_P(TaxonomyAgreementTest, TaxonomySumsMatchStatsExactly) {
   TmRunner runner(test::small_config(GetParam()));
   auto& tm = runner.tm();
@@ -262,14 +266,14 @@ TEST_P(TaxonomyAgreementTest, TaxonomySumsMatchStatsExactly) {
   });
 
   const TmStats stats = tm.stats();
-  const tel::TmTelemetry t = tm.telemetry();
-  EXPECT_EQ(t.tx.taxonomy.hw_total(), stats.hw_aborts);
-  EXPECT_EQ(t.tx.taxonomy.sw_aborts, stats.sw_aborts);
-  EXPECT_EQ(t.tx.taxonomy.user_aborts, stats.user_aborts);
-  EXPECT_LE(t.tx.write_set_size.count(), stats.commits);  // at most one per commit
+  EXPECT_EQ(total(stats.hw_by_cause), stats.hw_aborts);
+  EXPECT_EQ(total(stats.ro_by_cause), stats.ro_aborts);
+  EXPECT_EQ(stats.commits, stats.hw_commits + stats.sw_commits + stats.ro_commits);
+  EXPECT_LE(stats.write_set_size.count(), stats.commits);  // at most one per commit
 
   tm.reset_stats();
-  EXPECT_EQ(tm.telemetry().tx.taxonomy.hw_total(), 0u);
+  EXPECT_EQ(total(tm.stats().hw_by_cause), 0u);
+  EXPECT_EQ(tm.stats().write_set_size.count(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTms, TaxonomyAgreementTest, testing::ValuesIn(test::all_kinds()),
@@ -295,9 +299,9 @@ TEST(MetricsRegistry, SnapshotExportsAllFiveTmsAndPool) {
   ASSERT_EQ(snap.pools.size(), 1u);
   for (const tel::TmMetrics& m : snap.tms) {
     EXPECT_GE(m.stats.commits, 10u);
-    // The acceptance-criteria agreement check, through the export surface.
-    EXPECT_EQ(m.tel.tx.taxonomy.hw_total(), m.stats.hw_aborts);
-    EXPECT_EQ(m.tel.tx.taxonomy.sw_aborts, m.stats.sw_aborts);
+    // The cause-sum invariant, through the export surface.
+    EXPECT_EQ(total(m.stats.hw_by_cause), m.stats.hw_aborts);
+    EXPECT_EQ(total(m.stats.ro_by_cause), m.stats.ro_aborts);
   }
   EXPECT_GT(snap.pools[0].flush_count, 0u);
   EXPECT_GT(snap.pools[0].fence_count, 0u);
@@ -389,6 +393,54 @@ TEST(MetricsRegistry, AllocLedgerExportsAndBalances) {
             std::string::npos);
 }
 
+// Every counter is formatted whole however long it is: twenty-digit values
+// (the u64 range) in every per-TM, pool and alloc field.
+TEST(MetricsRegistry, JsonKeepsTwentyDigitCounters) {
+  constexpr std::uint64_t kBig = 12345678901234567890ULL;
+  tel::MetricsSnapshot snap;
+  tel::TmMetrics m;
+  m.name = "a-tm-name-long-enough-to-matter";
+  std::uint64_t* counters[] = {&m.stats.commits,     &m.stats.hw_commits,
+                               &m.stats.sw_commits,  &m.stats.ro_commits,
+                               &m.stats.read_only_commits, &m.stats.hw_aborts,
+                               &m.stats.sw_aborts,   &m.stats.ro_aborts,
+                               &m.stats.fallbacks,   &m.stats.user_aborts};
+  for (std::uint64_t* c : counters) *c = kBig;
+  m.stats.hw_by_cause.fill(kBig);
+  m.stats.ro_by_cause.fill(kBig);
+  snap.tms.push_back(m);
+  tel::PoolMetrics p;
+  p.name = "pool";
+  p.flush_count = p.fence_count = p.flush_dedup_count = kBig;
+  snap.pools.push_back(p);
+  tel::AllocMetrics a;
+  a.name = "alloc";
+  a.stats.allocs = a.stats.frees = a.stats.segments_acquired = kBig;
+  a.stats.retired = a.stats.reclaimed = a.stats.limbo = kBig;
+  a.stats.orphans_swept = a.stats.leaked_reclaimed = a.global_epoch = kBig;
+  snap.allocs.push_back(a);
+
+  const std::string json = snap.to_json();
+  const std::string big = std::to_string(kBig);
+  for (const char* key :
+       {"commits", "hw_commits", "sw_commits", "ro_commits", "read_only_commits", "hw_aborts",
+        "sw_aborts", "ro_aborts", "fallbacks", "user_aborts", "conflict", "capacity",
+        "explicit", "spurious", "flush", "ro_validation", "ro_demotion", "flush_count",
+        "fence_count", "flush_dedup_count", "allocs", "frees", "segments_acquired", "retired",
+        "reclaimed", "limbo", "orphans_swept", "leaked_reclaimed", "global_epoch"})
+    EXPECT_NE(json.find(std::string("\"") + key + "\":" + big), std::string::npos) << key;
+  EXPECT_NE(json.find("\"name\":\"a-tm-name-long-enough-to-matter\""), std::string::npos);
+  EXPECT_NE(json.find("\"abort_taxonomy\""), std::string::npos);
+  long depth = 0;
+  for (const char c : json) {
+    if (c == '{') ++depth;
+    if (c == '}') --depth;
+    ASSERT_GE(depth, 0);
+  }
+  EXPECT_EQ(depth, 0);
+  EXPECT_EQ(json.back(), '}');
+}
+
 // ------------------------------------------------------------- trace IO
 
 tel::TraceDump sample_dump() {
@@ -397,12 +449,14 @@ tel::TraceDump sample_dump() {
   dump.ticks_per_us = 2.0;
   tel::ThreadTrace t;
   t.tid = 3;
-  t.pushed = 5;
+  t.pushed = 6;
   t.dropped = 1;
   t.events.push_back({100, 0, EventKind::kTxBegin, 0xFF, 3});
   t.events.push_back({110, 0, EventKind::kHwAttempt, 0xFF, 3});
   t.events.push_back({120, 0x42, EventKind::kHwAbort,
                       static_cast<std::uint8_t>(htm::AbortCause::kConflict), 3});
+  t.events.push_back({125, 0, EventKind::kRoAbort,
+                      static_cast<std::uint8_t>(tel::RoAbortCause::kRoDemotion), 3});
   t.events.push_back({130, 9, EventKind::kSwCommit, 0xFF, 3});
   dump.threads.push_back(std::move(t));
   return dump;
@@ -420,16 +474,19 @@ TEST(TraceIo, RawFormatRoundTrips) {
   EXPECT_DOUBLE_EQ(back.ticks_per_us, 2.0);
   ASSERT_EQ(back.threads.size(), 1u);
   EXPECT_EQ(back.threads[0].tid, 3);
-  EXPECT_EQ(back.threads[0].pushed, 5u);
+  EXPECT_EQ(back.threads[0].pushed, 6u);
   EXPECT_EQ(back.threads[0].dropped, 1u);
-  ASSERT_EQ(back.threads[0].events.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
+  ASSERT_EQ(back.threads[0].events.size(), 5u);
+  // The read-only abort keeps its cause (ro_demotion), like the hw abort.
+  EXPECT_EQ(back.threads[0].events[3].cause,
+            static_cast<std::uint8_t>(tel::RoAbortCause::kRoDemotion));
+  for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(back.threads[0].events[i].kind, dump.threads[0].events[i].kind);
     EXPECT_EQ(back.threads[0].events[i].ticks, dump.threads[0].events[i].ticks);
     EXPECT_EQ(back.threads[0].events[i].arg, dump.threads[0].events[i].arg);
     EXPECT_EQ(back.threads[0].events[i].cause, dump.threads[0].events[i].cause);
   }
-  EXPECT_EQ(back.total_events(), 4u);
+  EXPECT_EQ(back.total_events(), 5u);
   EXPECT_EQ(back.total_dropped(), 1u);
 }
 
@@ -454,6 +511,19 @@ TEST(TraceIo, MalformedInputIsRejectedWithReason) {
     EXPECT_FALSE(tel::read_raw_trace(ss, dump, &err));
     EXPECT_NE(err.find("before any ring header"), std::string::npos);
   }
+  // Malformed numbers are rejected with their line, never thrown.
+  {
+    std::stringstream ss("# nvhalt-trace-v1 level=x ticks_per_us=1\n");
+    EXPECT_FALSE(tel::read_raw_trace(ss, dump, &err));
+    EXPECT_NE(err.find("bad header at line 1"), std::string::npos) << err;
+  }
+  {
+    std::stringstream ss("# nvhalt-trace-v1 level=1 ticks_per_us=1\n"
+                         "# ring tid=zz pushed=1 dropped=0\n"
+                         "100 tx_begin 0 0 -\n");
+    EXPECT_FALSE(tel::read_raw_trace(ss, dump, &err));
+    EXPECT_NE(err.find("bad ring header at line 2"), std::string::npos) << err;
+  }
 }
 
 TEST(TraceIo, ChromeTracePairsBeginWithOutcome) {
@@ -468,9 +538,10 @@ TEST(TraceIo, ChromeTracePairsBeginWithOutcome) {
   EXPECT_NE(json.find("\"name\":\"tx(sw)\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\":15"), std::string::npos);
-  // The abort is an instant event carrying its decoded cause.
+  // Aborts are instant events carrying their decoded cause.
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"cause\":\"conflict\""), std::string::npos);
+  EXPECT_NE(json.find("\"cause\":\"ro_demotion\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\":3"), std::string::npos);
   // No dangling complete event: exactly one "X".
   std::size_t x_count = 0;

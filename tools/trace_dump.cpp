@@ -1,13 +1,18 @@
-// trace_dump: convert a raw nvhalt trace (written by crash_sweep
-// --trace-out or any binary calling telemetry::write_raw_trace_file) into
-// chrome://tracing JSON, or just validate it.
+// trace_dump: convert an nvhalt-trace-v1 file — a DRAM trace (crash_sweep
+// --trace-out, or any binary calling telemetry::write_raw_trace_file) or a
+// flight-recorder postmortem (crash_sweep --postmortem-out) — into
+// chrome://tracing JSON, or check it.
 //
 //   trace_dump <trace.txt> [-o out.json]   convert (default out: stdout)
-//   trace_dump --check <trace.txt>         parse + sanity-check, no output
+//   trace_dump --check <trace.txt>         parse + consistency check
 //
-// --check verifies the file parses, every ring's event count is consistent
-// with its pushed/dropped header, and prints a one-line summary. Exit
-// status 0 on success, 1 on any parse or consistency failure.
+// --check verifies the file parses and every ring passes
+// telemetry::check_trace (event, torn and dropped counts against its
+// pushed/capacity header; monotonic timestamps), then prints a summary
+// line and, per ring, what it says was in flight: an open transaction and
+// the lock lines it held, records past the last fence, the last abort
+// cause, and the last five event kinds. Exit status 0 on success, 1 on any
+// parse or consistency failure.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -24,46 +29,26 @@ int usage() {
   return 2;
 }
 
-bool check_dump(const tel::TraceDump& dump) {
-  bool ok = true;
+void print_summary(const tel::TraceDump& dump) {
+  std::cout << "trace_dump: ok: level=" << dump.level << " rings=" << dump.threads.size()
+            << " events=" << dump.total_events() << " dropped=" << dump.total_dropped()
+            << " torn=" << dump.total_torn() << "\n";
   for (const tel::ThreadTrace& t : dump.threads) {
-    // The snapshot keeps at most `capacity` surviving events and the header
-    // records the monotonic totals; surviving + dropped can exceed pushed
-    // only if the file was corrupted or hand-edited.
-    if (t.events.size() + t.dropped > t.pushed) {
-      std::cerr << "trace_dump: tid " << t.tid << ": " << t.events.size()
-                << " events + " << t.dropped << " dropped > pushed " << t.pushed
-                << "\n";
-      ok = false;
+    const tel::InFlight f = tel::in_flight(t);
+    std::cout << "  tid " << t.tid << ": " << t.events.size() << " events (" << t.torn
+              << " torn)";
+    if (f.open_tx) std::cout << ", OPEN tx holding " << f.held_locks << " lock line(s)";
+    if (f.past_fence > 0) std::cout << ", " << f.past_fence << " record(s) past last fence";
+    if (const char* cause = tel::event_cause_name(f.last_caused))
+      std::cout << ", last cause " << cause;
+    if (!t.events.empty()) {
+      std::cout << "\n    tail:";
+      const std::size_t from = t.events.size() > 5 ? t.events.size() - 5 : 0;
+      for (std::size_t i = from; i < t.events.size(); ++i)
+        std::cout << " " << tel::event_kind_name(t.events[i].kind);
     }
-    // With the ring capacity round-tripped in the header, dropped is fully
-    // reconstructible: the ring keeps at most `capacity` survivors, so
-    // dropped must equal pushed - events when the ring wrapped.
-    if (t.capacity > 0) {
-      if (t.events.size() > t.capacity) {
-        std::cerr << "trace_dump: tid " << t.tid << ": " << t.events.size()
-                  << " events exceed ring capacity " << t.capacity << "\n";
-        ok = false;
-      }
-      if (t.pushed - t.dropped != t.events.size()) {
-        std::cerr << "trace_dump: tid " << t.tid << ": pushed " << t.pushed
-                  << " - dropped " << t.dropped << " != surviving events "
-                  << t.events.size() << "\n";
-        ok = false;
-      }
-    }
-    std::uint64_t prev = 0;
-    for (const tel::TraceEvent& e : t.events) {
-      if (e.ticks < prev) {
-        std::cerr << "trace_dump: tid " << t.tid
-                  << ": non-monotonic timestamps within one ring\n";
-        ok = false;
-        break;
-      }
-      prev = e.ticks;
-    }
+    std::cout << "\n";
   }
-  return ok;
 }
 
 }  // namespace
@@ -101,10 +86,11 @@ int main(int argc, char** argv) {
   }
 
   if (check_only) {
-    if (!check_dump(dump)) return 1;
-    std::cerr << "trace_dump: ok: level=" << dump.level << " rings="
-              << dump.threads.size() << " events=" << dump.total_events()
-              << " dropped=" << dump.total_dropped() << "\n";
+    if (!tel::check_trace(dump, &err)) {
+      std::cerr << "trace_dump: " << in_path << ": " << err << "\n";
+      return 1;
+    }
+    print_summary(dump);
     return 0;
   }
 
