@@ -18,11 +18,11 @@ bool SphtLog::append(int tid, std::uint64_t ts,
   const std::size_t used = used_words(tid);
 
   const std::size_t rec = data_idx(tid) + used;
-  pool_.raw_store(rec + 0, ts);
-  pool_.raw_store(rec + 1, writes.size());
+  pool_.raw_store(tid, rec + 0, ts);
+  pool_.raw_store(tid, rec + 1, writes.size());
   for (std::size_t i = 0; i < writes.size(); ++i) {
-    pool_.raw_store(rec + 2 + 2 * i, writes[i].first);
-    pool_.raw_store(rec + 3 + 2 * i, writes[i].second);
+    pool_.raw_store(tid, rec + 2 + 2 * i, writes[i].first);
+    pool_.raw_store(tid, rec + 3 + 2 * i, writes[i].second);
   }
   // Flush every line the record touches, fence, then durably advance the
   // head — a crash exposes either the old head (record invisible) or the
@@ -30,7 +30,7 @@ bool SphtLog::append(int tid, std::uint64_t ts,
   for (std::size_t w = rec; w < rec + need; w += kWordsPerLine) pool_.flush_raw(tid, w);
   pool_.flush_raw(tid, rec + need - 1);
   pool_.fence(tid);
-  pool_.raw_store(head_idx(tid), used + need);
+  pool_.raw_store(tid, head_idx(tid), used + need);
   pool_.flush_raw(tid, head_idx(tid));
   pool_.fence(tid);
   return true;
@@ -58,7 +58,7 @@ void SphtLog::collect(std::uint64_t max_ts, std::vector<TxnRec>& out) const {
 
 void SphtLog::truncate(int tid) {
   for (int t = 0; t < nthreads_; ++t) {
-    pool_.raw_store(head_idx(t), 0);
+    pool_.raw_store(tid, head_idx(t), 0);
     pool_.flush_raw(tid, head_idx(t));
   }
   pool_.fence(tid);

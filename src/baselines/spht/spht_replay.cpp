@@ -82,7 +82,7 @@ void SphtTm::replay_impl(int caller_tid, int nthreads, bool durable_prefix_only)
     std::lock_guard<std::mutex> lk(gpm_mu_);
     const std::uint64_t m = gpm_volatile_.value.load(std::memory_order_acquire);
     if (gpm_durable_.value.load(std::memory_order_acquire) < m) {
-      pool_.raw_store(gpm_raw_idx_, m);
+      pool_.raw_store(caller_tid, gpm_raw_idx_, m);
       pool_.flush_raw(caller_tid, gpm_raw_idx_);
       pool_.fence(caller_tid);
       gpm_durable_.value.store(m, std::memory_order_release);
@@ -103,11 +103,11 @@ void SphtTm::replay_impl(int caller_tid, int nthreads, bool durable_prefix_only)
         const auto [a, v] = final_writes[i];
         // The NVM heap image lives in the records' `cur` field; replay
         // writes it and persists the line. `old`/`pver` are unused by
-        // SPHT (they are Trinity machinery) — the pver stamp uses a fixed
-        // tid 0 so the replayed image is byte-identical for any worker
-        // count (the partitioning decides which worker writes a record).
+        // SPHT (they are Trinity machinery) — the pver stamp is a fixed 0
+        // so the replayed image is byte-identical for any worker count
+        // (the partitioning decides which worker writes a record).
         PRecord r = pool_.read_record(a);
-        pool_.record_write(/*tid=*/0, a, r.old, v, /*seq=*/0);
+        pool_.record_write(tid, a, r.old, v, /*pver=*/0);
         pool_.flush_record(tid, a);
       }
       pool_.fence(tid);

@@ -181,7 +181,7 @@ void SphtTm::persist_marker_until(int tid, std::uint64_t ts) {
     }
     const std::uint64_t m = gpm_volatile_.value.load(std::memory_order_acquire);
     if (gpm_durable_.value.load(std::memory_order_acquire) >= m) continue;
-    pool_.raw_store(gpm_raw_idx_, m);
+    pool_.raw_store(tid, gpm_raw_idx_, m);
     pool_.flush_raw(tid, gpm_raw_idx_);
     pool_.fence(tid);
     gpm_durable_.value.store(m, std::memory_order_release);

@@ -133,10 +133,12 @@ void UndoRecords::commit(int tid, runtime::TxThreadState& ts, std::span<const En
   // claim turns the per-word claim/abort-scan/release round into one round
   // per run (see SimHtm::nontx_store_cached for why holding the tag across
   // the run is equivalent). The claim is released before the fence so
-  // readers never wait out persistence latency.
+  // readers never wait out persistence latency: the record stores only
+  // owe theirs, and the fence pays it.
   htm::SimHtm::NontxClaim claim;
+  const std::uint64_t pver = pack_pver(tid, ts.pver);
   for (const Entry& e : writes) {
-    pool_.record_write(tid, e.addr, e.old, e.val, ts.pver);
+    pool_.record_write(tid, e.addr, e.old, e.val, pver);
     pool_.flush_record(tid, e.addr);
     if (publish != nullptr)
       publish->nontx_store_cached(tid, htm::loc_pool(e.addr), pool_.word_ptr(e.addr), e.val,

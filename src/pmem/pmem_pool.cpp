@@ -5,9 +5,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
+#include <new>
 
 #include "htm/htm_tls.hpp"
 #include "pmem/crash_enum.hpp"
@@ -19,6 +20,25 @@ namespace nvhalt {
 namespace {
 inline void poll_crash(CrashCoordinator* c) {
   if (NVHALT_UNLIKELY(c != nullptr)) c->crash_point();
+}
+
+/// Owner-only counter bump: a relaxed load and store, no locked RMW.
+inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) {
+  c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
+double process_ticks_per_ns() {
+  static const double tpn = telemetry::calibrate_ticks_per_us() / 1000.0;
+  return tpn;
+}
+
+/// Spins for `ns` modelled nanoseconds on the TSC. Overshoots by at most
+/// one tick read.
+void spin_ticks(std::uint64_t ns, double ticks_per_ns) {
+  const auto ticks = static_cast<std::uint64_t>(std::ceil(static_cast<double>(ns) * ticks_per_ns));
+  const std::uint64_t start = telemetry::now_ticks();
+  while (telemetry::now_ticks() - start < ticks) {
+  }
 }
 }  // namespace
 
@@ -47,31 +67,41 @@ struct FileHeader {
 };
 }  // namespace
 
+void PmemPool::LineAlignedDelete::operator()(std::atomic<std::uint64_t>* p) const {
+  ::operator delete(p, std::align_val_t{kCacheLineBytes});
+}
+
+PmemPool::WordImage PmemPool::make_image(std::size_t n) {
+  auto* words = static_cast<std::atomic<std::uint64_t>*>(
+      ::operator new(n * sizeof(std::atomic<std::uint64_t>), std::align_val_t{kCacheLineBytes}));
+  // Zero every word now: touching the pages here keeps first-touch faults
+  // out of the first transactions.
+  for (std::size_t i = 0; i < n; ++i) ::new (&words[i]) std::atomic<std::uint64_t>(0);
+  return WordImage(words);
+}
+
 PmemPool::PmemPool(const PmemConfig& cfg) : cfg_(cfg) {
   if (cfg_.capacity_words < 2) throw TmLogicError("pool too small");
   const std::size_t raw_total = kPverHeaderWords + kRootHeaderWords + cfg_.raw_words;
   raw_lines_ = (raw_total + kWordsPerLine - 1) / kWordsPerLine;
   record_lines_ = (cfg_.capacity_words + 1) / 2;  // 2 records per line
   total_lines_ = raw_lines_ + record_lines_;
+  if (cfg_.flush_latency_ns != 0 || cfg_.fence_latency_ns != 0 ||
+      cfg_.nvm_store_latency_ns != 0)
+    ticks_per_ns_ = process_ticks_per_ns();
 
-  vmem_ = std::make_unique<std::atomic<word_t>[]>(cfg_.capacity_words);
-  for (std::size_t i = 0; i < cfg_.capacity_words; ++i)
-    vmem_[i].store(0, std::memory_order_relaxed);
+  vmem_ = make_image(cfg_.capacity_words);
 
   const std::size_t raw_words_padded = raw_lines_ * kWordsPerLine;
   const std::size_t rec_words = record_lines_ * kWordsPerLine;
-  raw_staged_ = std::make_unique<std::atomic<std::uint64_t>[]>(raw_words_padded);
-  rec_staged_ = std::make_unique<std::atomic<std::uint64_t>[]>(rec_words);
+  raw_staged_ = make_image(raw_words_padded);
+  rec_staged_ = make_image(rec_words);
 
   if (cfg_.backing_path.empty()) {
-    raw_durable_owned_ = std::make_unique<std::atomic<std::uint64_t>[]>(raw_words_padded);
-    rec_durable_owned_ = std::make_unique<std::atomic<std::uint64_t>[]>(rec_words);
+    raw_durable_owned_ = make_image(raw_words_padded);
+    rec_durable_owned_ = make_image(rec_words);
     raw_durable_ = raw_durable_owned_.get();
     rec_durable_ = rec_durable_owned_.get();
-    for (std::size_t i = 0; i < raw_words_padded; ++i)
-      raw_durable_[i].store(0, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < rec_words; ++i)
-      rec_durable_[i].store(0, std::memory_order_relaxed);
   } else {
     map_backing_file(raw_words_padded, rec_words);
   }
@@ -164,13 +194,6 @@ PmemPool::~PmemPool() {
   if (map_base_ != nullptr) ::munmap(map_base_, map_len_);
 }
 
-void PmemPool::spin_ns(std::uint64_t ns) const {
-  if (ns == 0) return;
-  const auto start = std::chrono::steady_clock::now();
-  const auto deadline = start + std::chrono::nanoseconds(ns);
-  while (std::chrono::steady_clock::now() < deadline) cpu_relax();
-}
-
 void PmemPool::journal_store(int tid, std::size_t line, std::size_t word_in_space, bool is_raw,
                              std::uint64_t value) {
   if (NVHALT_LIKELY(cfg_.journal == nullptr)) return;
@@ -201,8 +224,12 @@ void PmemPool::mark_store(std::size_t line, std::size_t word_in_space, bool is_r
   word_stamp_[global_word].store(stamp, std::memory_order_release);
 }
 
+void PmemPool::owe_store(int tid) {
+  bump(flush_queues_[tid].debt_ns, cfg_.nvm_store_latency_ns);
+}
+
 void PmemPool::record_write(int tid, gaddr_t a, word_t old_val, word_t new_val,
-                            std::uint64_t seq) {
+                            std::uint64_t pver) {
   poll_crash(crash_coord_);
   // Trinity write order within the record's cache line: old, pver, cur.
   // x86 guarantees same-line stores never persist out of order, which the
@@ -212,30 +239,29 @@ void PmemPool::record_write(int tid, gaddr_t a, word_t old_val, word_t new_val,
   rec_staged_[base + 1].store(old_val, std::memory_order_release);
   mark_store(line, base + 1, false);
   journal_store(tid, line, base + 1, false, old_val);
-  rec_staged_[base + 2].store(pack_pver(tid, seq), std::memory_order_release);
+  rec_staged_[base + 2].store(pver, std::memory_order_release);
   mark_store(line, base + 2, false);
-  journal_store(tid, line, base + 2, false, pack_pver(tid, seq));
+  journal_store(tid, line, base + 2, false, pver);
   rec_staged_[base + 0].store(new_val, std::memory_order_release);
   mark_store(line, base + 0, false);
   journal_store(tid, line, base + 0, false, new_val);
-  spin_ns(cfg_.nvm_store_latency_ns);
+  owe_store(tid);
 }
 
 bool PmemPool::enqueue_flush(int tid, std::size_t line) {
   FlushQueue& q = flush_queues_[tid];
   // O(1) enqueue-time dedup: a line already pending for this fence epoch
   // never enters the queue again, so fence() needs no sort+unique pass.
-  // The request is still journalled and counted (journal ordering and
-  // flush_count semantics predate the dedup change); only the coalesced
-  // physical write-back disappears, which is what flush_dedup_count_
-  // has always measured.
+  // The request is still journalled and counted; only the coalesced
+  // physical write-back disappears, which is what the dedup count
+  // measures.
   const bool fresh = q.pending.insert(line);
   if (fresh)
     q.lines.push_back(line);
   else
-    flush_dedup_count_.fetch_add(1, std::memory_order_relaxed);
+    bump(q.dedups, 1);
   journal_flush(tid, line);
-  flush_count_.fetch_add(1, std::memory_order_relaxed);
+  bump(q.flushes, 1);
   telemetry::trace1(telemetry::EventKind::kFlushEnqueue, tid, line);
   return fresh;
 }
@@ -275,7 +301,7 @@ void PmemPool::store_pver(int tid, std::uint64_t v) {
   raw_staged_[idx].store(v, std::memory_order_release);
   mark_store(raw_line_of(idx), idx, true);
   journal_store(tid, raw_line_of(idx), idx, true, v);
-  spin_ns(cfg_.nvm_store_latency_ns);
+  owe_store(tid);
 }
 
 void PmemPool::flush_pver(int tid) {
@@ -295,11 +321,9 @@ void PmemPool::store_root_persist(int tid, int slot, std::uint64_t v) {
   raw_staged_[idx].store(v, std::memory_order_release);
   mark_store(raw_line_of(idx), idx, true);
   journal_store(tid, raw_line_of(idx), idx, true, v);
-  spin_ns(cfg_.nvm_store_latency_ns);
-  if (flush_active()) {
-    enqueue_flush(tid, raw_line_of(idx));
-    fence(tid);
-  }
+  owe_store(tid);
+  if (flush_active()) enqueue_flush(tid, raw_line_of(idx));
+  fence(tid);
 }
 
 std::size_t PmemPool::alloc_raw(std::size_t n) {
@@ -320,15 +344,11 @@ std::uint64_t PmemPool::raw_load_durable(std::size_t idx) const {
   return raw_durable_[idx].load(std::memory_order_acquire);
 }
 
-void PmemPool::raw_store(std::size_t idx, std::uint64_t v) {
-  raw_store(0, idx, v);
-}
-
 void PmemPool::raw_store(int tid, std::size_t idx, std::uint64_t v) {
   raw_staged_[idx].store(v, std::memory_order_release);
   mark_store(raw_line_of(idx), idx, true);
   journal_store(tid, raw_line_of(idx), idx, true, v);
-  spin_ns(cfg_.nvm_store_latency_ns);
+  owe_store(tid);
 }
 
 void PmemPool::flush_raw(int tid, std::size_t idx) {
@@ -355,25 +375,40 @@ void PmemPool::persist_line(std::size_t line) {
 }
 
 void PmemPool::fence(int tid) {
-  if (!flush_active()) return;
-  poll_crash(crash_coord_);
   FlushQueue& fq = flush_queues_[tid];
   auto& q = fq.lines;
-  if (q.empty()) return;
-  // The queue is duplicate-free by construction (enqueue_flush dedups in
-  // O(1) and charges flush_dedup_count_), so fence cost is O(unique lines).
-  // Lines are written back in enqueue order, which is load-bearing: a crash
-  // mid-fence persists a queue-order prefix.
-  journal_fence(tid);
-  for (const std::size_t line : q) {
-    // A power failure can strike between individual line write-backs, so
-    // the random-trip tests must be able to crash mid-fence too, leaving
-    // a partially persisted fence behind.
+  bool wrote_back = false;
+  if (flush_active()) {
     poll_crash(crash_coord_);
-    persist_line(line);
+    // The queue is duplicate-free by construction (enqueue_flush dedups in
+    // O(1)), so fence cost is O(unique lines). Lines are written back in
+    // enqueue order, which is load-bearing: a crash mid-fence persists a
+    // queue-order prefix.
+    if (!q.empty()) {
+      journal_fence(tid);
+      for (const std::size_t line : q) {
+        // A power failure can strike between individual line write-backs,
+        // so the random-trip tests must be able to crash mid-fence too,
+        // leaving a partially persisted fence behind.
+        poll_crash(crash_coord_);
+        persist_line(line);
+      }
+      wrote_back = true;
+    }
   }
-  spin_ns(cfg_.flush_latency_ns * q.size() + cfg_.fence_latency_ns);
-  fence_count_.fetch_add(1, std::memory_order_relaxed);
+  // One spin bills the whole model: the stores made since the previous
+  // fence, then the write-backs. The caller's locks are held across both
+  // either way, so paying store latency here rather than per store leaves
+  // the lock-hold time unchanged.
+  std::uint64_t ns = fq.debt_ns.load(std::memory_order_relaxed);
+  if (wrote_back) ns += cfg_.flush_latency_ns * q.size() + cfg_.fence_latency_ns;
+  if (ns != 0) {
+    fq.debt_ns.store(0, std::memory_order_relaxed);
+    bump(fq.billed_ns, ns);
+    spin_ticks(ns, ticks_per_ns_);
+  }
+  if (!wrote_back) return;
+  bump(fq.fences, 1);
   fq.fence_lines.record(q.size());
   telemetry::trace1(telemetry::EventKind::kFence, tid, q.size());
   q.clear();
@@ -401,6 +436,17 @@ std::uint64_t PmemPool::image_hash() const {
   for (std::size_t i = 0; i < rec_words; ++i)
     mix(rec_durable_[i].load(std::memory_order_acquire));
   return h;
+}
+
+std::uint64_t PmemPool::sum_counter(std::atomic<std::uint64_t> FlushQueue::*counter) const {
+  std::uint64_t total = 0;
+  for (int t = 0; t < kMaxThreads; ++t)
+    total += (flush_queues_[t].*counter).load(std::memory_order_relaxed);
+  return total;
+}
+
+std::array<const void*, 5> PmemPool::image_bases() const {
+  return {vmem_.get(), raw_staged_.get(), rec_staged_.get(), raw_durable_, rec_durable_};
 }
 
 telemetry::PowHistogram PmemPool::fence_flush_hist() const {

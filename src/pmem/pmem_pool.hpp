@@ -22,9 +22,17 @@
 //    numbers, root pointers, and baseline (SPHT) logs.
 //
 // Simulated NVM latency knobs reproduce the *relative* cost of flush/fence
-// (ablation class 1) and of NVM-backed stores (ablation class 2).
+// (ablation class 1) and of NVM-backed stores (ablation class 2). The
+// persist path bills exactly that model and adds no cross-core traffic of
+// its own: every word image starts on a cache-line boundary, so one
+// simulated line is one real line; the flush, dedup, fence and billed-time
+// counters live in the calling thread's own flush queue; and a store only
+// records its latency as debt on that queue. `fence(tid)` pays the debt
+// plus flush_latency_ns per unique line plus fence_latency_ns in one spin
+// timed on the TSC (DESIGN.md Sec. 10, "Persist-path cost").
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -86,12 +94,14 @@ struct PmemConfig {
   /// exercised. Implies flush/fence are no-ops regardless of
   /// flushes_enabled.
   bool eadr = false;
-  /// Spin-delay applied per flushed line at the next fence, in nanoseconds.
+  /// Delay billed per unique flushed line at the next fence, in nanoseconds.
   std::uint64_t flush_latency_ns = 0;
-  /// Spin-delay applied per fence, in nanoseconds.
+  /// Delay billed per fence that writes back at least one line, in
+  /// nanoseconds.
   std::uint64_t fence_latency_ns = 0;
-  /// Spin-delay applied per store to the persistent (staged) region, in
-  /// nanoseconds. Zero models NO-NVRAM (DRAM-backed mapping).
+  /// Delay billed per store to the persistent (staged) region, in
+  /// nanoseconds; owed by the storing thread and paid at its next fence.
+  /// Zero models NO-NVRAM (DRAM-backed mapping).
   std::uint64_t nvm_store_latency_ns = 0;
   /// Track per-line store order so a crash can persist a *prefix* of a
   /// line's stores (needed by the crash adversary; costs memory/time).
@@ -131,9 +141,11 @@ class PmemPool {
 
   // ---- Persistent records (Trinity layout) ---------------------------
   /// Writes the record for word `a` in Trinity order (old, pver, cur) into
-  /// the staged persistent image and marks its line dirty. The caller must
-  /// hold the word's lock (all call sites do). Does NOT flush.
-  void record_write(int tid, gaddr_t a, word_t old_val, word_t new_val, std::uint64_t seq);
+  /// the staged persistent image and marks its line dirty. `pver` is the
+  /// packed stamp (pack_pver) the record carries; `tid` is the calling
+  /// thread, which journals the stores and owes their latency. The caller
+  /// must hold the word's lock (all call sites do). Does NOT flush.
+  void record_write(int tid, gaddr_t a, word_t old_val, word_t new_val, std::uint64_t pver);
 
   /// Queues the line holding word `a`'s record for write-back at the
   /// caller's next fence (clflushopt/clwb equivalent).
@@ -178,9 +190,8 @@ class PmemPool {
   std::size_t alloc_raw(std::size_t n);
   std::uint64_t raw_load(std::size_t idx) const;
   std::uint64_t raw_load_durable(std::size_t idx) const;
-  void raw_store(std::size_t idx, std::uint64_t v);
-  /// As above, but journals the store under the writing thread's tid so
-  /// concurrent raw writers (e.g. allocator metadata) attribute correctly.
+  /// Stores into the staged raw word. `tid` is the writing thread: the
+  /// journal attributes the store to it and it owes the store latency.
   void raw_store(int tid, std::size_t idx, std::uint64_t v);
   void flush_raw(int tid, std::size_t idx);
 
@@ -191,7 +202,10 @@ class PmemPool {
 
   // ---- Ordering --------------------------------------------------------
   /// sfence: blocks until all lines the calling thread flushed since its
-  /// previous fence are durable.
+  /// previous fence are durable. Bills, in one spin, the thread's store
+  /// debt plus flush_latency_ns per unique line and fence_latency_ns when
+  /// it wrote back any line. With flushes disabled or eADR on it writes
+  /// back nothing and bills only the store debt.
   void fence(int tid);
 
   /// Convenience: flush the record line of `a` and fence (recovery).
@@ -225,24 +239,32 @@ class PmemPool {
   /// Global persistent word index of word `a`'s record (4 words/record).
   std::size_t record_word_base(gaddr_t a) const { return raw_space_words() + a * 4; }
 
-  /// Number of fences executed (test observability).
-  std::uint64_t fence_count() const { return fence_count_.load(std::memory_order_relaxed); }
-  std::uint64_t flush_count() const { return flush_count_.load(std::memory_order_relaxed); }
+  // Counters, summed over the per-thread flush queues. Each thread bumps
+  // only its own, so they add no shared cache line to the persist path;
+  // the sums are exact once the counted threads are quiescent.
+  /// Fences that wrote back at least one line.
+  std::uint64_t fence_count() const { return sum_counter(&FlushQueue::fences); }
+  /// Flush requests, duplicates included.
+  std::uint64_t flush_count() const { return sum_counter(&FlushQueue::flushes); }
   /// Flush requests coalesced away because an earlier flush in the same
   /// fence epoch already covered the line (e.g. two Trinity records
-  /// sharing one cache line). Counted at enqueue time since fence
-  /// coalescing became O(1) (the duplicate never enters the queue); the
-  /// per-epoch totals match the former at-fence attribution. Each deduped
-  /// line saves one flush_latency_ns charge and one staged->durable copy.
-  std::uint64_t flush_dedup_count() const {
-    return flush_dedup_count_.load(std::memory_order_relaxed);
-  }
+  /// sharing one cache line). Counted at enqueue time (the duplicate never
+  /// enters the queue). Each deduped line saves one flush_latency_ns
+  /// charge and one staged->durable copy.
+  std::uint64_t flush_dedup_count() const { return sum_counter(&FlushQueue::dedups); }
+  /// Modelled NVM nanoseconds the fences have billed: store debt plus
+  /// flush and fence latency. Each fence spins for at least its bill.
+  std::uint64_t billed_ns() const { return sum_counter(&FlushQueue::billed_ns); }
 
   /// Histogram of unique lines written back per fence, merged over all
   /// per-thread queues. Each queue's histogram is written only by the
   /// fencing thread, so call this quiescently (same contract as the TM
   /// stats accessors).
   telemetry::PowHistogram fence_flush_hist() const;
+
+  /// Start addresses of the five word images: volatile, raw staged,
+  /// record staged, raw durable, record durable. Each is line-aligned.
+  std::array<const void*, 5> image_bases() const;
 
   /// FNV-1a digest over the volatile, staged and durable images (in that
   /// order). Quiescent-only; used by the parallel-recovery determinism
@@ -281,25 +303,38 @@ class PmemPool {
   void map_backing_file(std::size_t raw_words_padded, std::size_t rec_words);
   void persist_line(std::size_t line);          // staged -> durable, whole line
   void persist_line_prefix(std::size_t line, Xoshiro256& rng);  // adversary
-  void spin_ns(std::uint64_t ns) const;
+  /// Adds one store's latency to tid's debt.
+  void owe_store(int tid);
+
+  /// Frees a word image allocated on a cache-line boundary.
+  struct LineAlignedDelete {
+    void operator()(std::atomic<std::uint64_t>* p) const;
+  };
+  using WordImage = std::unique_ptr<std::atomic<std::uint64_t>[], LineAlignedDelete>;
+  /// Allocates `n` zeroed words starting on a cache-line boundary.
+  static WordImage make_image(std::size_t n);
 
   PmemConfig cfg_;
   std::size_t raw_lines_;
   std::size_t record_lines_;
   std::size_t total_lines_;
+  /// TSC ticks per nanosecond, calibrated once per process (0 when every
+  /// latency knob is zero and nothing is ever billed).
+  double ticks_per_ns_ = 0.0;
 
-  std::unique_ptr<std::atomic<word_t>[]> vmem_;
+  WordImage vmem_;
 
   // Staged and durable persistent images. Stored as atomics for defined
   // concurrent access; persistence operates on 64-bit words.
   // Durable images are atomics too: distinct transactions may fence the
   // same cache line concurrently (two records share a line), so the
   // staged->durable copy must be race-free word-wise. They either live in
-  // owned heap storage (default) or inside the mapped backing file.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> raw_staged_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> rec_staged_;  // 4 words/record
-  std::unique_ptr<std::atomic<std::uint64_t>[]> raw_durable_owned_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> rec_durable_owned_;
+  // owned heap storage (default) or inside the mapped backing file (whose
+  // payload starts on a page boundary).
+  WordImage raw_staged_;
+  WordImage rec_staged_;  // 4 words/record
+  WordImage raw_durable_owned_;
+  WordImage rec_durable_owned_;
   std::atomic<std::uint64_t>* raw_durable_ = nullptr;
   std::atomic<std::uint64_t>* rec_durable_ = nullptr;
 
@@ -316,17 +351,26 @@ class PmemPool {
   // Per-thread flush queues (lines awaiting the next fence). `lines` is
   // kept duplicate-free at enqueue time via `pending` (an O(1)
   // generation-stamped probe per flush), so fence() is O(unique lines) —
-  // no sort+unique pass. Owner-thread only.
+  // no sort+unique pass. Owner-thread only, counters included: the owner
+  // bumps them with a relaxed load and store (no locked RMW), and the
+  // accessors above sum them.
   struct alignas(kCacheLineBytes) FlushQueue {
     std::vector<std::size_t> lines;
     htm::SmallSet pending;  // lines currently queued
+    /// Store latency owed at the next fence, in nanoseconds.
+    std::atomic<std::uint64_t> debt_ns{0};
+    std::atomic<std::uint64_t> flushes{0};
+    std::atomic<std::uint64_t> dedups{0};
+    std::atomic<std::uint64_t> fences{0};
+    std::atomic<std::uint64_t> billed_ns{0};
     /// Unique lines written back per fence (telemetry; owner-thread only).
     telemetry::PowHistogram fence_lines;
   };
+  std::uint64_t sum_counter(std::atomic<std::uint64_t> FlushQueue::*counter) const;
 
-  /// Enqueues `line` on tid's flush queue unless already pending, charging
-  /// flush_count_/journal/trace for the request either way and
-  /// flush_dedup_count_ when it was a duplicate. Returns newly-queued.
+  /// Enqueues `line` on tid's flush queue unless already pending, counting
+  /// the request and journalling/tracing it either way and counting a
+  /// dedup when it was a duplicate. Returns newly-queued.
   bool enqueue_flush(int tid, std::size_t line);
   std::unique_ptr<FlushQueue[]> flush_queues_;
 
@@ -336,13 +380,6 @@ class PmemPool {
   std::size_t root_raw_base_;  // raw index of root slot 0
 
   class CrashCoordinator* crash_coord_ = nullptr;
-
-  // Every flushing and fencing thread bumps these. Keep them on their own
-  // line, clear of the read-mostly pointers above that every persistent
-  // operation reads, or each bump stalls the other threads' next access.
-  alignas(kCacheLineBytes) std::atomic<std::uint64_t> fence_count_{0};
-  std::atomic<std::uint64_t> flush_count_{0};
-  std::atomic<std::uint64_t> flush_dedup_count_{0};
 };
 
 }  // namespace nvhalt

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 namespace nvhalt::telemetry {
 
@@ -46,12 +47,31 @@ const char* event_kind_name(EventKind k) {
   return "unknown";
 }
 
+namespace {
+/// A steady_clock reading and the tick count at that instant: the midpoint
+/// of two tick reads around the clock read, from the tightest of a few
+/// tries, so a preemption between the reads cannot skew the pair.
+std::pair<std::chrono::steady_clock::time_point, std::uint64_t> clock_and_ticks() {
+  std::chrono::steady_clock::time_point t{};
+  std::uint64_t ticks = 0, gap = ~std::uint64_t{0};
+  for (int i = 0; i < 5; ++i) {
+    const std::uint64_t c0 = now_ticks();
+    const auto now = std::chrono::steady_clock::now();
+    const std::uint64_t c1 = now_ticks();
+    if (c1 - c0 < gap) {
+      gap = c1 - c0;
+      t = now;
+      ticks = c0 + gap / 2;
+    }
+  }
+  return {t, ticks};
+}
+}  // namespace
+
 double calibrate_ticks_per_us() {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t c0 = now_ticks();
+  const auto [t0, c0] = clock_and_ticks();
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  const std::uint64_t c1 = now_ticks();
-  const auto t1 = std::chrono::steady_clock::now();
+  const auto [t1, c1] = clock_and_ticks();
   const double us =
       std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(t1 - t0)
           .count();

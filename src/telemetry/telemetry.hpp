@@ -70,7 +70,8 @@ inline std::uint64_t now_ticks() {
 }
 
 /// Measures ticks per microsecond against steady_clock over ~2 ms. Used by
-/// exporters only — never on a transaction path.
+/// exporters and once per process by PmemPool's latency billing — never on
+/// a transaction path.
 double calibrate_ticks_per_us();
 
 enum class EventKind : std::uint8_t {

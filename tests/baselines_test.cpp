@@ -12,6 +12,7 @@
 #include "baselines/spht/spht_log.hpp"
 #include "baselines/spht/spht_tm.hpp"
 #include "baselines/trinity/trinity_tm.hpp"
+#include "pmem/crash_enum.hpp"
 #include "test_helpers.hpp"
 
 namespace nvhalt {
@@ -204,6 +205,27 @@ TEST(SphtLog, RecordsAreDurableOnlyAsWholeUnits) {
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].ts, 3u);
   EXPECT_EQ(recs[0].writes[0].second, 100u);
+}
+
+TEST(SphtLog, AppendJournalsUnderTheAppendingThread) {
+  // Crash traces attribute each log record and head store to the thread
+  // that appended it, and that thread's fences persist them.
+  PersistJournal journal;
+  PmemConfig pc;
+  pc.capacity_words = 1 << 12;
+  pc.raw_words = 1 << 12;
+  pc.journal = &journal;
+  PmemPool pool(pc);
+  SphtLog log(pool, /*nthreads=*/2, /*words_per_thread=*/256);
+  journal.clear();
+  std::vector<std::pair<gaddr_t, word_t>> w{{10, 100}, {11, 110}, {12, 120}};
+  ASSERT_TRUE(log.append(1, /*ts=*/5, w));
+  std::size_t stores = 0;
+  for (const PersistEvent& ev : journal.events()) {
+    EXPECT_EQ(ev.tid, 1) << "event kind " << static_cast<int>(ev.kind);
+    stores += ev.kind == PersistEventKind::kStore;
+  }
+  EXPECT_EQ(stores, 2 + 2 * w.size() + 1);  // [ts][n][addr val]*, then the head
 }
 
 // ---- SPHT ----------------------------------------------------------------

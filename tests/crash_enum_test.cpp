@@ -348,7 +348,7 @@ TEST(CrashJournalTest, FenceCrashCanLeavePartiallyPersistedQueue) {
 
     const std::size_t base = pool.alloc_raw(kLines * kWordsPerLine);
     for (std::size_t k = 0; k < kLines; ++k) {
-      pool.raw_store(base + k * kWordsPerLine, k + 1);
+      pool.raw_store(0, base + k * kWordsPerLine, k + 1);
       pool.flush_raw(0, base + k * kWordsPerLine);
     }
 

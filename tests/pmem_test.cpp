@@ -1,11 +1,16 @@
 // Unit tests for the simulated persistent memory pool: flush/fence
 // semantics, Trinity record layout, crash adversary (spontaneous
-// write-back with same-line store ordering), and the crash coordinator.
+// write-back with same-line store ordering), the crash coordinator, and
+// the persist path's billing and per-thread counters.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -39,7 +44,7 @@ TEST(PmemPool, VolatileImageStartsZeroAndStores) {
 
 TEST(PmemPool, RecordWriteStagesTrinityFields) {
   PmemPool pool(small_cfg());
-  pool.record_write(/*tid=*/3, /*a=*/7, /*old=*/10, /*new=*/20, /*seq=*/5);
+  pool.record_write(/*tid=*/3, /*a=*/7, /*old=*/10, /*new=*/20, pack_pver(3, 5));
   const PRecord r = pool.read_record(7);
   EXPECT_EQ(r.cur, 20u);
   EXPECT_EQ(r.old, 10u);
@@ -61,7 +66,7 @@ TEST(PmemPool, UnfencedRecordIsNotDurable) {
 TEST(PmemPool, FenceOnlyCoversOwnThreadsFlushes) {
   PmemPool pool(small_cfg());
   pool.record_write(0, 7, 0, 20, 1);
-  pool.record_write(1, 9, 0, 30, 1);
+  pool.record_write(1, 9, 0, 30, pack_pver(1, 1));
   pool.flush_record(0, 7);
   pool.flush_record(1, 9);
   pool.fence(0);
@@ -194,7 +199,7 @@ TEST(PmemPool, RawRegionAllocAndPersistence) {
   const std::size_t idx2 = pool.alloc_raw(4);
   EXPECT_NE(idx, idx2);
   EXPECT_EQ(idx % kWordsPerLine, 0u);  // line aligned
-  pool.raw_store(idx, 77);
+  pool.raw_store(0, idx, 77);
   EXPECT_EQ(pool.raw_load(idx), 77u);
   EXPECT_EQ(pool.raw_load_durable(idx), 0u);
   pool.flush_raw(0, idx);
@@ -230,7 +235,7 @@ TEST(PmemPool, EmptyQueueFenceIsANoOp) {
   EXPECT_EQ(pool.fence_count(), 0u);
   EXPECT_EQ(pool.fence_flush_hist().count(), 0u);
   // A flush on another thread's queue does not give tid 0 anything to fence.
-  pool.record_write(1, 3, 0, 1, 1);
+  pool.record_write(1, 3, 0, 1, pack_pver(1, 1));
   pool.flush_record(1, 3);
   pool.fence(0);
   EXPECT_EQ(pool.fence_count(), 0u);
@@ -246,6 +251,161 @@ TEST(PmemPool, DisabledFlushesAreNoOpsAndCrashIsRejected) {
   pool.fence(0);
   EXPECT_EQ(pool.fence_count(), 0u);
   EXPECT_THROW(pool.crash(CrashPolicy{}), TmLogicError);
+}
+
+bool line_aligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % kCacheLineBytes == 0;
+}
+
+TEST(PmemPool, WordImagesAreLineAligned) {
+  // 2^16 words and up is where unaligned heap images started 16 bytes past
+  // a line boundary, splitting every simulated line over two real ones.
+  for (const std::size_t words : {std::size_t{1} << 12, std::size_t{1} << 16, std::size_t{1} << 18}) {
+    PmemConfig cfg = small_cfg(false);
+    cfg.capacity_words = words;
+    cfg.raw_words = words;
+    PmemPool pool(cfg);
+    for (const void* base : pool.image_bases()) EXPECT_TRUE(line_aligned(base)) << words;
+  }
+}
+
+PmemConfig billed_cfg() {
+  PmemConfig cfg = small_cfg(false);
+  cfg.nvm_store_latency_ns = 50;
+  cfg.flush_latency_ns = 150;
+  cfg.fence_latency_ns = 80;
+  return cfg;
+}
+
+TEST(PmemBilling, FenceBillsStoresUniqueLinesAndOneFence) {
+  const PmemConfig cfg = billed_cfg();
+  PmemPool pool(cfg);
+  const std::size_t raw = pool.alloc_raw(1);
+  // Five stores: records 2 and 3 share a line, record 8 has its own.
+  pool.record_write(0, 2, 0, 20, 1);
+  pool.record_write(0, 3, 0, 30, 1);
+  pool.record_write(0, 8, 0, 80, 1);
+  pool.store_pver(0, 1);
+  pool.raw_store(0, raw, 7);
+  EXPECT_EQ(pool.billed_ns(), 0u);  // stores only owe their latency
+  // Five flush requests over four unique lines.
+  pool.flush_record(0, 2);
+  pool.flush_record(0, 3);
+  pool.flush_record(0, 8);
+  pool.flush_pver(0);
+  pool.flush_raw(0, raw);
+  pool.fence(0);
+  EXPECT_EQ(pool.billed_ns(),
+            5 * cfg.nvm_store_latency_ns + 4 * cfg.flush_latency_ns + cfg.fence_latency_ns);
+  EXPECT_EQ(pool.fence_count(), 1u);
+  EXPECT_EQ(pool.flush_count(), 5u);
+  EXPECT_EQ(pool.flush_dedup_count(), 1u);
+}
+
+TEST(PmemBilling, DuplicateFlushAddsNoTimeAndAnIdleFenceBillsNothing) {
+  const PmemConfig cfg = billed_cfg();
+  PmemPool pool(cfg);
+  pool.record_write(0, 7, 0, 20, 1);
+  pool.flush_record(0, 7);
+  pool.flush_record(0, 7);
+  pool.fence(0);
+  const std::uint64_t one_line =
+      cfg.nvm_store_latency_ns + cfg.flush_latency_ns + cfg.fence_latency_ns;
+  EXPECT_EQ(pool.billed_ns(), one_line);
+  pool.fence(0);  // no debt, nothing queued
+  EXPECT_EQ(pool.billed_ns(), one_line);
+  EXPECT_EQ(pool.fence_count(), 1u);
+  // Store debt alone is paid by the next fence, which writes back nothing
+  // and so bills no fence latency and counts no fence.
+  pool.store_pver(0, 2);
+  pool.fence(0);
+  EXPECT_EQ(pool.billed_ns(), one_line + cfg.nvm_store_latency_ns);
+  EXPECT_EQ(pool.fence_count(), 1u);
+}
+
+TEST(PmemBilling, WithoutFlushesAFenceBillsOnlyStoreDebt) {
+  for (const bool eadr : {false, true}) {
+    PmemConfig cfg = billed_cfg();
+    cfg.flushes_enabled = eadr;  // eADR ignores it; otherwise flushes are off
+    cfg.eadr = eadr;
+    PmemPool pool(cfg);
+    pool.record_write(0, 2, 0, 20, 1);
+    pool.record_write(0, 8, 0, 80, 1);
+    pool.store_pver(0, 1);
+    pool.flush_record(0, 2);
+    pool.flush_record(0, 8);
+    pool.flush_pver(0);
+    pool.fence(0);
+    EXPECT_EQ(pool.billed_ns(), 3 * cfg.nvm_store_latency_ns) << "eadr=" << eadr;
+    EXPECT_EQ(pool.fence_count(), 0u) << "eadr=" << eadr;
+    EXPECT_EQ(pool.flush_count(), 0u) << "eadr=" << eadr;
+  }
+}
+
+TEST(PmemBilling, EachFenceTakesAtLeastItsBill) {
+  PmemConfig cfg = small_cfg(false);
+  cfg.nvm_store_latency_ns = 1000;
+  cfg.flush_latency_ns = 2000;
+  cfg.fence_latency_ns = 3000;
+  PmemPool pool(cfg);
+  for (std::uint64_t i = 1; i <= 20; ++i) {
+    pool.record_write(0, 2, 0, i, i);
+    pool.record_write(0, 8, 0, i, i);
+    pool.flush_record(0, 2);
+    pool.flush_record(0, 8);
+    const std::uint64_t billed0 = pool.billed_ns();
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.fence(0);
+    const auto wall = std::chrono::steady_clock::now() - t0;
+    const std::uint64_t bill = pool.billed_ns() - billed0;
+    EXPECT_EQ(bill, 2 * cfg.nvm_store_latency_ns + 2 * cfg.flush_latency_ns +
+                        cfg.fence_latency_ns);
+    EXPECT_GE(std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count(),
+              static_cast<std::int64_t>(bill))
+        << "fence " << i;
+  }
+}
+
+TEST(PmemConcurrency, PerThreadCountersSumExactly) {
+  // Four threads write, flush and fence their own lines at once; the
+  // summed counters must come out exact.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kIters = 2000;
+  constexpr gaddr_t kLinesPerThread = 32;
+  PmemConfig cfg = small_cfg(false);
+  cfg.nvm_store_latency_ns = 1;
+  cfg.flush_latency_ns = 2;
+  cfg.fence_latency_ns = 3;
+  PmemPool pool(cfg);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &ready, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (std::uint64_t i = 1; i <= kIters; ++i) {
+        // Both records of one of this thread's lines: one flush dedups.
+        const gaddr_t a = 2 * (static_cast<gaddr_t>(t) * kLinesPerThread + i % kLinesPerThread);
+        pool.record_write(t, a, 0, i, pack_pver(t, i));
+        pool.record_write(t, a + 1, 0, i, pack_pver(t, i));
+        pool.flush_record(t, a);
+        pool.flush_record(t, a + 1);
+        pool.store_pver(t, i);
+        pool.flush_pver(t);
+        pool.fence(t);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const std::uint64_t fences = kThreads * kIters;
+  EXPECT_EQ(pool.fence_count(), fences);
+  EXPECT_EQ(pool.flush_count(), 3 * fences);
+  EXPECT_EQ(pool.flush_dedup_count(), fences);
+  EXPECT_EQ(pool.billed_ns(), fences * (3 * cfg.nvm_store_latency_ns +
+                                        2 * cfg.flush_latency_ns + cfg.fence_latency_ns));
+  EXPECT_EQ(pool.fence_flush_hist().count(), fences);
+  EXPECT_EQ(pool.fence_flush_hist().sum(), 2 * fences);
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(pool.load_pver(t), kIters);
 }
 
 TEST(PmemPool, RevertRecordRestoresOldValue) {
@@ -269,7 +429,7 @@ TEST(PmemInspector, ReportsInFlightAndDurability) {
 
   // An in-flight write (pver not yet advanced): counted as in-flight and
   // not durable.
-  pool.record_write(/*tid=*/2, /*a=*/7, /*old=*/0, /*new=*/9, /*seq=*/0);
+  pool.record_write(/*tid=*/2, /*a=*/7, /*old=*/0, /*new=*/9, pack_pver(2, 0));
   r = inspector.scan();
   EXPECT_EQ(r.touched_records, 1u);
   EXPECT_EQ(r.in_flight_records, 1u);
@@ -342,6 +502,11 @@ TEST_F(FileBackedPmemTest, UnfencedStateDoesNotSurviveRestart) {
     EXPECT_TRUE(pool.attached_existing());
     EXPECT_EQ(pool.read_record(7).cur, 0u);
   }
+}
+
+TEST_F(FileBackedPmemTest, MappedImagesAreLineAligned) {
+  PmemPool pool(file_cfg());
+  for (const void* base : pool.image_bases()) EXPECT_TRUE(line_aligned(base));
 }
 
 TEST_F(FileBackedPmemTest, GeometryMismatchIsRejected) {

@@ -27,7 +27,7 @@ class RecoveryUnitTest : public ::testing::Test {
   void persist_txn(int tid, std::initializer_list<std::pair<gaddr_t, word_t>> writes,
                    std::uint64_t seq, bool bump_pver) {
     for (const auto& [a, v] : writes) {
-      pool_->record_write(tid, a, pool_->read_record(a).cur, v, seq);
+      pool_->record_write(tid, a, pool_->read_record(a).cur, v, pack_pver(tid, seq));
       pool_->flush_record(tid, a);
     }
     pool_->fence(tid);
