@@ -307,9 +307,9 @@ std::vector<Invariant> mixed_invariants() {
   };
 }
 
-/// NV-HALT variants route read-mostly commits through the RO engines.
+/// NV-HALT variants route read-mostly commits through the RO engine.
 Invariant ro_routing(bool at_t2) {
-  return {std::string("NV-HALT routes most 99ro/95ro commits through the RO engines") +
+  return {std::string("NV-HALT routes most 99ro/95ro commits through the RO engine") +
               (at_t2 ? " (t2)" : " (t1/t4)"),
           [at_t2](const Dims& d, const MetricView& m) {
             const std::string wl = dim(d, "workload");
@@ -317,7 +317,7 @@ Invariant ro_routing(bool at_t2) {
                 (dim(d, "threads") == "2") != at_t2 || m("commits") <= 0)
               return std::string();
             return unless(m("ro_commits") * 2 > m("commits"),
-                          "RO engines took " + num(m("ro_commits")) + " of " +
+                          "RO engine took " + num(m("ro_commits")) + " of " +
                               num(m("commits")) + " commits");
           },
           /*advisory=*/!at_t2};
@@ -480,7 +480,7 @@ Sample measure_hotpath(const Dims& d, int iters) {
   cfg.pmem.capacity_words = std::size_t{1} << 18;
   cfg.spht.max_threads = 2;
   cfg.spht.log_words_per_thread = std::size_t{1} << 14;
-  if (engine == "sw" || config == "htm-off") cfg.nvhalt.htm_attempts = 0;
+  if (engine == "sw") cfg.nvhalt.htm_attempts = 0;
   cfg.nvhalt.hw_read_check_locks = config != "no-lock-checks";
   cfg.nvhalt.validate_every_read = config == "every-read";
   cfg.nvhalt.persist_hw_txns = config != "no-persist";
@@ -502,7 +502,7 @@ Sample measure_hotpath(const Dims& d, int iters) {
         sink += tx.read(arr + i);
     }
   };
-  // Only the ro cells hint their pure-read bodies onto the RO engines.
+  // Only the ro cells hint their pure-read bodies onto the RO engine.
   const TxMode mode = engine == "ro" ? TxMode::kReadOnly : TxMode::kUpdate;
   for (int i = 0; i < 16; ++i) tm.run(0, mode, body);  // warm up
   tm.reset_stats();
@@ -556,8 +556,7 @@ SweepSpec hotpath_sweep() {
   add("hw", "NV-HALT", "write", {"1"}, "flush-500");
   add("sw", "NV-HALT", "read", {"8", "32", "64", "128", "256"}, "default");
   add("sw", "NV-HALT", "read", {"8", "32", "64", "128", "256"}, "every-read");
-  add("ro", "NV-HALT", "read", {"8", "64"}, "default");
-  add("ro", "NV-HALT", "read", {"8", "32", "128", "256"}, "htm-off");
+  add("ro", "NV-HALT", "read", {"8", "32", "64", "128", "256"}, "default");
   add("Trinity", "Trinity", "read", {"8", "32", "128"}, "default");
   add("hw", "SPHT", "write", {"1"}, "default");
   add("hw", "SPHT", "write", {"1"}, "no-persist");

@@ -43,7 +43,7 @@ int main() {
   });
 
   // Read-only transactions pass the TxMode::kReadOnly hint, which sends
-  // them to NV-HALT's read-only engines (no locks, no NVM traffic). Without
+  // them to NV-HALT's read-only engine (no locks, no NVM traffic). Without
   // the hint a transaction takes the general path, however little it does.
   word_t value = 0;
   tm.run(tid, TxMode::kReadOnly, [&](Tx& tx) { value = tx.read(counter); });

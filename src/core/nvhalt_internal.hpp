@@ -71,7 +71,6 @@ struct alignas(kCacheLineBytes) NvHaltTm::ThreadCtx : runtime::TxThreadState {
   /// read (the pre-image every later validation compares against).
   struct RoEnt {
     std::atomic<std::uint64_t>* lock_s;
-    htm::LocId lock_loc;
     std::uint64_t seen_s;
   };
   std::vector<RoEnt> ro_set;
@@ -111,16 +110,12 @@ struct alignas(kCacheLineBytes) NvHaltTm::ThreadCtx : runtime::TxThreadState {
   }
 };
 
-/// Thrown by the read-only software engine when the body writes (or
+/// Thrown by the read-only snapshot engine when the body writes (or
 /// allocates/frees): the attempt is abandoned and the transaction rerouted
 /// to the general path. Internal control flow, never escapes the TM.
 struct TxRoDemote {};
 
 /// xabort code used by the hardware path when it encounters a foreign lock.
 inline constexpr std::uint8_t kHwLockedAbortCode = 0x7C;
-
-/// xabort code used by the read-only hardware engine when the body writes:
-/// the transaction must be demoted to the general path, not retried here.
-inline constexpr std::uint8_t kRoDemoteAbortCode = 0x7D;
 
 }  // namespace nvhalt

@@ -132,14 +132,13 @@ class NvHaltTm final : public runtime::TmRuntime {
   bool attempt_hw_once(int tid, TxBody body);
   bool attempt_sw_once(int tid, TxBody body);
 
-  /// Outcome of one read-only fast-path attempt (the RO engines never
-  /// throw to the caller; demotion/abort is folded into the result).
+  /// Outcome of one read-only fast-path attempt (the snapshot engine never
+  /// throws to the caller; demotion/abort is folded into the result).
   enum class RoAttemptOutcome { kCommitted, kAborted, kDemoted, kUserAborted };
 
   /// Exposed for scripted counterexample tests: run exactly one read-only
-  /// snapshot (resp. invisible-reader hardware) attempt.
+  /// snapshot attempt.
   RoAttemptOutcome attempt_ro_sw_once(int tid, TxBody body);
-  RoAttemptOutcome attempt_ro_hw_once(int tid, TxBody body);
 
  protected:
   /// The unified retry loop (runtime/retry_policy.hpp) with this TM's
@@ -155,7 +154,6 @@ class NvHaltTm final : public runtime::TmRuntime {
   friend class NvHaltSwTx;
   friend class NvHaltHwTx;
   friend class NvHaltRoSwTx;
-  friend class NvHaltRoHwTx;
 
   struct ThreadCtx;
 
@@ -163,22 +161,20 @@ class NvHaltTm final : public runtime::TmRuntime {
   AttemptResult attempt_hw(int tid, TxBody body);
   AttemptResult attempt_sw(int tid, TxBody body);
 
-  /// Read-only fast-path engines (core/ro_path.cpp). attempt_ro_sw is the
+  /// Read-only fast path (core/ro_path.cpp). attempt_ro_sw is one
   /// TL2-style snapshot attempt (zero lock acquisitions, zero journal
-  /// traffic); attempt_ro_hw is the invisible-reader hardware attempt
-  /// (deferred lock-word validation). run_ro sequences a fixed number of
-  /// each and reports kDemoted when all are exhausted (or the body turned
+  /// traffic, no hardware transaction). run_ro makes a fixed number of
+  /// them and reports kDemoted when all are exhausted (or the body turned
   /// out to write).
   RoAttemptOutcome attempt_ro_sw(int tid, TxBody body);
-  RoAttemptOutcome attempt_ro_hw(int tid, TxBody body);
   RoAttemptOutcome run_ro(int tid, TxBody body);
 
   NvHaltConfig cfg_;
   /// NV-HALT-SP (Fig. 7) rather than the weak-progressive protocol.
   const bool strong_;
-  /// Whether TxMode::kReadOnly reaches the RO engines. Their validation
+  /// Whether TxMode::kReadOnly reaches the snapshot engine. Its validation
   /// leans on the production locking discipline (hardware writers acquire,
-  /// and hold through persistence, the locks the RO engines validate
+  /// and hold through persistence, the locks the snapshot engine validates
   /// against), and validate_every_read exists to measure the general
   /// software path, so the ablation and counterexample configurations
   /// send every transaction down the general loop.

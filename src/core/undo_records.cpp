@@ -32,7 +32,7 @@ std::uint64_t revert_words(PmemPool& pool, const std::uint64_t* durable_pver, in
     PRecord r = pool.read_record(a);
     if (pver_seq(r.pver) >= durable_pver[pver_tid(r.pver)] && r.cur != r.old &&
         (skip_nth < 0 || seen++ != skip_nth)) {
-      pool.revert_record(a);
+      pool.revert_record(tid, a);
       pool.flush_record(tid, a);
       r.cur = r.old;
       ++n;

@@ -282,13 +282,14 @@ PRecord PmemPool::read_durable_record(gaddr_t a) const {
   return r;
 }
 
-void PmemPool::revert_record(gaddr_t a) {
+void PmemPool::revert_record(int tid, gaddr_t a) {
   const std::size_t line = record_line_of(a);
   const std::size_t base = a * 4;
   const std::uint64_t old_val = rec_staged_[base + 1].load(std::memory_order_acquire);
   rec_staged_[base + 0].store(old_val, std::memory_order_release);
   mark_store(line, base + 0, false);
-  journal_store(0, line, base + 0, false, old_val);
+  journal_store(tid, line, base + 0, false, old_val);
+  owe_store(tid);
 }
 
 std::uint64_t PmemPool::load_pver(int tid) const {

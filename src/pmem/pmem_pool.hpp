@@ -166,8 +166,9 @@ class PmemPool {
   PRecord read_durable_record(gaddr_t a) const;
 
   /// Recovery-time revert: sets record.cur = record.old in the staged image
-  /// and marks the line dirty (callers flush + fence afterwards).
-  void revert_record(gaddr_t a);
+  /// and marks the line dirty. `tid` is the recovery worker, which journals
+  /// the store, owes its latency and flushes + fences afterwards.
+  void revert_record(int tid, gaddr_t a);
 
   // ---- Per-thread persistent version numbers --------------------------
   std::uint64_t load_pver(int tid) const;

@@ -112,7 +112,7 @@ TEST(BenchEngine, CheckFailsOnEveryPlantedFaultAndNamesSweepAndCell) {
        [](BenchFile&, Cell& c) { c.metrics["lock_stripes"] = {0, 0}; }},
       {"grid", "hot-stripe score", trinity,
        [](BenchFile&, Cell& c) { c.metrics["hot3_score"].best += 1; }},
-      {"grid", "NV-HALT routes most 99ro/95ro commits through the RO engines (t2)", grid_t2,
+      {"grid", "NV-HALT routes most 99ro/95ro commits through the RO engine (t2)", grid_t2,
        [](BenchFile&, Cell& c) { c.metrics["ro_commits"] = {50, 50}; }},
       {"grid", "Trinity and SPHT take no RO commits", trinity,
        [](BenchFile&, Cell& c) { c.metrics["ro_commits"] = {3, 3}; }},

@@ -14,6 +14,7 @@
 
 #include <unistd.h>
 
+#include "pmem/crash_enum.hpp"
 #include "pmem/crash_sim.hpp"
 #include "pmem/pmem_inspector.hpp"
 #include "pmem/pmem_pool.hpp"
@@ -409,12 +410,30 @@ TEST(PmemConcurrency, PerThreadCountersSumExactly) {
 }
 
 TEST(PmemPool, RevertRecordRestoresOldValue) {
-  PmemPool pool(small_cfg());
+  PersistJournal journal;
+  PmemConfig cfg = small_cfg();
+  cfg.journal = &journal;
+  cfg.nvm_store_latency_ns = 50;
+  PmemPool pool(cfg);
   pool.record_write(0, 7, 10, 20, 3);
-  pool.revert_record(7);
+  pool.fence(0);  // pays the write's store debt
+  journal.clear();
+  const std::uint64_t billed = pool.billed_ns();
+
+  pool.revert_record(/*tid=*/2, 7);
   const PRecord r = pool.read_record(7);
   EXPECT_EQ(r.cur, 10u);
   EXPECT_EQ(r.old, 10u);
+
+  // The revert is the recovery worker's store: journalled under its tid,
+  // and its latency billed at that worker's next fence.
+  const std::vector<PersistEvent> events = journal.events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, PersistEventKind::kStore);
+  EXPECT_EQ(events[0].tid, 2);
+  EXPECT_EQ(events[0].value, 10u);
+  pool.fence(2);
+  EXPECT_EQ(pool.billed_ns(), billed + cfg.nvm_store_latency_ns);
 }
 
 TEST(PmemInspector, ReportsInFlightAndDurability) {

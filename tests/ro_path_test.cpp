@@ -2,8 +2,9 @@
 // docs/PROTOCOLS.md "Read-only fast path"): structural silence of RO
 // commits (no lock traffic, no commit_seq bump, no journal records),
 // counterexample interleavings where a stale snapshot read must be caught
-// by validation on both engines, demotion of writing bodies, hint-only
-// routing, and RO readers racing committing writers.
+// by validation, demotion of writing bodies and of transactions whose
+// snapshots keep failing, hint-only routing, and RO readers racing
+// committing writers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -42,7 +43,7 @@ struct TwoLines {
 /// An RO commit must leave no trace: no lock word moves (acquire/release
 /// would bump the version), no commit_seq bump, no flush/fence, and — with
 /// a journal installed — not a single persistence event.
-void expect_silent_commits(bool hw_engine) {
+TEST(RoPathTest, SwCommitIsStructurallySilent) {
   PersistJournal journal;
   RunnerConfig cfg = small_config(TmKind::kNvHalt);
   cfg.pmem.journal = &journal;
@@ -64,11 +65,11 @@ void expect_silent_commits(bool hw_engine) {
 
   for (int i = 0; i < 10; ++i) {
     word_t vx = 0, vy = 0;
-    const auto audit = [&](Tx& tx) {
-      vx = tx.read(a.x);
-      vy = tx.read(a.y);
-    };
-    ASSERT_EQ(hw_engine ? tm.attempt_ro_hw_once(0, audit) : tm.attempt_ro_sw_once(0, audit),
+    ASSERT_EQ(tm.attempt_ro_sw_once(0,
+                                    [&](Tx& tx) {
+                                      vx = tx.read(a.x);
+                                      vy = tx.read(a.y);
+                                    }),
               Outcome::kCommitted);
     EXPECT_EQ(vx, 3u);
     EXPECT_EQ(vy, 4u);
@@ -82,9 +83,6 @@ void expect_silent_commits(bool hw_engine) {
   EXPECT_EQ(journal.size(), journaled) << "RO commit emitted journal records";
   EXPECT_EQ(tm.stats().ro_commits, ro_before + 10);
 }
-
-TEST(RoPathTest, SwCommitIsStructurallySilent) { expect_silent_commits(/*hw_engine=*/false); }
-TEST(RoPathTest, HwCommitIsStructurallySilent) { expect_silent_commits(/*hw_engine=*/true); }
 
 // --------------------------------------------- stale-snapshot counterexamples
 
@@ -129,49 +127,6 @@ TEST(RoPathTest, SwEngineCatchesHwWriterBetweenReads) {
   ro_sw_writer_between_reads(/*hw_writer=*/true);
 }
 
-/// Same interleaving against the invisible-reader hardware engine: the
-/// reader's data lines are conflict-tracked even though its lock lines are
-/// not, so the writer's publication dooms the attempt eagerly. The writer
-/// runs on a real second thread — SimHtm (correctly) rejects opening a
-/// second transaction or issuing non-transactional stores from an OS
-/// thread that is already inside a hardware transaction.
-TEST(RoPathTest, HwEngineCatchesWriterBetweenReads) {
-  TmRunner runner(small_config(TmKind::kNvHalt));
-  auto& tm = nv(runner);
-  TwoLines a(runner);
-  ASSERT_TRUE(tm.run(0, [&](Tx& tx) {
-    tx.write(a.x, 5);
-    tx.write(a.y, 5);
-  }));
-
-  std::atomic<int> stage{0};
-  std::thread writer([&] {
-    while (stage.load(std::memory_order_acquire) < 1) std::this_thread::yield();
-    EXPECT_TRUE(tm.attempt_sw_once(1, [&](Tx& wtx) {
-      wtx.write(a.x, wtx.read(a.x) - 1);
-      wtx.write(a.y, wtx.read(a.y) + 1);
-    }));
-    stage.store(2, std::memory_order_release);
-  });
-
-  bool inconsistent_observed = false;
-  int entries = 0;
-  const Outcome r = tm.attempt_ro_hw_once(0, [&](Tx& tx) {
-    const word_t vx = tx.read(a.x);
-    if (entries++ == 0) {
-      stage.store(1, std::memory_order_release);
-      while (stage.load(std::memory_order_acquire) < 2) std::this_thread::yield();
-    }
-    const word_t vy = tx.read(a.y);
-    if (vx + vy != 10) inconsistent_observed = true;
-  });
-  stage.store(1, std::memory_order_release);  // unblock on an early abort
-  writer.join();
-  EXPECT_EQ(r, Outcome::kAborted);
-  EXPECT_FALSE(inconsistent_observed);
-  EXPECT_GE(tm.stats().ro_by_cause[kRoValidation], 1u);
-}
-
 /// A writer on a disjoint line moves commit_seq — forcing one snapshot
 /// extension — but must not doom the reader (no false aborts from the
 /// extension machinery itself).
@@ -200,17 +155,64 @@ TEST(RoPathTest, DisjointWriterForcesExtensionNotAbort) {
 
 // ------------------------------------------------------------- demotion
 
-TEST(RoPathTest, WritingBodyDemotesBothEngines) {
+TEST(RoPathTest, WritingBodyDemotes) {
   TmRunner runner(small_config(TmKind::kNvHalt));
   auto& tm = nv(runner);
   const gaddr_t a = runner.alloc().raw_alloc(0, 1);
 
   EXPECT_EQ(tm.attempt_ro_sw_once(0, [&](Tx& tx) { tx.write(a, 1); }), Outcome::kDemoted);
-  EXPECT_EQ(tm.attempt_ro_hw_once(0, [&](Tx& tx) { tx.write(a, 1); }), Outcome::kDemoted);
   EXPECT_EQ(tm.attempt_ro_sw_once(0, [&](Tx& tx) { (void)tx.alloc(4); }), Outcome::kDemoted);
-  EXPECT_EQ(tm.stats().ro_by_cause[kRoDemotion], 3u);
-  EXPECT_EQ(tm.stats().ro_aborts, 3u);
+  EXPECT_EQ(tm.stats().ro_by_cause[kRoDemotion], 2u);
+  EXPECT_EQ(tm.stats().ro_aborts, 2u);
   EXPECT_EQ(tm.stats().ro_commits, 0u);
+}
+
+/// A hinted transaction whose snapshots keep failing validation demotes
+/// straight into the general loop after its four snapshot attempts, with
+/// no hardware attempt in between: on a software-only NV-HALT
+/// (htm_attempts = 0) no path begins a hardware transaction. Each of the
+/// first four body entries lets a software writer move x and y between the
+/// two reads (the ro_sw_writer_between_reads interleaving); the fifth
+/// entry is the general loop's software attempt, which commits.
+TEST(RoPathTest, FailedSnapshotsDemoteStraightToTheGeneralLoop) {
+  RunnerConfig cfg = small_config(TmKind::kNvHalt);
+  cfg.nvhalt.htm_attempts = 0;
+  TmRunner runner(cfg);
+  auto& tm = nv(runner);
+  TwoLines a(runner);
+  ASSERT_TRUE(tm.run(0, [&](Tx& tx) {
+    tx.write(a.x, 5);
+    tx.write(a.y, 5);
+  }));
+  tm.reset_stats();
+  const std::uint64_t htm_begins = tm.htm().aggregate_stats().begins;
+
+  int entries = 0;
+  bool last_on_hw = true;
+  word_t vx = 0, vy = 0;
+  ASSERT_TRUE(tm.run(0, TxMode::kReadOnly, [&](Tx& tx) {
+    vx = tx.read(a.x);
+    if (entries++ < 4) {
+      EXPECT_TRUE(tm.attempt_sw_once(1, [&](Tx& wtx) {
+        wtx.write(a.x, wtx.read(a.x) - 1);
+        wtx.write(a.y, wtx.read(a.y) + 1);
+      }));
+    }
+    vy = tx.read(a.y);
+    last_on_hw = tx.on_hw_path();
+  }));
+  EXPECT_EQ(entries, 5);
+  EXPECT_EQ(vx + vy, 10u);
+  EXPECT_FALSE(last_on_hw) << "the fifth entry ran in a hardware transaction";
+
+  const TmStats s = tm.stats();
+  EXPECT_EQ(s.ro_aborts, 4u);
+  EXPECT_EQ(s.ro_by_cause[kRoValidation], 4u);
+  EXPECT_EQ(s.ro_commits, 0u);
+  EXPECT_EQ(s.sw_commits, 5u) << "four writers and the demoted reader";
+  EXPECT_EQ(s.hw_commits, 0u);
+  EXPECT_EQ(tm.htm().aggregate_stats().begins, htm_begins)
+      << "a software-only NV-HALT began a hardware transaction";
 }
 
 /// A transaction *hinted* read-only whose body writes anyway must still
@@ -248,7 +250,7 @@ TEST(RoPathTest, HintedReadOnlyRoutesToFastPath) {
   EXPECT_EQ(tm.stats().ro_commits, before + 1);
 }
 
-/// Only the caller's TxMode::kReadOnly hint routes to the RO engines: a
+/// Only the caller's TxMode::kReadOnly hint routes to the RO engine: a
 /// long run of unhinted read-only commits does not, and an explicit
 /// kUpdate transaction never starts in the snapshot engine.
 TEST(RoPathTest, OnlyTheReadOnlyHintRoutes) {
