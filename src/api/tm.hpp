@@ -26,9 +26,6 @@
 namespace nvhalt {
 
 class ContentionTable;  // locks/contention.hpp
-namespace telemetry {
-struct PostmortemReport;  // telemetry/flight_recorder.hpp
-}
 
 // Thread identity is managed by the runtime layer's registry; the handle
 // and registry types are part of the public TM surface.
@@ -159,14 +156,6 @@ class TransactionalMemory {
   /// Per-stripe lock-contention observatory, or null for TMs without one.
   /// Same quiescence contract as stats().
   virtual const ContentionTable* contention() const { return nullptr; }
-
-  /// The flight-recorder postmortem decoded by the most recent
-  /// recover_data() call, or null when the recorder is disabled (the
-  /// default) or recovery has not run. Owned by the TM; valid until the
-  /// next recover_data().
-  virtual const telemetry::PostmortemReport* last_postmortem() const {
-    return nullptr;
-  }
 };
 
 }  // namespace nvhalt

@@ -202,16 +202,11 @@ bool SphtTm::checkpoint(int tid) {
   // crash sweep assert checkpoints really retired log history).
   pool_.raw_store(tid, ckpt_gen_raw_idx_, pool_.raw_load(ckpt_gen_raw_idx_) + 1);
   pool_.flush_raw(tid, ckpt_gen_raw_idx_);
-  if constexpr (telemetry::kLevel >= 1) {
-    if (telemetry::FlightRecorder* fr = flight_recorder())
-      fr->record(tid, telemetry::EventKind::kCheckpoint, 0xFF,
-                 static_cast<std::uint16_t>(pool_.raw_load(ckpt_gen_raw_idx_) & 0xFFFF));
-  }
   pool_.fence(tid);
   return true;
 }
 
-void SphtTm::recover_state() {
+void SphtTm::recover_data() {
   // Post-crash: the staged view equals the durable one. Bring the NVM heap
   // image up to the durable marker, then rebuild the volatile image.
   gpm_volatile_.value.store(pool_.raw_load(gpm_raw_idx_), std::memory_order_relaxed);

@@ -79,7 +79,6 @@ SphtTm::SphtTm(const SphtConfig& cfg, PmemPool& pool, htm::SimHtm& htm, TxAlloca
   // SPHT never frees, so the epoch machinery stays idle (no pins needed)
   // and no per-transaction allocator intents are ever armed.
   alloc_iface_.attach_registry(&registry_);
-  if (cfg_.flight_recorder) enable_flight_recorder(pool_, ctx_);
 }
 
 SphtTm::~SphtTm() = default;
@@ -195,11 +194,8 @@ void SphtTm::persist_committed(int tid, std::uint64_t ts_commit,
   [[maybe_unused]] std::uint64_t ack_t0 = 0;
   if constexpr (telemetry::kLevel >= 1) ack_t0 = telemetry::now_ticks();
 
-  // 1. Append + persist the redo log record. The flight-recorder note
-  //    rides the append's internal fence. Only a software commit, which
-  //    holds the global lock, can find its log full here.
-  ctx.fr(tid, telemetry::EventKind::kFence, 0xFF,
-         static_cast<std::uint16_t>(std::min<std::size_t>(redo.size(), 0xFFFF)));
+  // 1. Append + persist the redo log record. Only a software commit,
+  //    which holds the global lock, can find its log full here.
   while (!log_.append(tid, ts_commit, redo)) replay_full_logs(tid);
 
   // 2. Publish "my log at ts_commit is durable".
@@ -341,7 +337,6 @@ SphtTm::AttemptResult SphtTm::attempt_sw(int tid, TxBody body) {
     telemetry::trace1(telemetry::EventKind::kLockStall, tid,
                       waited & ((std::uint64_t{1} << 48) - 1));
     telemetry::trace1(telemetry::EventKind::kLockAcquire, tid, 1);
-    ctx.fr(tid, telemetry::EventKind::kLockAcquire, 0xFF, 1);
   } else {
     if (contended) contention_.on_stall(0, 0);
   }

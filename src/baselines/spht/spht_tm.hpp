@@ -60,12 +60,6 @@ struct SphtConfig {
   /// generation counter. Off by default; the generation word is allocated
   /// only when enabled so the raw layout stays byte-identical otherwise.
   bool checkpoint = false;
-
-  /// Persistent flight recorder (telemetry/flight_recorder.hpp). Same
-  /// conditional-reservation discipline as `checkpoint`: the recorder raw
-  /// region exists only when enabled, records are written only at
-  /// NVHALT_TELEMETRY >= 1.
-  bool flight_recorder = false;
 };
 
 class SphtTm final : public runtime::TmRuntime {
@@ -88,6 +82,10 @@ class SphtTm final : public runtime::TmRuntime {
   std::uint64_t checkpoint_generation() const {
     return ckpt_gen_raw_idx_ == 0 ? 0 : pool_.raw_load(ckpt_gen_raw_idx_);
   }
+
+  /// Replays the durable log prefix into the heap image, rebuilds the
+  /// volatile image and the carver, and resets the volatile ordering state.
+  void recover_data() override;
 
   PmemPool& pool() override { return pool_; }
   /// Note: SPHT does not use this allocator (see header comment); the
@@ -130,10 +128,6 @@ class SphtTm final : public runtime::TmRuntime {
   /// attempts back off (SPHT's historical behaviour), and the software
   /// fallback runs under the global lock.
   bool run_registered(int tid, TxMode mode, TxBody body) override;
-
-  /// Replays the durable log prefix into the heap image, rebuilds the
-  /// volatile image and the carver, and resets the volatile ordering state.
-  void recover_state() override;
 
  private:
   friend class SphtHwTx;

@@ -52,12 +52,11 @@ TrinityTm::TrinityTm(const TrinityConfig& cfg, PmemPool& pool, TxAllocator& allo
   }
   // Epoch-based reclamation bounded by this registry.
   alloc_.attach_registry(&registry_);
-  if (cfg_.flight_recorder) enable_flight_recorder(pool_, ctx_);
 }
 
 TrinityTm::~TrinityTm() = default;
 
-bool TrinityTm::checkpoint(int tid) { return undo_.checkpoint(tid, ctx_[tid]); }
+bool TrinityTm::checkpoint(int tid) { return undo_.checkpoint(tid); }
 
 /// Tx handle for one TL2 attempt.
 class TrinityTx final : public Tx {
@@ -171,9 +170,6 @@ class TrinityTx final : public Tx {
 
     // Persist with undo records while the locks are held, then apply.
     telemetry::trace1(telemetry::EventKind::kLockAcquire, tid_, ctx_.held.size());
-    ctx_.fr(tid_, telemetry::EventKind::kLockAcquire, 0xFF,
-            static_cast<std::uint16_t>(
-                std::min<std::size_t>(ctx_.held.size(), 0xFFFF)));
     ctx_.persist_buf.clear();
     for (const auto& w : ctx_.wrset)
       ctx_.persist_buf.push_back({w.addr, tm_.pool_.load(w.addr), w.val});
@@ -260,7 +256,7 @@ bool TrinityTm::run_registered(int tid, TxMode mode, TxBody body) {
   return runtime::run_retry_loop(policy_, tid, ctx, env);
 }
 
-void TrinityTm::recover_state() {
+void TrinityTm::recover_data() {
   undo_.recover(/*rtid=*/0, cfg_.recovery_threads);
   locks_.reset();
   gv_.value.store(0, std::memory_order_relaxed);

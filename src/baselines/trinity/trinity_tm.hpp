@@ -46,12 +46,6 @@ struct TrinityConfig {
 
   /// Recovery worker pool size; any count recovers a byte-identical image.
   int recovery_threads = 1;
-
-  /// Persistent flight recorder (telemetry/flight_recorder.hpp). Same
-  /// conditional-reservation discipline as `checkpoint`: the recorder raw
-  /// region exists only when enabled, records are written only at
-  /// NVHALT_TELEMETRY >= 1.
-  bool flight_recorder = false;
 };
 
 class TrinityTm final : public runtime::TmRuntime {
@@ -60,6 +54,9 @@ class TrinityTm final : public runtime::TmRuntime {
   ~TrinityTm() override;
 
   bool checkpoint(int tid) override;
+
+  /// Undo-record recovery, then a reset of the TL2 clock and locks.
+  void recover_data() override;
 
   /// Checkpoint subsystem, or null when cfg.checkpoint is off (tests).
   CheckpointManager* checkpoint_manager() { return undo_.checkpoint_manager(); }
@@ -78,9 +75,6 @@ class TrinityTm final : public runtime::TmRuntime {
   /// is pinned to 0: Trinity has no hardware path).
   bool run_registered(int tid, TxMode mode, TxBody body) override;
 
-  /// Undo-record recovery, then a reset of the TL2 clock and locks.
-  void recover_state() override;
-
  private:
   friend class TrinityTx;
   struct ThreadCtx;
@@ -94,7 +88,7 @@ class TrinityTm final : public runtime::TmRuntime {
   LockSpace locks_;
   CacheLinePadded<std::atomic<std::uint64_t>> gv_;  // TL2 global version clock
   runtime::PerThread<ThreadCtx> ctx_;
-  UndoRecords undo_;  // constructed before the flight recorder: stable raw offsets
+  UndoRecords undo_;
 };
 
 }  // namespace nvhalt

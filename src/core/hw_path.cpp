@@ -9,8 +9,6 @@
 // log, bumps the thread's persistent version number, and only then releases
 // the locks (Sec. 3.4). This is what Fig. 4 shows is missing from a
 // metadata-read-only fast path in the persistent setting.
-#include <algorithm>
-
 #include "core/nvhalt_internal.hpp"
 
 namespace nvhalt {
@@ -147,14 +145,8 @@ NvHaltTm::AttemptResult NvHaltTm::attempt_hw(int tid, TxBody body) {
   // The hardware transaction committed: its writes and lock acquisitions
   // are visible. Persist the write set under those locks (flushes must
   // happen outside the transaction — they would have aborted it).
-  if (!ctx.hw_locks.empty()) {
+  if (!ctx.hw_locks.empty())
     telemetry::trace1(telemetry::EventKind::kLockAcquire, tid, ctx.hw_locks.size());
-    // Recorded after xend: the locks are published and held, and recorder
-    // writes (raw stores + flushes) would have aborted the transaction.
-    ctx.fr(tid, telemetry::EventKind::kLockAcquire, 0xFF,
-           static_cast<std::uint16_t>(
-               std::min<std::size_t>(ctx.hw_locks.size(), 0xFFFF)));
-  }
   if (cfg_.persist_hw_txns && (!ctx.hw_undo.empty() || alloc_.has_pending(tid))) {
     ctx.persist_buf.clear();
     for (const auto& u : ctx.hw_undo)

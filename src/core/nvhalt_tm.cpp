@@ -29,7 +29,6 @@ NvHaltTm::NvHaltTm(TmKind kind, const NvHaltConfig& cfg, PmemPool& pool, htm::Si
   }
   // Epoch-based reclamation bounded by this registry.
   alloc_.attach_registry(&registry_);
-  if (cfg_.flight_recorder) enable_flight_recorder(pool_, ctx_);
 }
 
 NvHaltTm::~NvHaltTm() = default;
@@ -46,9 +45,9 @@ void NvHaltTm::reset_stats() {
   locks_.contention().reset();
 }
 
-bool NvHaltTm::checkpoint(int tid) { return undo_.checkpoint(tid, ctx_[tid]); }
+bool NvHaltTm::checkpoint(int tid) { return undo_.checkpoint(tid); }
 
-void NvHaltTm::recover_state() {
+void NvHaltTm::recover_data() {
   // Paper Sec. 3.5: revert every record whose persistent version number is
   // at or above its owner's durable pVerNum, rebuild the volatile image and
   // the allocator — the engine NV-HALT shares with Trinity.

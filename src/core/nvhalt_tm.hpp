@@ -88,15 +88,6 @@ struct NvHaltConfig {
   /// 1 reproduces the serial recovery path exactly; any count yields a
   /// byte-identical recovered image.
   int recovery_threads = 1;
-
-  /// Persistent flight recorder (telemetry/flight_recorder.hpp): per-thread
-  /// NVM-resident rings of checksummed lifecycle records, decoded into an
-  /// in-flight postmortem on recover_data(). Off by default — the recorder
-  /// raw region is allocated only when enabled, so disabled configurations
-  /// keep a byte-identical pool layout. Records are written only at
-  /// NVHALT_TELEMETRY >= 1; the reservation is level-independent so crash
-  /// images replay across build levels.
-  bool flight_recorder = false;
 };
 
 class NvHaltTm final : public runtime::TmRuntime {
@@ -108,6 +99,10 @@ class NvHaltTm final : public runtime::TmRuntime {
   ~NvHaltTm() override;
 
   bool checkpoint(int tid) override;
+
+  /// Undo-record recovery (paper Sec. 3.5), then a reset of this TM's
+  /// volatile synchronization metadata.
+  void recover_data() override;
 
   PmemPool& pool() override { return pool_; }
   TxAllocator& allocator() override { return alloc_; }
@@ -145,10 +140,6 @@ class NvHaltTm final : public runtime::TmRuntime {
   /// hardware/software attempts plugged in, preceded by the read-only
   /// fast path when the caller hinted TxMode::kReadOnly.
   bool run_registered(int tid, TxMode mode, TxBody body) override;
-
-  /// Undo-record recovery (paper Sec. 3.5), then a reset of this TM's
-  /// volatile synchronization metadata.
-  void recover_state() override;
 
  private:
   friend class NvHaltSwTx;
@@ -198,8 +189,7 @@ class NvHaltTm final : public runtime::TmRuntime {
   runtime::PerThread<ThreadCtx> ctx_;
 
   /// Undo records, pVerNum markers and (when cfg_.checkpoint) the
-  /// checkpoint region; constructed after the allocator's metadata and
-  /// before the flight recorder, which keeps their raw offsets stable.
+  /// checkpoint region; constructed after the allocator's metadata.
   UndoRecords undo_;
 };
 

@@ -224,9 +224,6 @@ class NvHaltSwTx final : public Tx {
       ctx_.acquired.push_back(i);
     }
     telemetry::trace1(telemetry::EventKind::kLockAcquire, tid_, ctx_.acquired.size());
-    ctx_.fr(tid_, telemetry::EventKind::kLockAcquire, 0xFF,
-            static_cast<std::uint16_t>(
-                std::min<std::size_t>(ctx_.acquired.size(), 0xFFFF)));
   }
 
   void release_acquired() {

@@ -147,12 +147,6 @@ void UndoRecords::commit(int tid, runtime::TxThreadState& ts, std::span<const En
       pool_.word_ptr(e.addr)->store(e.val, std::memory_order_seq_cst);
   }
   if (publish != nullptr) publish->nontx_claim_release(claim);
-  // Allocator intent + write-set fence are in flight: note both in the
-  // flight recorder so a postmortem names the pending persist work. The
-  // records ride the very fence below.
-  if (alloc_.has_pending(tid)) ts.fr(tid, telemetry::EventKind::kAllocArm);
-  ts.fr(tid, telemetry::EventKind::kFence, 0xFF,
-        static_cast<std::uint16_t>(std::min<std::size_t>(writes.size(), 0xFFFF)));
   pool_.fence(tid);
   ++ts.pver;
   pool_.store_pver(tid, ts.pver);
@@ -160,20 +154,13 @@ void UndoRecords::commit(int tid, runtime::TxThreadState& ts, std::span<const En
   // Allocation-bitmap apply rides the marker's fence: apply-durable
   // implies marker-durable (enqueue order), and recovery re-normalizes
   // the still-armed record idempotently either way.
-  const bool applied = alloc_.has_pending(tid);
   alloc_.persist_apply(tid);
-  if (applied) ts.fr(tid, telemetry::EventKind::kAllocApply);
   pool_.fence(tid);
 }
 
-bool UndoRecords::checkpoint(int tid, runtime::TxThreadState& ts) {
+bool UndoRecords::checkpoint(int tid) {
   if (!ckpt_) return false;
   ckpt_->checkpoint(tid);
-  if (ts.recorder != nullptr) {
-    ts.fr(tid, telemetry::EventKind::kCheckpoint, 0xFF,
-          static_cast<std::uint16_t>(ckpt_->generation() & 0xFFFF));
-    pool_.fence(tid);
-  }
   return true;
 }
 

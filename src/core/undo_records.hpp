@@ -79,7 +79,7 @@ class UndoRecords {
   ///   2. arm the allocator intent record under the pre-bump pVerNum;
   ///   3. per entry: record_write, flush_record, then publish the value
   ///      into the volatile image;
-  ///   4. fence the write set (flight-recorder notes ride along);
+  ///   4. fence the write set;
   ///   5. advance `ts.pver`, store and flush the durable marker;
   ///   6. apply the allocator intents to the bitmaps, closing fence.
   /// An empty `writes` is the allocator-only commit (a transaction that
@@ -92,7 +92,7 @@ class UndoRecords {
 
   /// Runs one checkpoint on behalf of `tid`; false when checkpointing is
   /// not configured.
-  bool checkpoint(int tid, runtime::TxThreadState& ts);
+  bool checkpoint(int tid);
 
   /// Post-crash recovery on `rtid` (quiescent): reverts every record whose
   /// pver is at or above its owner's durable marker and rebuilds the

@@ -67,17 +67,21 @@ struct FileHeader {
 };
 }  // namespace
 
-void PmemPool::LineAlignedDelete::operator()(std::atomic<std::uint64_t>* p) const {
-  ::operator delete(p, std::align_val_t{kCacheLineBytes});
-}
+void PmemPool::Unmap::operator()(void* p) const { ::munmap(p, bytes); }
 
 PmemPool::WordImage PmemPool::make_image(std::size_t n) {
-  auto* words = static_cast<std::atomic<std::uint64_t>*>(
-      ::operator new(n * sizeof(std::atomic<std::uint64_t>), std::align_val_t{kCacheLineBytes}));
+  // Mapped, not allocated: glibc serves a freed block of up to 32 MB from
+  // its heap the next time, and whether that block's pages are reused then
+  // depends on unrelated allocations. Re-creating a 2^21-word pool could
+  // leave a second 16 MB volatile image resident or not.
+  const std::size_t bytes = n * sizeof(std::atomic<std::uint64_t>);
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  auto* words = static_cast<std::atomic<std::uint64_t>*>(p);
   // Zero every word now: touching the pages here keeps first-touch faults
   // out of the first transactions.
   for (std::size_t i = 0; i < n; ++i) ::new (&words[i]) std::atomic<std::uint64_t>(0);
-  return WordImage(words);
+  return WordImage(words, Unmap{bytes});
 }
 
 PmemPool::PmemPool(const PmemConfig& cfg) : cfg_(cfg) {
@@ -136,7 +140,7 @@ PmemPool::PmemPool(const PmemConfig& cfg) : cfg_(cfg) {
 
 void PmemPool::map_backing_file(std::size_t raw_words_padded, std::size_t rec_words) {
   const std::size_t payload = (raw_words_padded + rec_words) * sizeof(std::uint64_t);
-  map_len_ = kFileHeaderBytes + payload;
+  const std::size_t map_len = kFileHeaderBytes + payload;
 
   const int fd = ::open(cfg_.backing_path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) throw TmLogicError("cannot open backing file: " + cfg_.backing_path);
@@ -146,24 +150,21 @@ void PmemPool::map_backing_file(std::size_t raw_words_padded, std::size_t rec_wo
     throw TmLogicError("cannot stat backing file");
   }
   const bool fresh = st.st_size == 0;
-  if (fresh && ::ftruncate(fd, static_cast<off_t>(map_len_)) != 0) {
+  if (fresh && ::ftruncate(fd, static_cast<off_t>(map_len)) != 0) {
     ::close(fd);
     throw TmLogicError("cannot size backing file");
   }
-  if (!fresh && static_cast<std::size_t>(st.st_size) != map_len_) {
+  if (!fresh && static_cast<std::size_t>(st.st_size) != map_len) {
     ::close(fd);
     throw TmLogicError("backing file size does not match the pool geometry");
   }
-  map_base_ = ::mmap(nullptr, map_len_, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  void* base = ::mmap(nullptr, map_len, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
   ::close(fd);  // the mapping keeps the file alive
-  if (map_base_ == MAP_FAILED) {
-    map_base_ = nullptr;
-    throw TmLogicError(std::string("mmap failed: ") + std::strerror(errno));
-  }
+  if (base == MAP_FAILED) throw TmLogicError(std::string("mmap failed: ") + std::strerror(errno));
+  map_ = std::unique_ptr<char[], Unmap>(static_cast<char*>(base), Unmap{map_len});
 
-  auto* header = static_cast<FileHeader*>(map_base_);
-  auto* words = reinterpret_cast<std::atomic<std::uint64_t>*>(
-      static_cast<char*>(map_base_) + kFileHeaderBytes);
+  auto* header = reinterpret_cast<FileHeader*>(map_.get());
+  auto* words = reinterpret_cast<std::atomic<std::uint64_t>*>(map_.get() + kFileHeaderBytes);
   raw_durable_ = words;
   rec_durable_ = words + raw_words_padded;
 
@@ -187,12 +188,10 @@ void PmemPool::map_backing_file(std::size_t raw_words_padded, std::size_t rec_wo
 }
 
 void PmemPool::sync_to_disk() const {
-  if (map_base_ != nullptr) ::msync(map_base_, map_len_, MS_SYNC);
+  if (map_) ::msync(map_.get(), map_.get_deleter().bytes, MS_SYNC);
 }
 
-PmemPool::~PmemPool() {
-  if (map_base_ != nullptr) ::munmap(map_base_, map_len_);
-}
+PmemPool::~PmemPool() = default;
 
 void PmemPool::journal_store(int tid, std::size_t line, std::size_t word_in_space, bool is_raw,
                              std::uint64_t value) {

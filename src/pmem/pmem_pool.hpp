@@ -307,12 +307,14 @@ class PmemPool {
   /// Adds one store's latency to tid's debt.
   void owe_store(int tid);
 
-  /// Frees a word image allocated on a cache-line boundary.
-  struct LineAlignedDelete {
-    void operator()(std::atomic<std::uint64_t>* p) const;
+  /// Unmaps a mapping of `bytes` bytes: the word images and the backing
+  /// file are mapped, never taken from the malloc heap.
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(void* p) const;
   };
-  using WordImage = std::unique_ptr<std::atomic<std::uint64_t>[], LineAlignedDelete>;
-  /// Allocates `n` zeroed words starting on a cache-line boundary.
+  using WordImage = std::unique_ptr<std::atomic<std::uint64_t>[], Unmap>;
+  /// Maps `n` zeroed words (page-aligned, so on a cache-line boundary).
   static WordImage make_image(std::size_t n);
 
   PmemConfig cfg_;
@@ -339,9 +341,10 @@ class PmemPool {
   std::atomic<std::uint64_t>* raw_durable_ = nullptr;
   std::atomic<std::uint64_t>* rec_durable_ = nullptr;
 
-  // Backing-file state (empty path => unused).
-  void* map_base_ = nullptr;
-  std::size_t map_len_ = 0;
+  // Backing-file state (empty path => unused). The mapping is owned like
+  // an image, so a constructor that rejects the file after mapping it
+  // leaks nothing.
+  std::unique_ptr<char[], Unmap> map_;
   bool attached_existing_ = false;
 
   // Store-order tracking (only when cfg_.track_store_order).

@@ -15,7 +15,6 @@
 
 #include "core/tm_stats.hpp"
 #include "htm/htm_types.hpp"
-#include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 
@@ -32,23 +31,6 @@ struct TxThreadState {
   std::uint64_t pver = 0;
   bool pver_loaded = false;
 
-  /// Owning TM's persistent flight recorder, or null when disabled (the
-  /// config default). Set once at TM construction for every slot.
-  telemetry::FlightRecorder* recorder = nullptr;
-
-  /// Flight-recorder hook: appends a persistent lifecycle record when the
-  /// TM has a recorder and the build is at telemetry level >= 1; otherwise
-  /// free. The read-only fast path never calls this — it commits with zero
-  /// journal records (structurally asserted) and the recorder keeps it so.
-  void fr(int tid, telemetry::EventKind kind, std::uint8_t cause = 0xFF,
-          std::uint16_t arg = 0) {
-    if constexpr (telemetry::kLevel >= 1) {
-      if (recorder != nullptr) recorder->record(tid, kind, cause, arg);
-    } else {
-      (void)tid; (void)kind; (void)cause; (void)arg;
-    }
-  }
-
   /// The one place a hardware abort is accounted: bumps the coarse counter
   /// and its cause in lockstep so they can never disagree. `code` is the
   /// xabort code for explicit aborts (trace payload only).
@@ -57,7 +39,6 @@ struct TxThreadState {
     stats.hw_by_cause[static_cast<std::size_t>(c)]++;
     telemetry::trace1(telemetry::EventKind::kHwAbort, tid, code,
                       static_cast<std::uint8_t>(c));
-    fr(tid, telemetry::EventKind::kHwAbort, static_cast<std::uint8_t>(c), code);
   }
 
   /// The one place a read-only fast-path abort is accounted, mirroring

@@ -18,8 +18,6 @@
 //      between attempts.
 #pragma once
 
-#include <algorithm>
-
 #include "core/tm_stats.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/common.hpp"
@@ -50,8 +48,7 @@ enum class AttemptStatus { kCommitted, kAborted, kUserAborted };
 void backoff(Xoshiro256& rng, int attempt);
 
 /// Runs one transaction through the unified retry loop. `State` is a
-/// TxThreadState (runtime/per_thread.hpp); the loop uses its stats, rng,
-/// telemetry block and flight-recorder hook.
+/// TxThreadState (runtime/per_thread.hpp); the loop uses its stats and rng.
 /// `Env` supplies the TM-specific primitives:
 ///   AttemptStatus attempt_hw();     // one hardware attempt; on abort the
 ///                                   // Env must have called
@@ -70,7 +67,6 @@ bool run_retry_loop(const PathPolicy& pol, int tid, State& ts, Env&& env) {
   namespace tel = nvhalt::telemetry;
   env.crash_point();
   tel::trace1(tel::EventKind::kTxBegin, tid);
-  ts.fr(tid, tel::EventKind::kTxBegin);
   [[maybe_unused]] std::uint64_t t0 = 0;
   if constexpr (tel::kLevel >= 1) t0 = tel::now_ticks();
 
@@ -80,12 +76,10 @@ bool run_retry_loop(const PathPolicy& pol, int tid, State& ts, Env&& env) {
     switch (env.attempt_hw()) {
       case AttemptStatus::kCommitted:
         tel::trace1(tel::EventKind::kHwCommit, tid);
-        ts.fr(tid, tel::EventKind::kHwCommit);
         if constexpr (tel::kLevel >= 1) ts.stats.tx_latency_hw.record(tel::now_ticks() - t0);
         return true;
       case AttemptStatus::kUserAborted:
         tel::trace1(tel::EventKind::kUserAbort, tid);
-        ts.fr(tid, tel::EventKind::kUserAbort);
         return false;
       case AttemptStatus::kAborted:
         break;
@@ -105,17 +99,13 @@ bool run_retry_loop(const PathPolicy& pol, int tid, State& ts, Env&& env) {
     switch (env.attempt_sw()) {
       case AttemptStatus::kCommitted:
         tel::trace1(tel::EventKind::kSwCommit, tid, static_cast<std::uint64_t>(retries));
-        ts.fr(tid, tel::EventKind::kSwCommit, 0xFF,
-              static_cast<std::uint16_t>(std::min(retries, 0xFFFF)));
         if constexpr (tel::kLevel >= 1) ts.stats.tx_latency_sw.record(tel::now_ticks() - t0);
         return true;
       case AttemptStatus::kUserAborted:
         tel::trace1(tel::EventKind::kUserAbort, tid);
-        ts.fr(tid, tel::EventKind::kUserAbort);
         return false;
       case AttemptStatus::kAborted:
         tel::trace1(tel::EventKind::kSwAbort, tid);
-        ts.fr(tid, tel::EventKind::kSwAbort);
         break;
     }
     ++retries;

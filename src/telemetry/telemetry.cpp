@@ -36,10 +36,6 @@ const char* event_kind_name(EventKind k) {
     case EventKind::kRoAttempt: return "ro_attempt";
     case EventKind::kRoCommit: return "ro_commit";
     case EventKind::kRoAbort: return "ro_abort";
-    case EventKind::kCheckpoint: return "checkpoint";
-    case EventKind::kAllocArm: return "alloc_arm";
-    case EventKind::kAllocApply: return "alloc_apply";
-    case EventKind::kRecovery: return "recovery";
     case EventKind::kRead: return "read";
     case EventKind::kWrite: return "write";
     case EventKind::kNumKinds: break;

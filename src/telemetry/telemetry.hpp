@@ -94,10 +94,6 @@ enum class EventKind : std::uint8_t {
   kRoAttempt,       // arg: attempt index within the read-only fast path
   kRoCommit,        // arg: unique lock lines validated
   kRoAbort,         // cause field holds RoAbortCause; arg: 0
-  kCheckpoint,      // arg: checkpoint generation (flight recorder)
-  kAllocArm,        // arg: armed intent records (flight recorder)
-  kAllocApply,      // arg: applied intent records (flight recorder)
-  kRecovery,        // arg: 0; first record after a postmortem decode
   kRead,            // level 2; arg: gaddr
   kWrite,           // level 2; arg: gaddr
   kNumKinds
@@ -190,16 +186,12 @@ class TraceRing {
 
 /// Everything one ring held at snapshot time. `capacity` is carried so a
 /// saved trace alone can reconstruct dropped() (= pushed - capacity when
-/// positive) without knowing the build's ring size. A DRAM ring never has
-/// torn slots; a flight-recorder ring (FlightRecorder::postmortem) counts
-/// the slots whose checksum failed, and pushed - dropped == events + torn
-/// holds for both.
+/// positive) without knowing the build's ring size.
 struct ThreadTrace {
   int tid = 0;
   std::uint64_t pushed = 0;
   std::uint64_t dropped = 0;
   std::uint64_t capacity = 0;
-  std::uint64_t torn = 0;
   std::vector<TraceEvent> events;
 };
 

@@ -82,12 +82,6 @@ std::uint64_t TraceDump::total_dropped() const {
   return n;
 }
 
-std::uint64_t TraceDump::total_torn() const {
-  std::uint64_t n = 0;
-  for (const ThreadTrace& t : threads) n += t.torn;
-  return n;
-}
-
 TraceDump collect_trace_dump() {
   TraceDump dump;
   if constexpr (kLevel >= 1) {
@@ -110,7 +104,7 @@ void write_raw_trace(std::ostream& os, const TraceDump& dump) {
      << " ticks_per_us=" << dump.ticks_per_us << "\n";
   for (const ThreadTrace& t : dump.threads) {
     os << "# ring tid=" << t.tid << " pushed=" << t.pushed << " dropped=" << t.dropped
-       << " capacity=" << t.capacity << " torn=" << t.torn << "\n";
+       << " capacity=" << t.capacity << "\n";
     for (const TraceEvent& e : t.events) {
       const char* cause = event_cause_name(e);
       os << e.ticks << ' ' << event_kind_name(e.kind) << ' ' << e.tid << ' '
@@ -146,14 +140,13 @@ bool read_raw_trace(std::istream& is, TraceDump& dump, std::string* err) {
     if (line.empty()) continue;
     if (line[0] == '#') {
       std::istringstream hs(line);
-      std::string hash, tag, tid_kv, pushed_kv, dropped_kv, cap_kv, torn_kv;
-      hs >> hash >> tag >> tid_kv >> pushed_kv >> dropped_kv >> cap_kv >> torn_kv;
+      std::string hash, tag, tid_kv, pushed_kv, dropped_kv, cap_kv, extra;
+      hs >> hash >> tag >> tid_kv >> pushed_kv >> dropped_kv >> cap_kv >> extra;
       ThreadTrace t;
       std::uint64_t tid = 0;
       if (tag != "ring" || !field(tid_kv, "tid=", tid) || tid > 0xFFFF ||
           !field(pushed_kv, "pushed=", t.pushed) || !field(dropped_kv, "dropped=", t.dropped) ||
-          (!cap_kv.empty() && !field(cap_kv, "capacity=", t.capacity)) ||
-          (!torn_kv.empty() && !field(torn_kv, "torn=", t.torn)))
+          (!cap_kv.empty() && !field(cap_kv, "capacity=", t.capacity)) || !extra.empty())
         return fail("bad ring header at line " + std::to_string(lineno) + ": " + line);
       t.tid = static_cast<int>(tid);
       dump.threads.push_back(std::move(t));
@@ -183,14 +176,13 @@ bool check_trace(const TraceDump& dump, std::string* err) {
       if (err) *err = "tid " + std::to_string(t.tid) + ": " + msg;
       return false;
     };
-    // Surviving events and torn slots are what the capture still holds;
-    // with the dropped count they can exceed pushed only if the file was
-    // corrupted or hand-edited.
-    const std::uint64_t held = t.events.size() + t.torn;
+    // Surviving events are what the capture still holds; with the dropped
+    // count they can exceed pushed only if the file was corrupted or
+    // hand-edited.
+    const std::uint64_t held = t.events.size();
     if (held + t.dropped > t.pushed)
-      return fail(std::to_string(t.events.size()) + " events + " + std::to_string(t.torn) +
-                  " torn + " + std::to_string(t.dropped) + " dropped > pushed " +
-                  std::to_string(t.pushed));
+      return fail(std::to_string(held) + " events + " + std::to_string(t.dropped) +
+                  " dropped > pushed " + std::to_string(t.pushed));
     // With the ring capacity known, dropped is fully reconstructible: the
     // ring keeps at most `capacity` slots, so pushed - dropped must equal
     // what it holds.

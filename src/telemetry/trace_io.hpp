@@ -1,21 +1,19 @@
 // Trace serialization: a line-oriented raw text format written by
-// instrumented binaries (crash_harness, benches) and by crash_sweep for
-// flight-recorder postmortems, a converter to the chrome://tracing /
-// Perfetto JSON array format, and the checks and in-flight summary the
-// trace_dump CLI prints.
+// instrumented binaries (crash_harness, benches), a converter to the
+// chrome://tracing / Perfetto JSON array format, and the checks and
+// in-flight summary the trace_dump CLI prints.
 //
 // Raw format (nvhalt-trace-v1):
 //   # nvhalt-trace-v1 level=<n> ticks_per_us=<f>
-//   # ring tid=<n> pushed=<n> dropped=<n> capacity=<n> torn=<n>
+//   # ring tid=<n> pushed=<n> dropped=<n> capacity=<n>
 //   <ticks> <kind> <tid> <arg> <cause|->
 //   ...
 // One `# ring` header per surviving ring, followed by its events oldest
 // first. `cause` is an abort-cause name for kHwAbort and kRoAbort lines
 // and `-` elsewhere. The header records pushed/dropped so overflow
 // accounting survives the round-trip even though dropped events themselves
-// do not; capacity= and torn= are optional on input. A flight-recorder
-// postmortem is the same format with sequence numbers as ticks
-// (ticks_per_us=1).
+// do not; capacity= is optional on input, and any other header field is
+// rejected.
 #pragma once
 
 #include <iosfwd>
@@ -35,7 +33,6 @@ struct TraceDump {
 
   std::uint64_t total_events() const;
   std::uint64_t total_dropped() const;
-  std::uint64_t total_torn() const;
 };
 
 /// Snapshot the process-wide TraceBuffer and calibrate the tick rate.
@@ -46,23 +43,22 @@ TraceDump collect_trace_dump();
 void write_raw_trace(std::ostream& os, const TraceDump& dump);
 
 /// Parses the raw format. Returns false (and sets *err when non-null, with
-/// the line number) on a malformed header, number or event line; events
-/// with unknown kinds are rejected, not skipped, so a version bump cannot
-/// be silently misread.
+/// the line number) on a malformed header, number or event line; ring
+/// header fields and event kinds it does not know are rejected, not
+/// skipped, so a version bump cannot be silently misread.
 bool read_raw_trace(std::istream& is, TraceDump& dump, std::string* err = nullptr);
 
-/// Consistency of every ring: events + torn + dropped <= pushed, and with
-/// the capacity known, events + torn <= capacity and pushed - dropped ==
-/// events + torn; timestamps never go backwards within a ring. Returns
-/// false with the first violation in *err.
+/// Consistency of every ring: events + dropped <= pushed, and with the
+/// capacity known, events <= capacity and pushed - dropped == events;
+/// timestamps never go backwards within a ring. Returns false with the
+/// first violation in *err.
 bool check_trace(const TraceDump& dump, std::string* err = nullptr);
 
 /// Name of an event's cause byte (htm::AbortCause for kHwAbort,
 /// RoAbortCause for kRoAbort), or null when the event carries none.
 const char* event_cause_name(const TraceEvent& e);
 
-/// What one ring says was in flight when it was captured — at the crash,
-/// for a flight-recorder ring.
+/// What one ring says was in flight when it was captured.
 struct InFlight {
   bool open_tx = false;          ///< the last kTxBegin has no closing record
   std::uint64_t held_locks = 0;  ///< kLockAcquire args summed over the open tx

@@ -8,9 +8,8 @@
 namespace nvhalt {
 
 /// 64-bit avalanche finalizer (MurmurHash3 fmix64). Self-validating
-/// persistent words are built on it (flight-recorder slot checksums,
-/// allocator intent tags), so its output is part of the durable format:
-/// never change it.
+/// persistent words are built on it (allocator intent tags), so its output
+/// is part of the durable format: never change it.
 constexpr std::uint64_t mix64(std::uint64_t x) {
   x ^= x >> 33;
   x *= 0xFF51AFD7ED558CCDULL;

@@ -216,8 +216,8 @@ INSTANTIATE_TEST_SUITE_P(Checkpoint, CheckpointTornWindowTest, testing::ValuesIn
 // NV-HALT and Trinity persist, checkpoint and recover through the same
 // engine (core/undo_records.hpp). On one single-threaded history they must
 // therefore leave byte-identical pool images — volatile, staged and durable
-// — before a crash and after recovery, whatever the checkpoint and flight
-// recorder settings. This pins the protocol against a later fork.
+// — before a crash and after recovery, with checkpointing on or off. This
+// pins the protocol against a later fork.
 struct ImageHashes {
   std::uint64_t pre_crash = 0;
   std::uint64_t recovered = 0;
@@ -251,34 +251,27 @@ ImageHashes run_undo_history(const RunnerConfig& cfg) {
   return h;
 }
 
-class UndoRecordsEquivalence : public testing::TestWithParam<std::tuple<bool, bool>> {};
+class UndoRecordsEquivalence : public testing::TestWithParam<bool> {};
 
 TEST_P(UndoRecordsEquivalence, NvHaltAndTrinityLeaveIdenticalImages) {
-  const auto [checkpoint, recorder] = GetParam();
-  const ImageHashes trinity =
-      run_undo_history(crash_config(TmKind::kTrinity, checkpoint, recorder));
+  const bool checkpoint = GetParam();
+  const ImageHashes trinity = run_undo_history(crash_config(TmKind::kTrinity, checkpoint));
 
-  RunnerConfig sw_only = crash_config(TmKind::kNvHalt, checkpoint, recorder);
+  RunnerConfig sw_only = crash_config(TmKind::kNvHalt, checkpoint);
   sw_only.nvhalt.htm_attempts = 0;
   const ImageHashes nvhalt_sw = run_undo_history(sw_only);
   EXPECT_EQ(nvhalt_sw.pre_crash, trinity.pre_crash);
   EXPECT_EQ(nvhalt_sw.recovered, trinity.recovered);
 
-  // Hardware commits write kHwCommit records into an enabled recorder, so
-  // the default configuration matches only with the recorder off.
-  if (!recorder) {
-    const ImageHashes nvhalt = run_undo_history(crash_config(TmKind::kNvHalt, checkpoint, false));
-    EXPECT_EQ(nvhalt.pre_crash, trinity.pre_crash);
-    EXPECT_EQ(nvhalt.recovered, trinity.recovered);
-  }
+  const ImageHashes nvhalt = run_undo_history(crash_config(TmKind::kNvHalt, checkpoint));
+  EXPECT_EQ(nvhalt.pre_crash, trinity.pre_crash);
+  EXPECT_EQ(nvhalt.recovered, trinity.recovered);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    CheckpointRecorder, UndoRecordsEquivalence, testing::Combine(testing::Bool(), testing::Bool()),
-    [](const testing::TestParamInfo<std::tuple<bool, bool>>& info) {
-      return std::string(std::get<0>(info.param) ? "Checkpoint" : "NoCheckpoint") +
-             (std::get<1>(info.param) ? "Recorder" : "NoRecorder");
-    });
+INSTANTIATE_TEST_SUITE_P(CheckpointSetting, UndoRecordsEquivalence, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Checkpoint" : "NoCheckpoint");
+                         });
 
 }  // namespace
 }  // namespace nvhalt

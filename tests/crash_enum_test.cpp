@@ -306,24 +306,24 @@ TEST(CrashJournalTest, TraceWithUnknownEventKindIsRejected) {
   }
 }
 
-// The v5 bundle layout keeps its group-commit word, always written as 0
-// (BundleFileRoundTrip loads such bundles). A bundle whose word is 1 was
-// recorded under the removed fence combiner and is rejected by name
-// instead of replayed under different fence semantics.
+// A v5 bundle carries a flight-recorder word and a group-commit word, and
+// its recorder switch changed the raw layout; neither mechanism exists
+// any more. Such a bundle (here its header, both words 0) is rejected with
+// its path instead of replayed under another geometry.
 TEST(CrashJournalTest, BundleWithGroupCommitWordIsRejected) {
-  const std::string bad = ::testing::TempDir() + "/crash_bundle_v5_combined.bin";
+  constexpr std::uint64_t kBundleMagicV5 = 0x4E56484243524235ULL;  // "NVHBCRB5"
+  const std::string bad = ::testing::TempDir() + "/crash_bundle_v5.bin";
   {
     std::ofstream f(bad, std::ios::binary | std::ios::trunc);
-    test::detail::put_u64(f, test::detail::kBundleMagic);
-    for (int w = 0; w < 14; ++w) test::detail::put_u64(f, 0);  // kind .. flight_recorder
-    test::detail::put_u64(f, 1);                                // group-commit word
+    test::detail::put_u64(f, kBundleMagicV5);
+    for (int w = 0; w < 17; ++w) test::detail::put_u64(f, 0);  // kind .. map_key_base
   }
   try {
     test::load_bundle(bad);
-    FAIL() << "a group-commit bundle loaded";
+    FAIL() << "a v5 bundle loaded";
   } catch (const TmLogicError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("group commit"), std::string::npos) << what;
+    EXPECT_NE(what.find("current layout (NVHBCRB6)"), std::string::npos) << what;
     EXPECT_NE(what.find(bad), std::string::npos) << what;
   }
 }

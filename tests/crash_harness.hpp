@@ -28,7 +28,6 @@
 #include "pmem/crash_enum.hpp"
 #include "structures/tm_hashmap.hpp"
 #include "structures/tm_list.hpp"
-#include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/trace_io.hpp"
 #include "util/barrier.hpp"
@@ -64,13 +63,6 @@ struct CrashHarnessOptions {
   /// so replays reconstruct the same geometry.
   int checkpoint_every = 0;
 
-  /// Enables the persistent flight recorder in both the workload and the
-  /// verifier runner (layout-affecting: the recorder reserves raw words, so
-  /// bundles record it and replays reconstruct the same geometry). The
-  /// verifier then decodes a postmortem from every enumerated crash image
-  /// and validates its artifact round-trip.
-  bool flight_recorder = false;
-
   /// When non-empty, the harness dumps observability artifacts after the
   /// workload quiesces (and before the runner is torn down): `trace_out`
   /// gets a raw nvhalt-trace-v1 file (meaningful only in NVHALT_TELEMETRY
@@ -103,8 +95,7 @@ struct CrashTraceBundle {
 
 /// Small, enumeration-friendly geometry: recovery scans the full record
 /// space per materialized image, so the pool is kept compact.
-inline RunnerConfig crash_config(TmKind kind, bool checkpoint = false,
-                                 bool flight_recorder = false) {
+inline RunnerConfig crash_config(TmKind kind, bool checkpoint = false) {
   RunnerConfig cfg;
   cfg.kind = kind;
   cfg.pmem.capacity_words = std::size_t{1} << 17;  // 8 allocator segments
@@ -126,14 +117,6 @@ inline RunnerConfig crash_config(TmKind kind, bool checkpoint = false,
     cfg.pmem.raw_words +=
         CheckpointManager::metadata_words(cfg.pmem.capacity_words) + 2 * kWordsPerLine;
   }
-  if (flight_recorder) {
-    // The recorder reserves raw words too — same layout-agreement contract
-    // as the checkpoint region above.
-    cfg.nvhalt.flight_recorder = true;
-    cfg.trinity.flight_recorder = true;
-    cfg.spht.flight_recorder = true;
-    cfg.pmem.raw_words += telemetry::FlightRecorder::metadata_words();
-  }
   return cfg;
 }
 
@@ -151,7 +134,7 @@ inline CrashTraceBundle run_crash_workload(const CrashHarnessOptions& opt) {
   if (!opt.trace_out.empty()) telemetry::TraceBuffer::instance().clear();
 
   PersistJournal journal;
-  RunnerConfig cfg = crash_config(opt.kind, opt.checkpoint_every > 0, opt.flight_recorder);
+  RunnerConfig cfg = crash_config(opt.kind, opt.checkpoint_every > 0);
   cfg.pmem.journal = &journal;
   TmRunner runner(cfg);
   auto& tm = runner.tm();
@@ -329,28 +312,6 @@ class CrashImageVerifier {
     pool.install_crash_image(img.words);
     tm.recover_data();
 
-    // ---- 0. Flight-recorder postmortem ---------------------------------
-    // Every enumerated crash image must yield a postmortem that reads back
-    // whole from the artifact crash_sweep --postmortem-out writes and passes
-    // the trace_dump --check consistency rules. Torn recorder tails are
-    // expected (each ring counts them); what must never happen is recovery
-    // failing on recorder state or the artifact failing to read back.
-    if (tr_.opt.flight_recorder) {
-      const telemetry::PostmortemReport* pm = tm.last_postmortem();
-      if (pm == nullptr)
-        return fail(why, prefix, "flight recorder enabled but recovery produced no postmortem");
-      std::stringstream artifact;
-      telemetry::write_raw_trace(artifact, pm->trace);
-      telemetry::TraceDump rt;
-      std::string perr;
-      if (!telemetry::read_raw_trace(artifact, rt, &perr) || !telemetry::check_trace(rt, &perr))
-        return fail(why, prefix, "postmortem artifact rejected: ", perr);
-      if (rt.total_events() != pm->trace.total_events() ||
-          rt.total_torn() != pm->trace.total_torn() ||
-          rt.threads.size() != pm->trace.threads.size())
-        return fail(why, prefix, "postmortem artifact round-trip lost records");
-    }
-
     std::vector<LiveBlock> live;
     // Setup-phase raw allocations are eagerly durable (allocation bit +
     // fence before the address is handed out), so the durable bitmap says
@@ -464,12 +425,9 @@ class CrashImageVerifier {
     return true;
   }
 
-  TmRunner& runner() { return runner_; }
-
  private:
   static RunnerConfig verifier_config(const CrashTraceBundle& tr, int skip_nth) {
-    RunnerConfig cfg =
-        crash_config(tr.opt.kind, tr.opt.checkpoint_every > 0, tr.opt.flight_recorder);
+    RunnerConfig cfg = crash_config(tr.opt.kind, tr.opt.checkpoint_every > 0);
     cfg.nvhalt.recovery_skip_nth_revert = skip_nth;
     return cfg;
   }
@@ -492,15 +450,11 @@ class CrashImageVerifier {
 // ---- Bundle persistence (cross-process failure replay) -------------------
 
 namespace detail {
-// v5 appends a group-commit word that is now always 0: bundles recorded
-// with the removed fence combiner are rejected, not replayed wrong. v4
-// appends flight_recorder, v3 checkpoint_every (both layout-affecting: the
-// verifier must rebuild the same raw geometry). Old bundles load with the
-// missing features off.
-inline constexpr std::uint64_t kBundleMagicV2 = 0x4E56484243524232ULL;  // "NVHBCRB2"
-inline constexpr std::uint64_t kBundleMagicV3 = 0x4E56484243524233ULL;  // "NVHBCRB3"
-inline constexpr std::uint64_t kBundleMagicV4 = 0x4E56484243524234ULL;  // "NVHBCRB4"
-inline constexpr std::uint64_t kBundleMagic = 0x4E56484243524235ULL;    // "NVHBCRB5"
+// One layout. checkpoint_every is its only layout-affecting option (the
+// verifier must rebuild the same raw geometry); a bundle of any other
+// layout is rejected by name, not replayed under a geometry it was not
+// recorded with.
+inline constexpr std::uint64_t kBundleMagic = 0x4E56484243524236ULL;  // "NVHBCRB6"
 
 inline void put_u64(std::ostream& os, std::uint64_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -530,8 +484,6 @@ inline void save_bundle(const std::string& path, const CrashTraceBundle& tr) {
   put_u64(f, tr.opt.initial_balance);
   put_u64(f, tr.opt.workload_seed);
   put_u64(f, static_cast<std::uint64_t>(tr.opt.checkpoint_every));
-  put_u64(f, tr.opt.flight_recorder ? 1 : 0);
-  put_u64(f, 0);  // group-commit word (v5 layout)
   put_u64(f, tr.prefill_bound);
   put_u64(f, tr.map_key_base);
   const auto put_vec = [&f](const std::vector<gaddr_t>& v) {
@@ -567,13 +519,8 @@ inline CrashTraceBundle load_bundle(const std::string& path) {
   using detail::get_u64;
   std::ifstream f(path, std::ios::binary);
   if (!f) throw TmLogicError("cannot open bundle file: " + path);
-  const std::uint64_t magic = get_u64(f);
-  if (magic != detail::kBundleMagic && magic != detail::kBundleMagicV4 &&
-      magic != detail::kBundleMagicV3 && magic != detail::kBundleMagicV2)
-    throw TmLogicError("not a crash-trace bundle: " + path);
-  const bool v5 = magic == detail::kBundleMagic;
-  const bool v4 = v5 || magic == detail::kBundleMagicV4;
-  const bool v3 = v4 || magic == detail::kBundleMagicV3;
+  if (get_u64(f) != detail::kBundleMagic)
+    throw TmLogicError("not a crash-trace bundle of the current layout (NVHBCRB6): " + path);
   CrashTraceBundle tr;
   tr.opt.kind = static_cast<TmKind>(get_u64(f));
   tr.opt.transfer_threads = static_cast<int>(get_u64(f));
@@ -587,11 +534,7 @@ inline CrashTraceBundle load_bundle(const std::string& path) {
   tr.opt.list_key_base = get_u64(f);
   tr.opt.initial_balance = get_u64(f);
   tr.opt.workload_seed = get_u64(f);
-  tr.opt.checkpoint_every = v3 ? static_cast<int>(get_u64(f)) : 0;
-  tr.opt.flight_recorder = v4 && get_u64(f) != 0;
-  if (v5 && get_u64(f) != 0)
-    throw TmLogicError("bundle was recorded with group commit, which is no longer supported: " +
-                       path);
+  tr.opt.checkpoint_every = static_cast<int>(get_u64(f));
   tr.prefill_bound = get_u64(f);
   tr.map_key_base = get_u64(f);
   const auto get_vec = [&f](std::vector<gaddr_t>& v) {

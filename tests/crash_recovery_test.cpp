@@ -38,24 +38,26 @@ struct CrashCycleResult {
 };
 
 /// Runs `nthreads` workers, each monotonically bumping its own pair of
-/// slots (slot_a[i] = slot_b[i] = i), crashes mid-flight, recovers, and
-/// returns what was acknowledged.
+/// slots (slot_a[i] = slot_b[i] = i) from just above `start[i]`, the pair's
+/// current value, crashes mid-flight, recovers, and returns what was
+/// acknowledged (`start[i]` when nothing was).
 CrashCycleResult run_crash_cycle(TmRunner& runner, std::vector<gaddr_t>& slots_a,
                                  std::vector<gaddr_t>& slots_b, int nthreads, int crash_after_us,
-                                 std::uint64_t crash_seed, double writeback_prob) {
+                                 std::uint64_t crash_seed, double writeback_prob,
+                                 const std::vector<word_t>& start) {
   auto& tm = runner.tm();
   CrashCoordinator coord;
   runner.pool().set_crash_coordinator(&coord);
 
   CrashCycleResult result;
-  result.acked.assign(static_cast<std::size_t>(nthreads), 0);
-  result.attempted.assign(static_cast<std::size_t>(nthreads), 0);
+  result.acked = start;
+  result.attempted = start;
 
   std::vector<std::thread> workers;
   for (int t = 0; t < nthreads; ++t) {
     workers.emplace_back([&, t] {
       try {
-        for (word_t i = 1;; ++i) {
+        for (word_t i = start[static_cast<std::size_t>(t)] + 1;; ++i) {
           result.attempted[static_cast<std::size_t>(t)] = i;
           const bool ok = tm.run(t, [&](Tx& tx) {
             tx.write(slots_a[static_cast<std::size_t>(t)], i);
@@ -93,8 +95,8 @@ TEST_P(CrashRecoveryTest, AckedTransactionsSurviveAtomically) {
       slots_a.push_back(runner.alloc().raw_alloc(0, 1));
       slots_b.push_back(runner.alloc().raw_alloc(0, 1));
     }
-    const auto result =
-        run_crash_cycle(runner, slots_a, slots_b, kThreads, 3000, seed, writeback);
+    const auto result = run_crash_cycle(runner, slots_a, slots_b, kThreads, 3000, seed,
+                                        writeback, std::vector<word_t>(kThreads, 0));
 
     for (int t = 0; t < kThreads; ++t) {
       word_t va = 0, vb = 0;
@@ -121,19 +123,27 @@ TEST_P(CrashRecoveryTest, RepeatedCrashCyclesStayConsistent) {
     slots_a.push_back(runner.alloc().raw_alloc(0, 1));
     slots_b.push_back(runner.alloc().raw_alloc(0, 1));
   }
+  // What the previous recovery kept. Each cycle resumes every worker from
+  // it, so values grow across cycles and a recovery that brings back an
+  // earlier cycle's state reads below the floor; restarting every cycle at
+  // 1 hid that, since an earlier cycle's larger value passed every check.
   std::vector<word_t> floor(kThreads, 0);
   for (int cycle = 0; cycle < 4; ++cycle) {
     const auto result = run_crash_cycle(runner, slots_a, slots_b, kThreads,
-                                        1000 + cycle * 700, 100 + cycle, 0.3);
+                                        1000 + cycle * 700, 100 + cycle, 0.3, floor);
     for (int t = 0; t < kThreads; ++t) {
+      const std::size_t i = static_cast<std::size_t>(t);
       word_t va = 0, vb = 0;
       tm.run(0, [&](Tx& tx) {
-        va = tx.read(slots_a[static_cast<std::size_t>(t)]);
-        vb = tx.read(slots_b[static_cast<std::size_t>(t)]);
+        va = tx.read(slots_a[i]);
+        vb = tx.read(slots_b[i]);
       });
-      EXPECT_EQ(va, vb);
-      EXPECT_GE(va, result.acked[static_cast<std::size_t>(t)]);
-      (void)floor;
+      EXPECT_EQ(va, vb) << "cycle " << cycle << " thread " << t;
+      EXPECT_GE(va, floor[i]) << "cycle " << cycle << " thread " << t
+                              << " lost what the previous recovery made durable";
+      EXPECT_GE(va, result.acked[i]) << "cycle " << cycle << " thread " << t;
+      EXPECT_LE(va, result.attempted[i]) << "cycle " << cycle << " thread " << t;
+      floor[i] = va;
     }
   }
 }
@@ -272,7 +282,8 @@ TEST_P(CrashRecoveryTest, EadrCrashKeepsEverythingCommitted) {
     slots_a.push_back(runner.alloc().raw_alloc(0, 1));
     slots_b.push_back(runner.alloc().raw_alloc(0, 1));
   }
-  const auto result = run_crash_cycle(runner, slots_a, slots_b, kThreads, 3000, 5, 0.0);
+  const auto result = run_crash_cycle(runner, slots_a, slots_b, kThreads, 3000, 5, 0.0,
+                                      std::vector<word_t>(kThreads, 0));
   EXPECT_EQ(runner.pool().fence_count(), 0u);  // eADR: zero fences issued
   for (int t = 0; t < kThreads; ++t) {
     word_t va = 0, vb = 0;

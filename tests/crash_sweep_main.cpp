@@ -45,10 +45,6 @@ struct SweepArgs {
   std::uint64_t workload_seed = 0xC0FFEE;
   std::size_t max_prefixes = 0;
   bool mutate = false;
-  // Flight recorder: run every TM with the persistent recorder enabled and
-  // decode + validate a postmortem from each enumerated crash image.
-  bool postmortem = false;
-  std::string postmortem_out;
   std::string save_dir = ".";
   std::string replay_bundle;
   std::string replay_triple;
@@ -72,11 +68,6 @@ void usage(const char* argv0) {
                "  --workload-seed N deterministic workload seed\n"
                "  --save-dir DIR    where failing trace bundles are written (default .)\n"
                "  --mutate          run NV-HALT with broken recovery; exit 0 iff caught\n"
-               "  --postmortem      enable the persistent flight recorder; every enumerated\n"
-               "                    crash image must yield a valid postmortem decode\n"
-               "  --postmortem-out FILE  write the final image's postmortem per TM as an\n"
-               "                    nvhalt-trace-v1 file for trace_dump (FILE gets a .<tm>\n"
-               "                    suffix; implies --postmortem)\n"
                "  --replay FILE TRIPLE   recheck one hash:prefix:seed triple of a saved bundle\n"
                "  --trace-out FILE  dump a raw telemetry trace per TM (FILE gets a .<tm> suffix;\n"
                "                    needs an NVHALT_TELEMETRY>=1 build to be non-empty)\n"
@@ -146,13 +137,6 @@ bool parse_args(int argc, char** argv, SweepArgs* a) {
       a->save_dir = v;
     } else if (arg == "--mutate") {
       a->mutate = true;
-    } else if (arg == "--postmortem") {
-      a->postmortem = true;
-    } else if (arg == "--postmortem-out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->postmortem = true;
-      a->postmortem_out = v;
     } else if (arg == "--trace-out") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -182,7 +166,6 @@ CrashTraceBundle run_workload(const SweepArgs& a, TmKind kind) {
   opt.txs_per_thread = a.txs_per_thread;
   opt.list_threads = a.list_threads;
   opt.checkpoint_every = a.checkpoint_every;
-  opt.flight_recorder = a.postmortem;
   opt.workload_seed = a.workload_seed;
   if (!a.trace_out.empty())
     opt.trace_out = a.trace_out + "." + tm_kind_name(kind);
@@ -221,57 +204,12 @@ int run_sweep(const SweepArgs& a) {
     const CrashTraceBundle tr = run_workload(a, kind);
     CrashEnumerator en(tr.events, enum_options(a));
     CrashImageVerifier verifier(tr);
-
-    // With --postmortem the base checker already validates every image's
-    // decode; this wrapper only aggregates the sweep-wide summary.
-    std::uint64_t pm_images = 0, pm_torn_images = 0, pm_open_tx_images = 0, pm_torn_total = 0;
-    const auto base = verifier.checker();
-    const CrashImageChecker checker = [&](const CrashImage& img, std::size_t prefix,
-                                          std::uint64_t seed, std::string* why) {
-      const bool ok = base(img, prefix, seed, why);
-      if (a.postmortem) {
-        if (const auto* pm = verifier.runner().tm().last_postmortem()) {
-          ++pm_images;
-          pm_torn_total += pm->trace.total_torn();
-          if (pm->trace.total_torn() > 0) ++pm_torn_images;
-          for (const telemetry::ThreadTrace& t : pm->trace.threads) {
-            if (telemetry::in_flight(t).open_tx) {
-              ++pm_open_tx_images;
-              break;
-            }
-          }
-        }
-      }
-      return ok;
-    };
-
-    const auto failure = en.run(checker);
+    const auto failure = en.run(verifier.checker());
     if (failure.has_value()) return report_failure(a, kind, tr, *failure);
     const auto& st = en.stats();
     std::printf("[%s] OK: %zu events, %zu/%zu fence boundaries, %zu images checked%s\n",
                 tm_kind_name(kind), tr.events.size(), st.prefixes_checked, en.boundaries().size(),
                 st.images_checked, st.budget_exhausted ? " (budget exhausted)" : "");
-    if (a.postmortem) {
-      std::printf("[%s] postmortem: %llu images decoded, %llu with torn tails "
-                  "(%llu torn slots), %llu with an open tx at crash\n",
-                  tm_kind_name(kind), static_cast<unsigned long long>(pm_images),
-                  static_cast<unsigned long long>(pm_torn_images),
-                  static_cast<unsigned long long>(pm_torn_total),
-                  static_cast<unsigned long long>(pm_open_tx_images));
-      if (!a.postmortem_out.empty()) {
-        // The artifact captures the last enumerated image's postmortem —
-        // the deepest crash boundary the budget reached.
-        if (const auto* pm = verifier.runner().tm().last_postmortem()) {
-          const std::string path = a.postmortem_out + "." + tm_kind_name(kind);
-          if (!telemetry::write_raw_trace_file(path, pm->trace)) {
-            std::fprintf(stderr, "cannot write postmortem artifact: %s\n", path.c_str());
-            return 2;
-          }
-          std::printf("[%s] postmortem artifact written to %s\n", tm_kind_name(kind),
-                      path.c_str());
-        }
-      }
-    }
   }
   return 0;
 }

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -533,6 +534,34 @@ TEST_F(FileBackedPmemTest, GeometryMismatchIsRejected) {
   PmemConfig other = file_cfg();
   other.capacity_words *= 2;
   EXPECT_THROW(PmemPool{other}, TmLogicError);
+}
+
+// A file whose header fails the magic/version check (here version 1, whose
+// allocator intent tags predate the payload binding) is rejected after it
+// was mapped; the rejection must unmap it. Three rejected attempts would
+// otherwise leave three mappings of the file behind.
+TEST_F(FileBackedPmemTest, RejectedAttachLeavesNoMapping) {
+  { PmemPool pool(file_cfg()); }
+  {
+    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint64_t version = 1;
+    f.seekp(sizeof(std::uint64_t));  // header: magic, version, ...
+    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    ASSERT_TRUE(f.good());
+  }
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    try {
+      PmemPool pool(file_cfg());
+      FAIL() << "a version-1 pool file attached";
+    } catch (const TmLogicError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad magic/version"), std::string::npos) << e.what();
+    }
+  }
+  const std::string name = path_.substr(path_.find_last_of('/') + 1);
+  std::ifstream maps("/proc/self/maps");
+  ASSERT_TRUE(maps.good());
+  for (std::string line; std::getline(maps, line);)
+    EXPECT_EQ(line.find(name), std::string::npos) << "still mapped: " << line;
 }
 
 TEST_F(FileBackedPmemTest, CrashSimulationWorksOnFileBackedPools) {

@@ -524,6 +524,15 @@ TEST(TraceIo, MalformedInputIsRejectedWithReason) {
     EXPECT_FALSE(tel::read_raw_trace(ss, dump, &err));
     EXPECT_NE(err.find("bad ring header at line 2"), std::string::npos) << err;
   }
+  // A ring header field the reader does not know (torn= was one) is
+  // rejected like an unknown event kind, never skipped.
+  {
+    std::stringstream ss("# nvhalt-trace-v1 level=1 ticks_per_us=1\n"
+                         "# ring tid=0 pushed=1 dropped=0 capacity=8 torn=0\n"
+                         "100 tx_begin 0 0 -\n");
+    EXPECT_FALSE(tel::read_raw_trace(ss, dump, &err));
+    EXPECT_NE(err.find("bad ring header at line 2"), std::string::npos) << err;
+  }
 }
 
 TEST(TraceIo, ChromeTracePairsBeginWithOutcome) {
@@ -549,6 +558,42 @@ TEST(TraceIo, ChromeTracePairsBeginWithOutcome) {
        pos = json.find("\"ph\":\"X\"", pos + 1))
     ++x_count;
   EXPECT_EQ(x_count, 1u);
+}
+
+// trace_dump --check prints in_flight() for every ring: what the tail of
+// the ring says was open when it was captured.
+TEST(TraceIo, InFlightSummarisesRingTail) {
+  const auto conflict = static_cast<std::uint8_t>(htm::AbortCause::kConflict);
+  const auto capacity = static_cast<std::uint8_t>(htm::AbortCause::kCapacity);
+  tel::ThreadTrace t;
+  t.tid = 2;
+  // A committed transaction: its lock and abort belong to the past.
+  t.events.push_back({10, 0, EventKind::kTxBegin, 0xFF, 2});
+  t.events.push_back({11, 0, EventKind::kHwAbort, capacity, 2});
+  t.events.push_back({12, 4, EventKind::kLockAcquire, 0xFF, 2});
+  t.events.push_back({13, 0, EventKind::kSwCommit, 0xFF, 2});
+  // The open one: two acquisitions, an abort, a fence, two later events.
+  t.events.push_back({20, 0, EventKind::kTxBegin, 0xFF, 2});
+  t.events.push_back({21, 2, EventKind::kLockAcquire, 0xFF, 2});
+  t.events.push_back({22, 1, EventKind::kLockAcquire, 0xFF, 2});
+  t.events.push_back({23, 0x7, EventKind::kHwAbort, conflict, 2});
+  t.events.push_back({24, 3, EventKind::kFence, 0xFF, 2});
+  t.events.push_back({25, 0, EventKind::kSwAttempt, 0xFF, 2});
+  t.events.push_back({26, 2, EventKind::kSwValidate, 0xFF, 2});
+
+  const tel::InFlight open = tel::in_flight(t);
+  EXPECT_TRUE(open.open_tx);
+  EXPECT_EQ(open.held_locks, 3u);
+  EXPECT_EQ(open.past_fence, 2u);
+  EXPECT_EQ(open.last_caused.kind, EventKind::kHwAbort);
+  EXPECT_EQ(open.last_caused.cause, conflict);
+  EXPECT_EQ(open.last_caused.ticks, 23u);
+  EXPECT_EQ(open.last_caused.arg, 0x7u);
+
+  t.events.push_back({27, 0, EventKind::kSwCommit, 0xFF, 2});
+  const tel::InFlight closed = tel::in_flight(t);
+  EXPECT_FALSE(closed.open_tx);
+  EXPECT_EQ(closed.held_locks, 0u);
 }
 
 TEST(TraceIo, CollectTraceDumpMatchesCompiledLevel) {

@@ -1,13 +1,12 @@
-// trace_dump: convert an nvhalt-trace-v1 file — a DRAM trace (crash_sweep
-// --trace-out, or any binary calling telemetry::write_raw_trace_file) or a
-// flight-recorder postmortem (crash_sweep --postmortem-out) — into
-// chrome://tracing JSON, or check it.
+// trace_dump: convert an nvhalt-trace-v1 file (crash_sweep --trace-out, or
+// any binary calling telemetry::write_raw_trace_file) into chrome://tracing
+// JSON, or check it.
 //
 //   trace_dump <trace.txt> [-o out.json]   convert (default out: stdout)
 //   trace_dump --check <trace.txt>         parse + consistency check
 //
 // --check verifies the file parses and every ring passes
-// telemetry::check_trace (event, torn and dropped counts against its
+// telemetry::check_trace (event and dropped counts against its
 // pushed/capacity header; monotonic timestamps), then prints a summary
 // line and, per ring, what it says was in flight: an open transaction and
 // the lock lines it held, records past the last fence, the last abort
@@ -31,12 +30,10 @@ int usage() {
 
 void print_summary(const tel::TraceDump& dump) {
   std::cout << "trace_dump: ok: level=" << dump.level << " rings=" << dump.threads.size()
-            << " events=" << dump.total_events() << " dropped=" << dump.total_dropped()
-            << " torn=" << dump.total_torn() << "\n";
+            << " events=" << dump.total_events() << " dropped=" << dump.total_dropped() << "\n";
   for (const tel::ThreadTrace& t : dump.threads) {
     const tel::InFlight f = tel::in_flight(t);
-    std::cout << "  tid " << t.tid << ": " << t.events.size() << " events (" << t.torn
-              << " torn)";
+    std::cout << "  tid " << t.tid << ": " << t.events.size() << " events";
     if (f.open_tx) std::cout << ", OPEN tx holding " << f.held_locks << " lock line(s)";
     if (f.past_fence > 0) std::cout << ", " << f.past_fence << " record(s) past last fence";
     if (const char* cause = tel::event_cause_name(f.last_caused))
