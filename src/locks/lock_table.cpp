@@ -10,11 +10,11 @@ LockSpace::LockSpace(LockMode mode, std::size_t table_entries, std::size_t capac
     if (table_entries == 0 || (table_entries & (table_entries - 1)) != 0)
       throw TmLogicError("lock table size must be a power of two");
     mask_ = table_entries - 1;
-    table_ = std::make_unique<PaddedLockEntry[]>(table_entries);
+    table_ = map_zeroed_array<PaddedLockEntry>(table_entries);
     table_raw_ = table_.get();
   } else {
     colocated_count_ = capacity_words;
-    colocated_ = std::make_unique<LockEntry[]>(capacity_words);
+    colocated_ = map_zeroed_array<LockEntry>(capacity_words);
     colocated_raw_ = colocated_.get();
   }
 }

@@ -9,11 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "locks/contention.hpp"
 #include "locks/versioned_lock.hpp"
 #include "util/common.hpp"
+#include "util/mapped_array.hpp"
 
 namespace nvhalt {
 
@@ -99,9 +99,12 @@ class LockSpace {
   std::size_t colocated_count_ = 0;
   // Table entries are padded to a cache line each (they are shared by many
   // addresses); colocated entries are dense, as they would be in memory.
+  // Both arrays are mappings of their own (util/mapped_array.hpp): the
+  // 2^16-entry table is 4 MiB and the colocated array 16 bytes per word,
+  // large enough to want huge pages.
   struct alignas(kCacheLineBytes) PaddedLockEntry : LockEntry {};
-  std::unique_ptr<PaddedLockEntry[]> table_;
-  std::unique_ptr<LockEntry[]> colocated_;
+  MappedArray<PaddedLockEntry> table_;
+  MappedArray<LockEntry> colocated_;
   // Cached .get() of whichever array is active, so ref() dereferences one
   // raw pointer instead of reloading through the unique_ptr each access.
   PaddedLockEntry* table_raw_ = nullptr;

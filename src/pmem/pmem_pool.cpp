@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
-#include <new>
 
 #include "htm/htm_tls.hpp"
 #include "pmem/crash_enum.hpp"
@@ -67,23 +66,6 @@ struct FileHeader {
 };
 }  // namespace
 
-void PmemPool::Unmap::operator()(void* p) const { ::munmap(p, bytes); }
-
-PmemPool::WordImage PmemPool::make_image(std::size_t n) {
-  // Mapped, not allocated: glibc serves a freed block of up to 32 MB from
-  // its heap the next time, and whether that block's pages are reused then
-  // depends on unrelated allocations. Re-creating a 2^21-word pool could
-  // leave a second 16 MB volatile image resident or not.
-  const std::size_t bytes = n * sizeof(std::atomic<std::uint64_t>);
-  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (p == MAP_FAILED) throw std::bad_alloc();
-  auto* words = static_cast<std::atomic<std::uint64_t>*>(p);
-  // Zero every word now: touching the pages here keeps first-touch faults
-  // out of the first transactions.
-  for (std::size_t i = 0; i < n; ++i) ::new (&words[i]) std::atomic<std::uint64_t>(0);
-  return WordImage(words, Unmap{bytes});
-}
-
 PmemPool::PmemPool(const PmemConfig& cfg) : cfg_(cfg) {
   if (cfg_.capacity_words < 2) throw TmLogicError("pool too small");
   const std::size_t raw_total = kPverHeaderWords + kRootHeaderWords + cfg_.raw_words;
@@ -94,6 +76,7 @@ PmemPool::PmemPool(const PmemConfig& cfg) : cfg_(cfg) {
       cfg_.nvm_store_latency_ns != 0)
     ticks_per_ns_ = process_ticks_per_ns();
 
+  const auto make_image = map_zeroed_array<std::atomic<std::uint64_t>>;
   vmem_ = make_image(cfg_.capacity_words);
 
   const std::size_t raw_words_padded = raw_lines_ * kWordsPerLine;
@@ -101,6 +84,10 @@ PmemPool::PmemPool(const PmemConfig& cfg) : cfg_(cfg) {
   raw_staged_ = make_image(raw_words_padded);
   rec_staged_ = make_image(rec_words);
 
+  // The staged (cache) image starts as a copy of the durable one. Owned
+  // images are both zero already; a backing file's durable image may hold
+  // a previous run's state, which the copy turns into exactly the
+  // post-crash view recover_data() expects.
   if (cfg_.backing_path.empty()) {
     raw_durable_owned_ = make_image(raw_words_padded);
     rec_durable_owned_ = make_image(rec_words);
@@ -108,16 +95,13 @@ PmemPool::PmemPool(const PmemConfig& cfg) : cfg_(cfg) {
     rec_durable_ = rec_durable_owned_.get();
   } else {
     map_backing_file(raw_words_padded, rec_words);
+    for (std::size_t i = 0; i < raw_words_padded; ++i)
+      raw_staged_[i].store(raw_durable_[i].load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
+    for (std::size_t i = 0; i < rec_words; ++i)
+      rec_staged_[i].store(rec_durable_[i].load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
   }
-  // The staged (cache) image always starts as a copy of the durable one —
-  // a fresh pool sees zeros, an attached pool sees the previous run's
-  // durable state (exactly the post-crash view recover_data() expects).
-  for (std::size_t i = 0; i < raw_words_padded; ++i)
-    raw_staged_[i].store(raw_durable_[i].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  for (std::size_t i = 0; i < rec_words; ++i)
-    rec_staged_[i].store(rec_durable_[i].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
 
   if (cfg_.track_store_order) {
     line_clock_ = std::make_unique<std::atomic<std::uint32_t>[]>(total_lines_);

@@ -43,6 +43,7 @@
 #include "htm/small_map.hpp"
 #include "telemetry/histogram.hpp"
 #include "util/common.hpp"
+#include "util/mapped_array.hpp"
 #include "util/rng.hpp"
 
 namespace nvhalt {
@@ -307,15 +308,9 @@ class PmemPool {
   /// Adds one store's latency to tid's debt.
   void owe_store(int tid);
 
-  /// Unmaps a mapping of `bytes` bytes: the word images and the backing
-  /// file are mapped, never taken from the malloc heap.
-  struct Unmap {
-    std::size_t bytes;
-    void operator()(void* p) const;
-  };
-  using WordImage = std::unique_ptr<std::atomic<std::uint64_t>[], Unmap>;
-  /// Maps `n` zeroed words (page-aligned, so on a cache-line boundary).
-  static WordImage make_image(std::size_t n);
+  /// A word image: its own mapping (util/mapped_array.hpp), page-aligned,
+  /// so on a cache-line boundary.
+  using WordImage = MappedArray<std::atomic<std::uint64_t>>;
 
   PmemConfig cfg_;
   std::size_t raw_lines_;
@@ -332,7 +327,7 @@ class PmemPool {
   // Durable images are atomics too: distinct transactions may fence the
   // same cache line concurrently (two records share a line), so the
   // staged->durable copy must be race-free word-wise. They either live in
-  // owned heap storage (default) or inside the mapped backing file (whose
+  // owned images (default) or inside the mapped backing file (whose
   // payload starts on a page boundary).
   WordImage raw_staged_;
   WordImage rec_staged_;  // 4 words/record

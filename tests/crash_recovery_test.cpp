@@ -8,7 +8,9 @@
 //   (a) every transaction acknowledged before the crash is reflected,
 //   (b) multi-word transactions are reflected atomically,
 //   (c) the recovered state is a prefix-consistent set of commits,
-//   (d) structure invariants hold after recovery.
+//   (d) structure invariants hold after recovery,
+//   (e) recovery resumes each thread's pVerNum from its durable marker, so
+//       a later recovery keeps words that earlier epochs committed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -364,6 +366,89 @@ TEST(CrashRecoveryEdge, UnackedButDurablyCompleteTxnMayLegallySurvive) {
   });
   EXPECT_EQ(va, vb);
   EXPECT_EQ(va, 4u);  // it was fully fenced before the crash
+}
+
+// Recovery must resume each thread's pVerNum from its durable marker. A
+// counter restarted below the marker stamps new records lower than records
+// an earlier epoch left, and the next recovery then reverts committed words
+// that were not written since. Only the TMs with per-thread markers (the
+// undo-record engine) apply.
+class PverRecoveryTest : public ::testing::TestWithParam<TmKind> {
+ protected:
+  static constexpr int kThreads = 3;
+
+  static void crash_and_recover(TmRunner& runner) {
+    runner.pool().crash(CrashPolicy{0.0, 7});
+    runner.tm().recover_data();
+    runner.tm().rebuild_allocator({});
+  }
+  static void commit(TransactionalMemory& tm, int tid, gaddr_t a, word_t v) {
+    ASSERT_TRUE(tm.run(tid, [&](Tx& tx) { tx.write(a, v); }));
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(UndoRecordTms, PverRecoveryTest,
+                         ::testing::Values(TmKind::kNvHalt, TmKind::kNvHaltCl, TmKind::kNvHaltSp,
+                                           TmKind::kTrinity),
+                         test::kind_param_name);
+
+TEST_P(PverRecoveryTest, EachCommitAfterRecoveryAdvancesTheMarkerByOne) {
+  TmRunner runner(small_config(GetParam()));
+  auto& tm = runner.tm();
+  auto& pool = runner.pool();
+  std::vector<gaddr_t> slot;
+  for (int t = 0; t < kThreads; ++t) slot.push_back(runner.alloc().raw_alloc(0, 1));
+  // Thread t commits 4 + t updates, so each thread's marker differs.
+  for (int t = 0; t < kThreads; ++t)
+    for (word_t i = 1; i <= static_cast<word_t>(4 + t); ++i)
+      commit(tm, t, slot[static_cast<std::size_t>(t)], i);
+  crash_and_recover(runner);
+
+  for (int t = 0; t < kThreads; ++t) {
+    const std::uint64_t marker = pool.load_pver(t);
+    EXPECT_EQ(marker, static_cast<std::uint64_t>(4 + t)) << "thread " << t;
+    for (std::uint64_t j = 1; j <= 3; ++j) {
+      commit(tm, t, slot[static_cast<std::size_t>(t)], 100 + j);
+      EXPECT_EQ(pool.load_pver(t), marker + j) << "thread " << t << " commit " << j;
+    }
+  }
+}
+
+TEST_P(PverRecoveryTest, WordCommittedOnlyInTheFirstCycleSurvivesLaterRecoveries) {
+  TmRunner runner(small_config(GetParam()));
+  auto& tm = runner.tm();
+  std::vector<gaddr_t> once, churn;
+  for (int t = 0; t < kThreads; ++t) {
+    once.push_back(runner.alloc().raw_alloc(0, 1));
+    churn.push_back(runner.alloc().raw_alloc(0, 1));
+  }
+  // Cycle 1: eight churn commits, then the only write `once` ever gets, so
+  // its record carries pVerNum 8. Later cycles commit three churn updates
+  // each: a counter restarted at 0 would leave the marker at 3, below that
+  // record, and the second recovery would revert it.
+  for (int t = 0; t < kThreads; ++t) {
+    const std::size_t i = static_cast<std::size_t>(t);
+    for (word_t v = 1; v <= 8; ++v) commit(tm, t, churn[i], v);
+    commit(tm, t, once[i], 1000 + i);
+  }
+  for (int cycle = 1; cycle <= 3; ++cycle) {
+    if (cycle > 1) {
+      for (int t = 0; t < kThreads; ++t)
+        for (word_t v = 1; v <= 3; ++v)
+          commit(tm, t, churn[static_cast<std::size_t>(t)], 100 * cycle + v);
+    }
+    crash_and_recover(runner);
+    for (int t = 0; t < kThreads; ++t) {
+      const std::size_t i = static_cast<std::size_t>(t);
+      word_t v = 0, c = 0;
+      tm.run(0, [&](Tx& tx) {
+        v = tx.read(once[i]);
+        c = tx.read(churn[i]);
+      });
+      EXPECT_EQ(v, 1000 + i) << "recovery " << cycle << " thread " << t;
+      EXPECT_EQ(c, cycle == 1 ? 8 : 100u * cycle + 3) << "recovery " << cycle << " thread " << t;
+    }
+  }
 }
 
 }  // namespace

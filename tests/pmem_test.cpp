@@ -1,13 +1,16 @@
 // Unit tests for the simulated persistent memory pool: flush/fence
 // semantics, Trinity record layout, crash adversary (spontaneous
-// write-back with same-line store ordering), the crash coordinator, and
-// the persist path's billing and per-thread counters.
+// write-back with same-line store ordering), the crash coordinator, the
+// persist path's billing and per-thread counters, and the memory backing of
+// the images and lock arrays.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -15,6 +18,7 @@
 
 #include <unistd.h>
 
+#include "locks/lock_table.hpp"
 #include "pmem/crash_enum.hpp"
 #include "pmem/crash_sim.hpp"
 #include "pmem/pmem_inspector.hpp"
@@ -269,6 +273,94 @@ TEST(PmemPool, WordImagesAreLineAligned) {
     PmemPool pool(cfg);
     for (const void* base : pool.image_bases()) EXPECT_TRUE(line_aligned(base)) << words;
   }
+}
+
+// An anonymous pool's staged images are not copied from its durable ones:
+// both start as fresh zero pages. A second pool of the same geometry, built
+// where a dirtied one was just freed, must read zero everywhere too.
+TEST(PmemPool, FreshAnonymousPoolReadsZeroWithoutTheStagedCopy) {
+  const PmemConfig cfg = small_cfg(false);
+  {
+    PmemPool used(cfg);
+    for (gaddr_t a = 1; a < used.capacity_words(); a += 97) {
+      used.record_write(0, a, a, a + 1, pack_pver(0, a));
+      used.flush_record(0, a);
+    }
+    used.raw_store(0, used.alloc_raw(1), 5);
+    used.store_pver(0, 3);
+    used.flush_pver(0);
+    used.fence(0);
+  }
+  PmemPool pool(cfg);
+  for (gaddr_t a = 0; a < pool.capacity_words(); ++a) {
+    const PRecord staged = pool.read_record(a);
+    const PRecord durable = pool.read_durable_record(a);
+    ASSERT_EQ(staged.cur | staged.old | staged.pver, 0u) << "staged record " << a;
+    ASSERT_EQ(durable.cur | durable.old | durable.pver, 0u) << "durable record " << a;
+    ASSERT_EQ(pool.load(a), 0u) << "volatile word " << a;
+  }
+  for (std::size_t i = 0; i < pool.raw_space_words(); ++i) {
+    ASSERT_EQ(pool.raw_load(i), 0u) << "staged raw word " << i;
+    ASSERT_EQ(pool.raw_load_durable(i), 0u) << "durable raw word " << i;
+  }
+}
+
+/// The host's THP mode: the bracketed word of
+/// /sys/kernel/mm/transparent_hugepage/enabled, or "" without THP.
+std::string thp_mode() {
+  std::ifstream f("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(f, line);
+  const std::size_t open = line.find('['), close = line.find(']');
+  if (open == std::string::npos || close == std::string::npos) return "";
+  return line.substr(open + 1, close - open - 1);
+}
+
+/// The `THPeligible` value of the /proc/self/smaps entry whose address
+/// range holds `p`, or -1 when no entry (or no such line) does.
+int thp_eligible(const void* p) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  std::ifstream smaps("/proc/self/smaps");
+  bool inside = false;
+  for (std::string line; std::getline(smaps, line);) {
+    unsigned long lo = 0, hi = 0;
+    // Entry header: "lo-hi perms offset dev inode [path]".
+    if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2) {
+      inside = lo <= addr && addr < hi;
+    } else if (inside && line.rfind("THPeligible:", 0) == 0) {
+      return std::stoi(line.substr(std::strlen("THPeligible:")));
+    }
+  }
+  return -1;
+}
+
+// Every pool image and lock array of at least one huge page asks for
+// transparent huge pages (util/mapped_array.hpp): on a `madvise` host only
+// the advice makes a mapping eligible.
+TEST(PmemMemoryBacking, LargeImagesAndLockArraysAreThpEligible) {
+  const std::string mode = thp_mode();
+  if (mode.empty() || mode == "never") GTEST_SKIP() << "transparent huge pages are off";
+  PmemConfig cfg = small_cfg(false);
+  cfg.capacity_words = std::size_t{1} << 22;
+  PmemPool pool(cfg);
+  const std::size_t raw_bytes = pool.raw_space_words() * sizeof(std::uint64_t);
+  const std::size_t rec_bytes =
+      (pool.persist_space_words() - pool.raw_space_words()) * sizeof(std::uint64_t);
+  const std::array<std::size_t, 5> bytes = {pool.capacity_words() * sizeof(std::uint64_t),
+                                            raw_bytes, rec_bytes, raw_bytes, rec_bytes};
+  const auto bases = pool.image_bases();
+  int checked = 0;
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    if (bytes[i] < kHugePageBytes) continue;
+    EXPECT_EQ(thp_eligible(bases[i]), 1) << "pool image " << i << " (" << bytes[i] << " bytes)";
+    ++checked;
+  }
+  EXPECT_EQ(checked, 3);  // volatile and both record images; raw ones are small
+
+  LockSpace table(LockMode::kTable, std::size_t{1} << 16, 0);  // 4 MiB
+  EXPECT_EQ(thp_eligible(table.ref(0).s), 1) << "lock table";
+  LockSpace colocated(LockMode::kColocated, 0, std::size_t{1} << 18);  // 4 MiB
+  EXPECT_EQ(thp_eligible(colocated.ref(0).s), 1) << "colocated lock array";
 }
 
 PmemConfig billed_cfg() {

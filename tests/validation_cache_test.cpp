@@ -128,8 +128,9 @@ TEST(ValidationCache, DisjointWriterForcesRevalidationNotAbort) {
   word_t vx = 0, vy = 0;
   const bool committed = nv.attempt_sw_once(0, [&](Tx& tx) {
     vx = tx.read(x);
-    if (entries++ == 0)
+    if (entries++ == 0) {
       EXPECT_TRUE(nv.attempt_sw_once(1, [&](Tx& wtx) { wtx.write(z, 99); }));
+    }
     vy = tx.read(y);
   });
   EXPECT_TRUE(committed);
