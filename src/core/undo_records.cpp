@@ -30,8 +30,7 @@ std::uint64_t revert_words(PmemPool& pool, const std::uint64_t* durable_pver, in
   std::uint64_t n = 0;
   for (gaddr_t a = std::max<gaddr_t>(lo, 1); a < hi; ++a) {
     PRecord r = pool.read_record(a);
-    if (pver_seq(r.pver) >= durable_pver[pver_tid(r.pver)] && r.cur != r.old &&
-        (skip_nth < 0 || seen++ != skip_nth)) {
+    if (record_in_flight(r, durable_pver) && (skip_nth < 0 || seen++ != skip_nth)) {
       pool.revert_record(tid, a);
       pool.flush_record(tid, a);
       r.cur = r.old;

@@ -16,12 +16,8 @@ PmemReport PmemInspector::scan() const {
   }
   for (gaddr_t a = 1; a < pool_.capacity_words(); ++a) {
     const PRecord staged = pool_.read_record(a);
-    if (staged.pver != 0) {
-      ++r.touched_records;
-      const int tid = pver_tid(staged.pver);
-      if (pver_seq(staged.pver) >= pvers[tid] && staged.cur != staged.old)
-        ++r.in_flight_records;
-    }
+    r.touched_records += (staged.cur | staged.old | staged.pver) != 0;
+    r.in_flight_records += record_in_flight(staged, pvers);
     const PRecord durable = pool_.read_durable_record(a);
     if (staged.cur != durable.cur || staged.old != durable.old ||
         staged.pver != durable.pver)

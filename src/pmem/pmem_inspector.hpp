@@ -15,10 +15,12 @@
 namespace nvhalt {
 
 struct PmemReport {
-  /// Words whose record carries a pver at/above its thread's durable
-  /// pVerNum (recovery would revert them) and whose cur != old.
+  /// Words whose record recovery would revert (record_in_flight against
+  /// the staged pVerNums).
   std::uint64_t in_flight_records = 0;
-  /// Words ever written through a Trinity record (pver != 0).
+  /// Words whose record holds any nonzero field. A zero pver alone does
+  /// not mean untouched: thread 0's first transaction stamps
+  /// pack_pver(0, 0) == 0.
   std::uint64_t touched_records = 0;
   /// Words whose staged record differs from the durable one.
   std::uint64_t undurable_records = 0;

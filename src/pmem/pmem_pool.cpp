@@ -47,6 +47,10 @@ namespace {
 // paper's implementations and avoids simulated same-line interference.
 constexpr std::size_t kPverHeaderWords = static_cast<std::size_t>(kMaxThreads) * kWordsPerLine;
 constexpr std::size_t kRootHeaderWords = static_cast<std::size_t>(PmemPool::kRootSlots) * kWordsPerLine;
+std::size_t pver_word(int tid) { return static_cast<std::size_t>(tid) * kWordsPerLine; }
+std::size_t root_word(int slot) {
+  return kPverHeaderWords + static_cast<std::size_t>(slot) * kWordsPerLine;
+}
 
 // Backing-file layout: one header page, then the raw durable words, then
 // the record durable words.
@@ -70,60 +74,46 @@ PmemPool::PmemPool(const PmemConfig& cfg) : cfg_(cfg) {
   if (cfg_.capacity_words < 2) throw TmLogicError("pool too small");
   const std::size_t raw_total = kPverHeaderWords + kRootHeaderWords + cfg_.raw_words;
   raw_lines_ = (raw_total + kWordsPerLine - 1) / kWordsPerLine;
-  record_lines_ = (cfg_.capacity_words + 1) / 2;  // 2 records per line
-  total_lines_ = raw_lines_ + record_lines_;
+  total_lines_ = raw_lines_ + (cfg_.capacity_words + 1) / 2;  // 2 records per line
   if (cfg_.flush_latency_ns != 0 || cfg_.fence_latency_ns != 0 ||
       cfg_.nvm_store_latency_ns != 0)
     ticks_per_ns_ = process_ticks_per_ns();
 
   const auto make_image = map_zeroed_array<std::atomic<std::uint64_t>>;
   vmem_ = make_image(cfg_.capacity_words);
+  staged_ = make_image(persist_space_words());
+  records_ = staged_.get() + raw_space_words();
 
-  const std::size_t raw_words_padded = raw_lines_ * kWordsPerLine;
-  const std::size_t rec_words = record_lines_ * kWordsPerLine;
-  raw_staged_ = make_image(raw_words_padded);
-  rec_staged_ = make_image(rec_words);
-
-  // The staged (cache) image starts as a copy of the durable one. Owned
-  // images are both zero already; a backing file's durable image may hold
-  // a previous run's state, which the copy turns into exactly the
-  // post-crash view recover_data() expects.
+  // The staged (cache) image starts as a copy of the durable one. An owned
+  // image is zero already; a backing file's durable image may hold a
+  // previous run's state, which the copy turns into exactly the post-crash
+  // view recover_data() expects.
   if (cfg_.backing_path.empty()) {
-    raw_durable_owned_ = make_image(raw_words_padded);
-    rec_durable_owned_ = make_image(rec_words);
-    raw_durable_ = raw_durable_owned_.get();
-    rec_durable_ = rec_durable_owned_.get();
+    durable_owned_ = make_image(persist_space_words());
+    durable_ = durable_owned_.get();
   } else {
-    map_backing_file(raw_words_padded, rec_words);
-    for (std::size_t i = 0; i < raw_words_padded; ++i)
-      raw_staged_[i].store(raw_durable_[i].load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-    for (std::size_t i = 0; i < rec_words; ++i)
-      rec_staged_[i].store(rec_durable_[i].load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
+    map_backing_file();
+    for (std::size_t i = 0, n = persist_space_words(); i < n; ++i)
+      staged_[i].store(durable_[i].load(std::memory_order_relaxed), std::memory_order_relaxed);
   }
 
   if (cfg_.track_store_order) {
-    line_clock_ = std::make_unique<std::atomic<std::uint32_t>[]>(total_lines_);
-    line_fenced_ = std::make_unique<std::atomic<std::uint32_t>[]>(total_lines_);
-    word_stamp_ = std::make_unique<std::atomic<std::uint32_t>[]>(total_lines_ * kWordsPerLine);
-    for (std::size_t i = 0; i < total_lines_; ++i) {
-      line_clock_[i].store(0, std::memory_order_relaxed);
-      line_fenced_[i].store(0, std::memory_order_relaxed);
-    }
-    for (std::size_t i = 0; i < total_lines_ * kWordsPerLine; ++i)
-      word_stamp_[i].store(0, std::memory_order_relaxed);
+    line_clock_ = map_zeroed_array<std::atomic<std::uint32_t>>(total_lines_);
+    line_fenced_ = map_zeroed_array<std::atomic<std::uint32_t>>(total_lines_);
+    word_window_ = map_zeroed_array<std::atomic<StoreWindow>>(persist_space_words());
   }
 
   flush_queues_ = std::make_unique<FlushQueue[]>(kMaxThreads);
   for (int t = 0; t < kMaxThreads; ++t) flush_queues_[t].lines.reserve(64);
   raw_bump_.store(kPverHeaderWords + kRootHeaderWords, std::memory_order_relaxed);
-  pver_raw_base_ = 0;
-  root_raw_base_ = kPverHeaderWords;
 }
 
-void PmemPool::map_backing_file(std::size_t raw_words_padded, std::size_t rec_words) {
-  const std::size_t payload = (raw_words_padded + rec_words) * sizeof(std::uint64_t);
+void PmemPool::map_backing_file() {
+  // The payload is the persistent word space itself: raw words, then
+  // record words, each at its word index.
+  const std::size_t raw_words_padded = raw_space_words();
+  const std::size_t rec_words = persist_space_words() - raw_words_padded;
+  const std::size_t payload = persist_space_words() * sizeof(std::uint64_t);
   const std::size_t map_len = kFileHeaderBytes + payload;
 
   const int fd = ::open(cfg_.backing_path.c_str(), O_RDWR | O_CREAT, 0644);
@@ -148,9 +138,7 @@ void PmemPool::map_backing_file(std::size_t raw_words_padded, std::size_t rec_wo
   map_ = std::unique_ptr<char[], Unmap>(static_cast<char*>(base), Unmap{map_len});
 
   auto* header = reinterpret_cast<FileHeader*>(map_.get());
-  auto* words = reinterpret_cast<std::atomic<std::uint64_t>*>(map_.get() + kFileHeaderBytes);
-  raw_durable_ = words;
-  rec_durable_ = words + raw_words_padded;
+  durable_ = reinterpret_cast<std::atomic<std::uint64_t>*>(map_.get() + kFileHeaderBytes);
 
   if (!fresh && header->initialized == 1) {
     if (header->magic != kFileMagic || header->version != kFileVersion)
@@ -177,11 +165,9 @@ void PmemPool::sync_to_disk() const {
 
 PmemPool::~PmemPool() = default;
 
-void PmemPool::journal_store(int tid, std::size_t line, std::size_t word_in_space, bool is_raw,
-                             std::uint64_t value) {
+void PmemPool::journal_store(int tid, std::size_t word, std::uint64_t value) {
   if (NVHALT_LIKELY(cfg_.journal == nullptr)) return;
-  const std::size_t global_word = is_raw ? word_in_space : raw_space_words() + word_in_space;
-  cfg_.journal->on_store(tid, line, global_word, value);
+  cfg_.journal->on_store(tid, line_of(word), word, value);
 }
 
 void PmemPool::journal_flush(int tid, std::size_t line) {
@@ -199,12 +185,16 @@ void PmemPool::journal_alloc_mark(int tid, std::uint64_t value) {
   cfg_.journal->on_alloc_mark(tid, value);
 }
 
-void PmemPool::mark_store(std::size_t line, std::size_t word_in_space, bool is_raw) {
+void PmemPool::mark_store(std::size_t word) {
   if (!cfg_.track_store_order) return;
+  const std::size_t line = line_of(word);
   const std::uint32_t stamp = line_clock_[line].fetch_add(1, std::memory_order_acq_rel) + 1;
-  const std::size_t global_word =
-      is_raw ? word_in_space : raw_lines_ * kWordsPerLine + word_in_space;
-  word_stamp_[global_word].store(stamp, std::memory_order_release);
+  // A word is stored by one thread at a time (under its lock, or by its
+  // owner), so this load and store do not race another mark of it.
+  StoreWindow w = word_window_[word].load(std::memory_order_acquire);
+  if (w.first <= line_fenced_[line].load(std::memory_order_acquire)) w.first = stamp;
+  w.last = stamp;
+  word_window_[word].store(w, std::memory_order_release);
 }
 
 void PmemPool::owe_store(int tid) {
@@ -217,17 +207,10 @@ void PmemPool::record_write(int tid, gaddr_t a, word_t old_val, word_t new_val,
   // Trinity write order within the record's cache line: old, pver, cur.
   // x86 guarantees same-line stores never persist out of order, which the
   // crash adversary honours via per-line store stamps.
-  const std::size_t line = record_line_of(a);
-  const std::size_t base = a * 4;  // record = 4 u64 words
-  rec_staged_[base + 1].store(old_val, std::memory_order_release);
-  mark_store(line, base + 1, false);
-  journal_store(tid, line, base + 1, false, old_val);
-  rec_staged_[base + 2].store(pver, std::memory_order_release);
-  mark_store(line, base + 2, false);
-  journal_store(tid, line, base + 2, false, pver);
-  rec_staged_[base + 0].store(new_val, std::memory_order_release);
-  mark_store(line, base + 0, false);
-  journal_store(tid, line, base + 0, false, new_val);
+  const std::size_t base = record_word_base(a);  // record = 4 u64 words
+  stage(tid, base + 1, old_val);
+  stage(tid, base + 2, pver);
+  stage(tid, base + 0, new_val);
   owe_store(tid);
 }
 
@@ -256,57 +239,35 @@ void PmemPool::flush_record(int tid, gaddr_t a) {
   enqueue_flush(tid, record_line_of(a));
 }
 
-PRecord PmemPool::read_durable_record(gaddr_t a) const {
-  const std::size_t base = a * 4;
-  PRecord r;
-  r.cur = rec_durable_[base + 0].load(std::memory_order_acquire);
-  r.old = rec_durable_[base + 1].load(std::memory_order_acquire);
-  r.pver = rec_durable_[base + 2].load(std::memory_order_acquire);
-  return r;
-}
-
 void PmemPool::revert_record(int tid, gaddr_t a) {
-  const std::size_t line = record_line_of(a);
-  const std::size_t base = a * 4;
-  const std::uint64_t old_val = rec_staged_[base + 1].load(std::memory_order_acquire);
-  rec_staged_[base + 0].store(old_val, std::memory_order_release);
-  mark_store(line, base + 0, false);
-  journal_store(tid, line, base + 0, false, old_val);
+  const std::size_t base = record_word_base(a);
+  stage(tid, base + 0, staged_[base + 1].load(std::memory_order_acquire));
   owe_store(tid);
 }
 
 std::uint64_t PmemPool::load_pver(int tid) const {
-  return raw_staged_[pver_raw_base_ + static_cast<std::size_t>(tid) * kWordsPerLine].load(
-      std::memory_order_acquire);
+  return staged_[pver_word(tid)].load(std::memory_order_acquire);
 }
 
 void PmemPool::store_pver(int tid, std::uint64_t v) {
-  const std::size_t idx = pver_raw_base_ + static_cast<std::size_t>(tid) * kWordsPerLine;
-  raw_staged_[idx].store(v, std::memory_order_release);
-  mark_store(raw_line_of(idx), idx, true);
-  journal_store(tid, raw_line_of(idx), idx, true, v);
+  stage(tid, pver_word(tid), v);
   owe_store(tid);
 }
 
 void PmemPool::flush_pver(int tid) {
   if (!flush_active()) return;
   if (htm::in_hw_txn()) htm::abort_on_flush();
-  const std::size_t idx = pver_raw_base_ + static_cast<std::size_t>(tid) * kWordsPerLine;
-  enqueue_flush(tid, raw_line_of(idx));
+  enqueue_flush(tid, line_of(pver_word(tid)));
 }
 
 std::uint64_t PmemPool::load_root(int slot) const {
-  return raw_staged_[root_raw_base_ + static_cast<std::size_t>(slot) * kWordsPerLine].load(
-      std::memory_order_acquire);
+  return staged_[root_word(slot)].load(std::memory_order_acquire);
 }
 
 void PmemPool::store_root_persist(int tid, int slot, std::uint64_t v) {
-  const std::size_t idx = root_raw_base_ + static_cast<std::size_t>(slot) * kWordsPerLine;
-  raw_staged_[idx].store(v, std::memory_order_release);
-  mark_store(raw_line_of(idx), idx, true);
-  journal_store(tid, raw_line_of(idx), idx, true, v);
+  stage(tid, root_word(slot), v);
   owe_store(tid);
-  if (flush_active()) enqueue_flush(tid, raw_line_of(idx));
+  if (flush_active()) enqueue_flush(tid, line_of(root_word(slot)));
   fence(tid);
 }
 
@@ -315,47 +276,37 @@ std::size_t PmemPool::alloc_raw(std::size_t n) {
   // a cache line (keeps flush sets disjoint across threads).
   const std::size_t padded = (n + kWordsPerLine - 1) / kWordsPerLine * kWordsPerLine;
   const std::size_t base = raw_bump_.fetch_add(padded, std::memory_order_acq_rel);
-  if (base + padded > raw_lines_ * kWordsPerLine)
+  if (base + padded > raw_space_words())
     throw TmLogicError("raw persistent region exhausted");
   return base;
 }
 
 std::uint64_t PmemPool::raw_load(std::size_t idx) const {
-  return raw_staged_[idx].load(std::memory_order_acquire);
+  return staged_[idx].load(std::memory_order_acquire);
 }
 
 std::uint64_t PmemPool::raw_load_durable(std::size_t idx) const {
-  return raw_durable_[idx].load(std::memory_order_acquire);
+  return durable_[idx].load(std::memory_order_acquire);
 }
 
 void PmemPool::raw_store(int tid, std::size_t idx, std::uint64_t v) {
-  raw_staged_[idx].store(v, std::memory_order_release);
-  mark_store(raw_line_of(idx), idx, true);
-  journal_store(tid, raw_line_of(idx), idx, true, v);
+  stage(tid, idx, v);
   owe_store(tid);
 }
 
 void PmemPool::flush_raw(int tid, std::size_t idx) {
   if (!flush_active()) return;
   if (htm::in_hw_txn()) htm::abort_on_flush();
-  enqueue_flush(tid, raw_line_of(idx));
+  enqueue_flush(tid, line_of(idx));
 }
 
 void PmemPool::persist_line(std::size_t line) {
   if (cfg_.track_store_order)
     line_fenced_[line].store(line_clock_[line].load(std::memory_order_acquire),
                              std::memory_order_release);
-  if (line < raw_lines_) {
-    const std::size_t base = line * kWordsPerLine;
-    for (std::size_t w = 0; w < kWordsPerLine; ++w)
-      raw_durable_[base + w].store(raw_staged_[base + w].load(std::memory_order_acquire),
-                                   std::memory_order_release);
-  } else {
-    const std::size_t base = (line - raw_lines_) * kWordsPerLine;
-    for (std::size_t w = 0; w < kWordsPerLine; ++w)
-      rec_durable_[base + w].store(rec_staged_[base + w].load(std::memory_order_acquire),
-                                   std::memory_order_release);
-  }
+  const std::size_t base = line * kWordsPerLine;
+  for (std::size_t w = base; w < base + kWordsPerLine; ++w)
+    durable_[w].store(staged_[w].load(std::memory_order_acquire), std::memory_order_release);
 }
 
 void PmemPool::fence(int tid) {
@@ -409,16 +360,9 @@ std::uint64_t PmemPool::image_hash() const {
   };
   for (std::size_t i = 0; i < cfg_.capacity_words; ++i)
     mix(vmem_[i].load(std::memory_order_acquire));
-  const std::size_t raw_words_padded = raw_space_words();
-  const std::size_t rec_words = record_lines_ * kWordsPerLine;
-  for (std::size_t i = 0; i < raw_words_padded; ++i)
-    mix(raw_staged_[i].load(std::memory_order_acquire));
-  for (std::size_t i = 0; i < rec_words; ++i)
-    mix(rec_staged_[i].load(std::memory_order_acquire));
-  for (std::size_t i = 0; i < raw_words_padded; ++i)
-    mix(raw_durable_[i].load(std::memory_order_acquire));
-  for (std::size_t i = 0; i < rec_words; ++i)
-    mix(rec_durable_[i].load(std::memory_order_acquire));
+  const std::size_t words = persist_space_words();
+  for (std::size_t i = 0; i < words; ++i) mix(staged_[i].load(std::memory_order_acquire));
+  for (std::size_t i = 0; i < words; ++i) mix(durable_[i].load(std::memory_order_acquire));
   return h;
 }
 
@@ -429,8 +373,8 @@ std::uint64_t PmemPool::sum_counter(std::atomic<std::uint64_t> FlushQueue::*coun
   return total;
 }
 
-std::array<const void*, 5> PmemPool::image_bases() const {
-  return {vmem_.get(), raw_staged_.get(), rec_staged_.get(), raw_durable_, rec_durable_};
+std::array<const void*, 3> PmemPool::image_bases() const {
+  return {vmem_.get(), staged_.get(), durable_};
 }
 
 telemetry::PowHistogram PmemPool::fence_flush_hist() const {
@@ -439,52 +383,39 @@ telemetry::PowHistogram PmemPool::fence_flush_hist() const {
   return h;
 }
 
-void PmemPool::persist_record_now(int tid, gaddr_t a) {
-  flush_record(tid, a);
-  fence(tid);
-}
-
 void PmemPool::clear_volatile() {
   for (std::size_t i = 0; i < cfg_.capacity_words; ++i)
     vmem_[i].store(0, std::memory_order_relaxed);
 }
 
-void PmemPool::install_crash_image(
-    std::span<const std::pair<std::uint64_t, std::uint64_t>> words) {
-  const std::size_t raw_words_padded = raw_space_words();
-  const std::size_t rec_words = record_lines_ * kWordsPerLine;
-  for (std::size_t i = 0; i < raw_words_padded; ++i)
-    raw_durable_[i].store(0, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < rec_words; ++i)
-    rec_durable_[i].store(0, std::memory_order_relaxed);
-  for (const auto& [word, value] : words) {
-    if (word >= persist_space_words()) throw TmLogicError("crash image word out of range");
-    if (word < raw_words_padded) {
-      raw_durable_[word].store(value, std::memory_order_relaxed);
-    } else {
-      rec_durable_[word - raw_words_padded].store(value, std::memory_order_relaxed);
-    }
-  }
-  // Power was lost: the caches held nothing beyond the durable image.
-  for (std::size_t i = 0; i < raw_words_padded; ++i)
-    raw_staged_[i].store(raw_durable_[i].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  for (std::size_t i = 0; i < rec_words; ++i)
-    rec_staged_[i].store(rec_durable_[i].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
+void PmemPool::lose_power() {
+  // The caches (the staged image) and DRAM (the volatile image) are gone:
+  // recovery observes exactly the durable image.
+  for (std::size_t i = 0, n = persist_space_words(); i < n; ++i)
+    staged_[i].store(durable_[i].load(std::memory_order_relaxed), std::memory_order_relaxed);
+  // Every line is now clean up to its last stamp, which empties every
+  // word's store window.
   if (cfg_.track_store_order) {
-    for (std::size_t i = 0; i < total_lines_; ++i) {
-      line_clock_[i].store(0, std::memory_order_relaxed);
-      line_fenced_[i].store(0, std::memory_order_relaxed);
-    }
-    for (std::size_t i = 0; i < total_lines_ * kWordsPerLine; ++i)
-      word_stamp_[i].store(0, std::memory_order_relaxed);
+    for (std::size_t line = 0; line < total_lines_; ++line)
+      line_fenced_[line].store(line_clock_[line].load(std::memory_order_relaxed),
+                               std::memory_order_relaxed);
   }
   for (int t = 0; t < kMaxThreads; ++t) {
     flush_queues_[t].lines.clear();
     flush_queues_[t].pending.clear();
   }
   clear_volatile();
+}
+
+void PmemPool::install_crash_image(
+    std::span<const std::pair<std::uint64_t, std::uint64_t>> words) {
+  for (std::size_t i = 0, n = persist_space_words(); i < n; ++i)
+    durable_[i].store(0, std::memory_order_relaxed);
+  for (const auto& [word, value] : words) {
+    if (word >= persist_space_words()) throw TmLogicError("crash image word out of range");
+    durable_[word].store(value, std::memory_order_relaxed);
+  }
+  lose_power();
 }
 
 void PmemPool::persist_line_prefix(std::size_t line, Xoshiro256& rng) {
@@ -498,24 +429,26 @@ void PmemPool::persist_line_prefix(std::size_t line, Xoshiro256& rng) {
   const std::uint32_t clk = line_clock_[line].load(std::memory_order_acquire);
   const std::uint32_t fenced = line_fenced_[line].load(std::memory_order_acquire);
   if (clk <= fenced) return;
-  const std::uint32_t cut = fenced + static_cast<std::uint32_t>(
-                                         rng.next_bounded(clk - fenced + 1));
-  const bool is_raw = line < raw_lines_;
-  const std::size_t space_base =
-      is_raw ? line * kWordsPerLine : (line - raw_lines_) * kWordsPerLine;
-  const std::size_t stamp_base = line * kWordsPerLine;
-  for (std::size_t w = 0; w < kWordsPerLine; ++w) {
-    const std::uint32_t st = word_stamp_[stamp_base + w].load(std::memory_order_acquire);
-    if (st == 0 || st > cut) continue;
-    if (is_raw) {
-      raw_durable_[space_base + w].store(
-          raw_staged_[space_base + w].load(std::memory_order_acquire),
-          std::memory_order_release);
-    } else {
-      rec_durable_[space_base + w].store(
-          rec_staged_[space_base + w].load(std::memory_order_acquire),
-          std::memory_order_release);
+  std::uint32_t cut = fenced + static_cast<std::uint32_t>(rng.next_bounded(clk - fenced + 1));
+  // A cut inside a word's window (between two of its stores) would persist
+  // the earlier stores of the line with that word's earlier value, which
+  // the staged image no longer holds. Lower the cut below every window it
+  // splits; lowering it can split another, so repeat until none is split.
+  const std::size_t base = line * kWordsPerLine;
+  for (bool moved = true; moved;) {
+    moved = false;
+    for (std::size_t w = base; w < base + kWordsPerLine; ++w) {
+      const StoreWindow win = word_window_[w].load(std::memory_order_acquire);
+      if (win.first > fenced && win.first <= cut && cut < win.last) {
+        cut = win.first - 1;
+        moved = true;
+      }
     }
+  }
+  for (std::size_t w = base; w < base + kWordsPerLine; ++w) {
+    const StoreWindow win = word_window_[w].load(std::memory_order_acquire);
+    if (win.first > fenced && win.last <= cut)
+      durable_[w].store(staged_[w].load(std::memory_order_acquire), std::memory_order_release);
   }
   // Whatever landed is now the durable frontier of this line.
   if (cut > fenced) line_fenced_[line].store(cut, std::memory_order_release);
@@ -537,44 +470,14 @@ void PmemPool::crash(const CrashPolicy& policy) {
       dirty = line_clock_[line].load(std::memory_order_acquire) >
               line_fenced_[line].load(std::memory_order_acquire);
     } else {
-      const bool is_raw = line < raw_lines_;
-      const std::size_t base =
-          is_raw ? line * kWordsPerLine : (line - raw_lines_) * kWordsPerLine;
-      for (std::size_t w = 0; w < kWordsPerLine && !dirty; ++w) {
-        const std::uint64_t staged =
-            is_raw ? raw_staged_[base + w].load(std::memory_order_acquire)
-                   : rec_staged_[base + w].load(std::memory_order_acquire);
-        const std::uint64_t durable = is_raw
-                                          ? raw_durable_[base + w].load(std::memory_order_acquire)
-                                          : rec_durable_[base + w].load(std::memory_order_acquire);
-        dirty = staged != durable;
-      }
+      const std::size_t base = line * kWordsPerLine;
+      for (std::size_t w = base; w < base + kWordsPerLine && !dirty; ++w)
+        dirty = staged_[w].load(std::memory_order_acquire) !=
+                durable_[w].load(std::memory_order_acquire);
     }
     if (dirty && rng.next_bool(policy.writeback_probability)) persist_line_prefix(line, rng);
   }
-  // Power is lost: caches (the staged image) and DRAM (the volatile image)
-  // are gone. Recovery will observe exactly the durable image.
-  for (std::size_t line = 0; line < total_lines_; ++line) {
-    const bool is_raw = line < raw_lines_;
-    const std::size_t base = is_raw ? line * kWordsPerLine : (line - raw_lines_) * kWordsPerLine;
-    for (std::size_t w = 0; w < kWordsPerLine; ++w) {
-      if (is_raw) {
-        raw_staged_[base + w].store(raw_durable_[base + w].load(std::memory_order_relaxed),
-                                    std::memory_order_relaxed);
-      } else {
-        rec_staged_[base + w].store(rec_durable_[base + w].load(std::memory_order_relaxed),
-                                    std::memory_order_relaxed);
-      }
-    }
-    if (cfg_.track_store_order)
-      line_fenced_[line].store(line_clock_[line].load(std::memory_order_relaxed),
-                               std::memory_order_relaxed);
-  }
-  for (int t = 0; t < kMaxThreads; ++t) {
-    flush_queues_[t].lines.clear();
-    flush_queues_[t].pending.clear();
-  }
-  clear_volatile();
+  lose_power();
 }
 
 }  // namespace nvhalt

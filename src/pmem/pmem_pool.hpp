@@ -9,17 +9,19 @@
 //
 //  * A *volatile image* of user words (what DRAM + caches hold). It is lost
 //    on crash.
-//  * A *staged* persistent image (what the cache holds of the NVM-mapped
-//    region) and a *durable* image (what the NVM media holds). `flush_line`
-//    + `fence` copy staged lines to the durable image; a crash keeps only
-//    the durable image plus an adversary-chosen subset of dirty lines
-//    (modelling spontaneous write-back), honouring x86's guarantee that
-//    stores to one cache line never persist out of order.
-//  * Per-word Trinity records {cur, old, pver} in the persistent region
-//    (paper Sec. 3.2: metadata lives only in persistent memory; the
-//    volatile image holds just the user word).
-//  * A raw persistent word region for per-thread persistent version
-//    numbers, root pointers, and baseline (SPHT) logs.
+//  * One persistent word space, as the paper's app-direct region: a raw
+//    region (per-thread persistent version numbers, root pointers, baseline
+//    SPHT logs), then the per-word Trinity records {cur, old, pver} (paper
+//    Sec. 3.2: metadata lives only in persistent memory; the volatile image
+//    holds just the user word). Word i of the space lies on line
+//    i / kWordsPerLine; the journal, the crash images and the backing file
+//    index it the same way.
+//  * Two images of that space: a *staged* image (what the cache holds of
+//    the NVM-mapped region) and a *durable* image (what the NVM media
+//    holds). `flush_*` + `fence` copy staged lines to the durable image; a
+//    crash keeps only the durable image plus an adversary-chosen subset of
+//    dirty lines (modelling spontaneous write-back), honouring x86's
+//    guarantee that stores to one cache line never persist out of order.
 //
 // Simulated NVM latency knobs reproduce the *relative* cost of flush/fence
 // (ablation class 1) and of NVM-backed stores (ablation class 2). The
@@ -71,6 +73,15 @@ inline std::uint64_t pack_pver(int tid, std::uint64_t seq) {
 }
 inline int pver_tid(std::uint64_t pver) { return static_cast<int>(pver >> 48); }
 inline std::uint64_t pver_seq(std::uint64_t pver) { return pver & 0xFFFFFFFFFFFFULL; }
+
+/// Recovery's revert test (paper Sec. 3.5): a record stamped at or above
+/// its writer's durable pVerNum belongs to a transaction whose commit
+/// marker never became durable, so recovery restores its old value unless
+/// cur already equals it. `durable_pver` holds every thread's durable
+/// pVerNum. A zero pver is no exemption: pack_pver(0, 0) == 0.
+inline bool record_in_flight(const PRecord& r, const std::uint64_t* durable_pver) {
+  return pver_seq(r.pver) >= durable_pver[pver_tid(r.pver)] && r.cur != r.old;
+}
 
 /// What survives a simulated power failure beyond fenced lines.
 struct CrashPolicy {
@@ -133,7 +144,7 @@ class PmemPool {
   const PmemConfig& config() const { return cfg_; }
   std::size_t capacity_words() const { return cfg_.capacity_words; }
   /// Record lines covering the word space (2 records per line).
-  std::size_t record_lines() const { return record_lines_; }
+  std::size_t record_lines() const { return total_lines_ - raw_lines_; }
 
   // ---- Volatile user image -------------------------------------------
   word_t load(gaddr_t a) const { return vmem_[a].load(std::memory_order_acquire); }
@@ -154,17 +165,12 @@ class PmemPool {
 
   /// Reads the staged record for word `a` (recovery + tests). Inline: the
   /// recovery scan calls it once per word of the pool.
-  PRecord read_record(gaddr_t a) const {
-    const std::size_t base = a * 4;
-    PRecord r;
-    r.cur = rec_staged_[base + 0].load(std::memory_order_acquire);
-    r.old = rec_staged_[base + 1].load(std::memory_order_acquire);
-    r.pver = rec_staged_[base + 2].load(std::memory_order_acquire);
-    return r;
-  }
+  PRecord read_record(gaddr_t a) const { return load_record(records_ + a * 4); }
 
   /// Reads the *durable* record for word `a` (tests/crash-inspection only).
-  PRecord read_durable_record(gaddr_t a) const;
+  PRecord read_durable_record(gaddr_t a) const {
+    return load_record(durable_ + record_word_base(a));
+  }
 
   /// Recovery-time revert: sets record.cur = record.old in the staged image
   /// and marks the line dirty. `tid` is the recovery worker, which journals
@@ -210,9 +216,6 @@ class PmemPool {
   /// back nothing and bills only the store debt.
   void fence(int tid);
 
-  /// Convenience: flush the record line of `a` and fence (recovery).
-  void persist_record_now(int tid, gaddr_t a);
-
   // ---- Crash simulation ------------------------------------------------
   /// Simulates a full-system power failure: the volatile image is erased,
   /// the durable image is kept, and each dirty line additionally persists a
@@ -221,24 +224,20 @@ class PmemPool {
   /// called with no threads running.
   void crash(const CrashPolicy& policy);
 
-  /// Erases the volatile user image (crash() does this; exposed for tests).
-  void clear_volatile();
-
   /// Resets the pool to the post-crash state a materialized crash image
   /// describes (pmem/crash_enum.hpp): the durable image becomes exactly
-  /// {zeros overlaid with `words`}, the staged image is reset to the
-  /// durable one, the volatile image and flush queues are cleared, and
-  /// store-order tracking is rewound. Each entry is a (global persistent
-  /// word index, value) pair in the unified raw-then-record word space.
-  /// Must be called quiescently; recovery runs against the result.
+  /// {zeros overlaid with `words`}, then power is lost as in crash(). Each
+  /// entry is a (persistent word index, value) pair. Must be called
+  /// quiescently; recovery runs against the result.
   void install_crash_image(std::span<const std::pair<std::uint64_t, std::uint64_t>> words);
 
-  // ---- Persistent word-space geometry (journal/crash-image indexing) ---
+  // ---- Persistent word space (storage, journal and crash-image index) --
   /// Words in the raw region, including pVerNum/root headers and padding.
+  /// Raw index i is persistent word i.
   std::size_t raw_space_words() const { return raw_lines_ * kWordsPerLine; }
   /// Total persistent words (raw space followed by the record space).
   std::size_t persist_space_words() const { return total_lines_ * kWordsPerLine; }
-  /// Global persistent word index of word `a`'s record (4 words/record).
+  /// Persistent word index of word `a`'s record (4 words/record).
   std::size_t record_word_base(gaddr_t a) const { return raw_space_words() + a * 4; }
 
   // Counters, summed over the per-thread flush queues. Each thread bumps
@@ -264,9 +263,9 @@ class PmemPool {
   /// stats accessors).
   telemetry::PowHistogram fence_flush_hist() const;
 
-  /// Start addresses of the five word images: volatile, raw staged,
-  /// record staged, raw durable, record durable. Each is line-aligned.
-  std::array<const void*, 5> image_bases() const;
+  /// Start addresses of the three word images: volatile, staged, durable.
+  /// Each is line-aligned.
+  std::array<const void*, 3> image_bases() const;
 
   /// FNV-1a digest over the volatile, staged and durable images (in that
   /// order). Quiescent-only; used by the parallel-recovery determinism
@@ -291,20 +290,35 @@ class PmemPool {
   /// True when flushes/fences do real work (not disabled, not eADR).
   bool flush_active() const { return cfg_.flushes_enabled && !cfg_.eadr; }
 
-  // Line address space: [0, raw_lines_) raw words, then record lines.
-  std::size_t raw_line_of(std::size_t raw_idx) const { return raw_idx / kWordsPerLine; }
+  static std::size_t line_of(std::size_t word) { return word / kWordsPerLine; }
+  static PRecord load_record(const std::atomic<std::uint64_t>* rec) {
+    return {rec[0].load(std::memory_order_acquire), rec[1].load(std::memory_order_acquire),
+            rec[2].load(std::memory_order_acquire)};
+  }
   std::size_t record_line_of(gaddr_t a) const { return raw_lines_ + a / 2; }
 
-  void mark_store(std::size_t line, std::size_t word_in_space, bool is_raw);
-  // Journal hooks (no-ops unless cfg_.journal is set). `word_in_space` is
-  // an index within the raw or record space; the hook globalizes it.
-  void journal_store(int tid, std::size_t line, std::size_t word_in_space, bool is_raw,
-                     std::uint64_t value);
+  /// The one persistent store: stages `v` at persistent word `word`, stamps
+  /// it for the crash adversary and journals it under `tid`. The caller
+  /// owes the store latency (owe_store). Defined here so the record path
+  /// inlines it.
+  void stage(int tid, std::size_t word, std::uint64_t v) {
+    staged_[word].store(v, std::memory_order_release);
+    mark_store(word);
+    journal_store(tid, word, v);
+  }
+  void mark_store(std::size_t word);
+  // Journal hooks (no-ops unless cfg_.journal is set).
+  void journal_store(int tid, std::size_t word, std::uint64_t value);
   void journal_flush(int tid, std::size_t line);
   void journal_fence(int tid);
-  void map_backing_file(std::size_t raw_words_padded, std::size_t rec_words);
+  void map_backing_file();
   void persist_line(std::size_t line);          // staged -> durable, whole line
   void persist_line_prefix(std::size_t line, Xoshiro256& rng);  // adversary
+  /// The end of every power failure: the staged image becomes the durable
+  /// one, the flush queues and the volatile image are cleared, and the
+  /// store-order tracker is rewound.
+  void lose_power();
+  void clear_volatile();
   /// Adds one store's latency to tid's debt.
   void owe_store(int tid);
 
@@ -314,7 +328,6 @@ class PmemPool {
 
   PmemConfig cfg_;
   std::size_t raw_lines_;
-  std::size_t record_lines_;
   std::size_t total_lines_;
   /// TSC ticks per nanosecond, calibrated once per process (0 when every
   /// latency knob is zero and nothing is ever billed).
@@ -322,19 +335,18 @@ class PmemPool {
 
   WordImage vmem_;
 
-  // Staged and durable persistent images. Stored as atomics for defined
-  // concurrent access; persistence operates on 64-bit words.
-  // Durable images are atomics too: distinct transactions may fence the
-  // same cache line concurrently (two records share a line), so the
-  // staged->durable copy must be race-free word-wise. They either live in
-  // owned images (default) or inside the mapped backing file (whose
-  // payload starts on a page boundary).
-  WordImage raw_staged_;
-  WordImage rec_staged_;  // 4 words/record
-  WordImage raw_durable_owned_;
-  WordImage rec_durable_owned_;
-  std::atomic<std::uint64_t>* raw_durable_ = nullptr;
-  std::atomic<std::uint64_t>* rec_durable_ = nullptr;
+  // Staged and durable images of the persistent word space. Stored as
+  // atomics for defined concurrent access; persistence operates on 64-bit
+  // words. The durable image is atomic too: distinct transactions may
+  // fence the same cache line concurrently (two records share a line), so
+  // the staged->durable copy must be race-free word-wise. It is either an
+  // owned image (default) or the payload of the mapped backing file,
+  // which starts on a page boundary.
+  WordImage staged_;
+  WordImage durable_owned_;
+  std::atomic<std::uint64_t>* durable_ = nullptr;
+  /// Staged record 0's cur: read_record indexes from here.
+  std::atomic<std::uint64_t>* records_ = nullptr;
 
   // Backing-file state (empty path => unused). The mapping is owned like
   // an image, so a constructor that rejects the file after mapping it
@@ -342,10 +354,18 @@ class PmemPool {
   std::unique_ptr<char[], Unmap> map_;
   bool attached_existing_ = false;
 
-  // Store-order tracking (only when cfg_.track_store_order).
-  std::unique_ptr<std::atomic<std::uint32_t>[]> line_clock_;   // per line
-  std::unique_ptr<std::atomic<std::uint32_t>[]> word_stamp_;   // per persistent word
-  std::unique_ptr<std::atomic<std::uint32_t>[]> line_fenced_;  // stamp at last persist
+  // Store-order tracking (only when cfg_.track_store_order). Each line
+  // counts its stores; a line persisted up to stamp `fenced` holds every
+  // store stamped at or below it. A word's window spans its first and last
+  // store since its line last persisted (empty when first <= fenced): the
+  // staged image keeps only the last value, so no crash may cut inside it.
+  struct StoreWindow {
+    std::uint32_t first;
+    std::uint32_t last;
+  };
+  MappedArray<std::atomic<std::uint32_t>> line_clock_;   // per line
+  MappedArray<std::atomic<std::uint32_t>> line_fenced_;  // stamp at last persist
+  MappedArray<std::atomic<StoreWindow>> word_window_;    // per persistent word
 
   // Per-thread flush queues (lines awaiting the next fence). `lines` is
   // kept duplicate-free at enqueue time via `pending` (an O(1)
@@ -374,9 +394,6 @@ class PmemPool {
   std::unique_ptr<FlushQueue[]> flush_queues_;
 
   std::atomic<std::size_t> raw_bump_;
-
-  std::size_t pver_raw_base_;  // raw index of pVerNum[0]
-  std::size_t root_raw_base_;  // raw index of root slot 0
 
   class CrashCoordinator* crash_coord_ = nullptr;
 };

@@ -199,6 +199,32 @@ TEST(PmemPool, CrashPrefixRespectsSameLineStoreOrder) {
   }
 }
 
+// The staged image keeps only a word's last value, so a crash cannot cut
+// between two stores of one word: after x@1, y@2, x@3 on one unfenced line,
+// y = 2 may persist only with x = 1, which the pool no longer holds. All
+// three stores persist or none does; y = 2 with x = 0 is an image x86
+// cannot produce.
+TEST(PmemPool, CrashNeverPersistsAStoreWithoutAnEarlierOneOfItsLine) {
+  int all = 0, none = 0;
+  for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+    PmemPool pool(small_cfg());
+    const std::size_t x = pool.alloc_raw(2);
+    const std::size_t y = x + 1;
+    pool.raw_store(0, x, 1);
+    pool.raw_store(0, y, 2);
+    pool.raw_store(0, x, 3);
+    pool.crash(CrashPolicy{1.0, seed});
+    const std::uint64_t dx = pool.raw_load_durable(x);
+    const std::uint64_t dy = pool.raw_load_durable(y);
+    ASSERT_TRUE((dx == 0 && dy == 0) || (dx == 3 && dy == 2))
+        << "seed " << seed << ": x=" << dx << " y=" << dy;
+    all += dx == 3;
+    none += dx == 0;
+  }
+  EXPECT_GT(all, 0);
+  EXPECT_GT(none, 0);
+}
+
 TEST(PmemPool, RawRegionAllocAndPersistence) {
   PmemPool pool(small_cfg());
   const std::size_t idx = pool.alloc_raw(4);
@@ -343,11 +369,9 @@ TEST(PmemMemoryBacking, LargeImagesAndLockArraysAreThpEligible) {
   PmemConfig cfg = small_cfg(false);
   cfg.capacity_words = std::size_t{1} << 22;
   PmemPool pool(cfg);
-  const std::size_t raw_bytes = pool.raw_space_words() * sizeof(std::uint64_t);
-  const std::size_t rec_bytes =
-      (pool.persist_space_words() - pool.raw_space_words()) * sizeof(std::uint64_t);
-  const std::array<std::size_t, 5> bytes = {pool.capacity_words() * sizeof(std::uint64_t),
-                                            raw_bytes, rec_bytes, raw_bytes, rec_bytes};
+  const std::size_t persist_bytes = pool.persist_space_words() * sizeof(std::uint64_t);
+  const std::array<std::size_t, 3> bytes = {pool.capacity_words() * sizeof(std::uint64_t),
+                                            persist_bytes, persist_bytes};
   const auto bases = pool.image_bases();
   int checked = 0;
   for (std::size_t i = 0; i < bases.size(); ++i) {
@@ -355,7 +379,7 @@ TEST(PmemMemoryBacking, LargeImagesAndLockArraysAreThpEligible) {
     EXPECT_EQ(thp_eligible(bases[i]), 1) << "pool image " << i << " (" << bytes[i] << " bytes)";
     ++checked;
   }
-  EXPECT_EQ(checked, 3);  // volatile and both record images; raw ones are small
+  EXPECT_EQ(checked, 3);  // volatile, staged and durable: the raw region is inside both
 
   LockSpace table(LockMode::kTable, std::size_t{1} << 16, 0);  // 4 MiB
   EXPECT_EQ(thp_eligible(table.ref(0).s), 1) << "lock table";
@@ -614,6 +638,34 @@ TEST_F(FileBackedPmemTest, UnfencedStateDoesNotSurviveRestart) {
     EXPECT_TRUE(pool.attached_existing());
     EXPECT_EQ(pool.read_record(7).cur, 0u);
   }
+}
+
+// The file is the durable word space after its 4096-byte header: raw word
+// i is payload word i, and record a's cur, old and pver are payload words
+// raw_space_words() + 4a + {0, 1, 2}.
+TEST_F(FileBackedPmemTest, FileHoldsTheRawWordsThenTheRecordsAfterItsHeader) {
+  PmemPool pool(file_cfg());
+  const std::size_t raw = pool.alloc_raw(1);
+  pool.raw_store(0, raw, 0x1111);
+  pool.flush_raw(0, raw);
+  pool.record_write(0, 7, 0x70, 0x71, pack_pver(5, 9));
+  pool.flush_record(0, 7);
+  pool.fence(0);
+
+  constexpr std::size_t kHeaderWords = 4096 / sizeof(std::uint64_t);
+  std::vector<std::uint64_t> file(kHeaderWords + pool.persist_space_words());
+  std::ifstream f(path_, std::ios::binary | std::ios::ate);
+  ASSERT_EQ(static_cast<std::size_t>(f.tellg()), file.size() * sizeof(std::uint64_t));
+  f.seekg(0).read(reinterpret_cast<char*>(file.data()), file.size() * sizeof(std::uint64_t));
+  ASSERT_TRUE(f.good());
+  const std::uint64_t* payload = file.data() + kHeaderWords;
+  for (std::size_t i = 0; i < pool.raw_space_words(); ++i)
+    ASSERT_EQ(payload[i], pool.raw_load_durable(i)) << "raw word " << i;
+  EXPECT_EQ(payload[raw], 0x1111u);
+  const std::uint64_t* rec = payload + pool.raw_space_words() + 4 * 7;
+  EXPECT_EQ(rec[0], 0x71u);
+  EXPECT_EQ(rec[1], 0x70u);
+  EXPECT_EQ(rec[2], pack_pver(5, 9));
 }
 
 TEST_F(FileBackedPmemTest, MappedImagesAreLineAligned) {

@@ -6,6 +6,7 @@
 
 #include "baselines/spht/spht_tm.hpp"
 #include "core/nvhalt_tm.hpp"
+#include "core/undo_records.hpp"
 #include "pmem/crash_sim.hpp"
 #include "pmem/pmem_inspector.hpp"
 #include "test_helpers.hpp"
@@ -119,6 +120,24 @@ TEST_F(RecoveryUnitTest, InspectorShowsNoInFlightRecordsAfterRecovery) {
   const PmemReport after = inspector.scan();
   EXPECT_EQ(after.in_flight_records, 0u);
   EXPECT_GE(before.in_flight_records, after.in_flight_records);
+}
+
+// Thread 0's first transaction stamps pack_pver(0, 0) == 0. Its record is
+// durable and its marker is not, so recovery reverts it; the inspector
+// judges it by the same predicate, so it counts it as touched and in
+// flight.
+TEST_F(RecoveryUnitTest, InspectorCountsTheRecordsRecoveryReverts) {
+  pool_->record_write(0, 100, 0, 11, pack_pver(0, 0));
+  pool_->flush_record(0, 100);
+  pool_->fence(0);
+  pool_->crash(CrashPolicy{0.0, 10});
+  const PmemReport before = PmemInspector(*pool_).scan();
+  UndoRecords undo(*pool_, runner_->alloc(), /*checkpoint=*/false);
+  const UndoRecoveryReport rep = undo.recover(/*rtid=*/0, /*workers=*/1);
+  EXPECT_EQ(rep.reverts, 1u);
+  EXPECT_EQ(before.in_flight_records, rep.reverts);
+  EXPECT_EQ(before.touched_records, 1u);
+  EXPECT_EQ(pool_->read_durable_record(100).cur, 0u);
 }
 
 TEST_F(RecoveryUnitTest, InspectorSummarizesAllocatorMetadata) {
