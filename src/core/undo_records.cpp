@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <shared_mutex>
-#include <vector>
 
 #include "alloc/tx_allocator.hpp"
 #include "htm/sim_htm.hpp"
@@ -41,56 +41,66 @@ std::uint64_t revert_words(PmemPool& pool, const std::uint64_t* durable_pver, in
   return n;
 }
 
-/// The revert pass and the volatile image rebuild over the whole pool.
-/// Candidates: only durably dirty lines can hold an in-flight record while
-/// the checkpoint region is valid; otherwise (no region, or the crash
-/// predates its initialization fence) every record line.
+/// Rebuilds the volatile image of words [lo, hi) from their records'
+/// durably committed values: no predicate, no persistence.
+void rebuild_words(PmemPool& pool, gaddr_t lo, gaddr_t hi) {
+  hi = std::min<gaddr_t>(hi, pool.capacity_words());
+  for (gaddr_t a = std::max<gaddr_t>(lo, 1); a < hi; ++a) pool.store(a, pool.read_record(a).cur);
+}
+
+/// The revert pass and the volatile image rebuild, in one pass over the
+/// record lines. With a durably valid checkpoint region only lines whose
+/// durable dirty bit is set can hold an in-flight record, so the pass walks
+/// the record space one bitmap word (64 lines) at a time: a clean line is
+/// rebuilt from its records' cur, a dirty one goes through revert_words.
+/// Without one (checkpointing off, or a crash that predates the region's
+/// seeding fence) each partition is one contiguous revert_words run.
 UndoRecoveryReport revert_records(PmemPool& pool, CheckpointManager* ckpt,
                                   const std::uint64_t* durable_pver, int rtid, int workers,
                                   int skip_nth) {
   UndoRecoveryReport rep;
   rep.bounded = ckpt != nullptr && ckpt->durable_valid();
-  std::vector<std::size_t> dirty;
-  if (rep.bounded) {
-    for (std::size_t line = 0; line < pool.record_lines(); ++line)
-      if (ckpt->durable_dirty(line)) dirty.push_back(line);
-  }
-  rep.lines_scanned = rep.bounded ? dirty.size() : pool.record_lines();
-
-  // One pass over the candidate lines: two words per dirty line, or every
-  // line as one run of words. The fault hook counts reverts in address
-  // order, which only a single worker defines.
+  // The fault hook counts reverts in address order, which only a single
+  // worker defines.
+  if (skip_nth >= 0) workers = 1;
   int seen = 0;
   std::atomic<std::uint64_t> reverts{0};
-  rep.workers_used = runtime::run_recovery_partitions(
-      rep.lines_scanned, skip_nth >= 0 ? 1 : workers, rtid,
-      [&](int tid, std::size_t lo, std::size_t hi) {
-        std::uint64_t n = 0;
-        if (rep.bounded) {
-          for (std::size_t i = lo; i < hi; ++i)
-            n += revert_words(pool, durable_pver, tid, dirty[i] * 2, dirty[i] * 2 + 2, skip_nth,
-                              seen);
-        } else {
-          n = revert_words(pool, durable_pver, tid, lo * 2, hi * 2, skip_nth, seen);
-        }
-        pool.fence(tid);
-        reverts.fetch_add(n, std::memory_order_relaxed);
-      });
-  rep.reverts = reverts.load(std::memory_order_relaxed);
-
-  // Clean lines still need their volatile image rebuilt — but their
-  // records are durably committed, so no predicate and no persistence.
-  if (rep.bounded) {
-    runtime::run_recovery_partitions(
-        pool.capacity_words() - 1, workers, rtid,
-        [&](int /*tid*/, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            const gaddr_t a = static_cast<gaddr_t>(1 + i);
-            if (ckpt->durable_dirty(static_cast<std::size_t>(a) / 2)) continue;
-            pool.store(a, pool.read_record(a).cur);
-          }
+  if (!rep.bounded) {
+    rep.lines_scanned = pool.record_lines();
+    rep.workers_used = runtime::run_recovery_partitions(
+        rep.lines_scanned, workers, rtid, [&](int tid, std::size_t lo, std::size_t hi) {
+          const std::uint64_t n =
+              revert_words(pool, durable_pver, tid, lo * 2, hi * 2, skip_nth, seen);
+          pool.fence(tid);
+          reverts.fetch_add(n, std::memory_order_relaxed);
         });
+  } else {
+    constexpr gaddr_t kSpan = CheckpointManager::kWordsPerBitmapWord;
+    std::atomic<std::uint64_t> dirty_lines{0};
+    rep.workers_used = runtime::run_recovery_partitions(
+        ckpt->bitmap_words(), workers, rtid, [&](int tid, std::size_t lo, std::size_t hi) {
+          std::uint64_t n = 0, lines = 0;
+          for (std::size_t w = lo; w < hi; ++w) {
+            const gaddr_t base = static_cast<gaddr_t>(w) * kSpan;
+            gaddr_t next = base;  // first word not yet rebuilt or reverted
+            for (std::uint64_t dirty = ckpt->durable_dirty_word(w); dirty != 0;
+                 dirty &= dirty - 1) {
+              // First word of the lowest dirty line left in this bitmap word.
+              const gaddr_t a = base + 2 * static_cast<gaddr_t>(std::countr_zero(dirty));
+              rebuild_words(pool, next, a);
+              n += revert_words(pool, durable_pver, tid, a, a + 2, skip_nth, seen);
+              next = a + 2;
+              ++lines;
+            }
+            rebuild_words(pool, next, base + kSpan);
+          }
+          pool.fence(tid);
+          reverts.fetch_add(n, std::memory_order_relaxed);
+          dirty_lines.fetch_add(lines, std::memory_order_relaxed);
+        });
+    rep.lines_scanned = dirty_lines.load(std::memory_order_relaxed);
   }
+  rep.reverts = reverts.load(std::memory_order_relaxed);
   return rep;
 }
 
@@ -112,13 +122,15 @@ void UndoRecords::commit(int tid, runtime::TxThreadState& ts, std::span<const En
   // the dirty bit of every record line this write set touches BEFORE any
   // record store is staged — the write-barrier invariant bounded recovery
   // rests on. Lines already durably marked this generation cost nothing
-  // (shadow bitmap).
+  // (shadow bitmap); the rest cost one staged store and one flush per
+  // bitmap word, and one fence for the write set.
   std::shared_lock<std::shared_mutex> persist_phase;
   if (ckpt_) {
     persist_phase = ckpt_->persist_phase();
     bool need_fence = false;
     for (const Entry& e : writes) need_fence |= ckpt_->mark(tid, e.addr);
     if (need_fence) {
+      ckpt_->stage_marks(tid);
       pool_.fence(tid);
       ckpt_->commit_marks(tid);
     }

@@ -18,14 +18,19 @@
 //    the checkpoint adoption, in that order, under one committed-ness
 //    predicate.
 //
-// Recovery scaling (DESIGN.md Sec. 13): with a durably valid checkpoint
-// region only record lines whose durable dirty bit is set can hold an
-// in-flight record (the bit is fenced before any record store to the line
-// is staged), so the revert pass visits just the delta since the last
-// checkpoint; otherwise it visits every record line. Both passes split into
-// contiguous partitions replayed by run_recovery_partitions workers; every
-// write depends only on its own record, so the recovered image is
-// byte-identical for any worker count (tests/recovery_parallel_test.cpp).
+// Recovery (DESIGN.md Sec. 13) is one pass over the record space that
+// rebuilds the volatile image from every record and applies the revert
+// predicate. With a durably valid checkpoint region only record lines whose
+// durable dirty bit is set can hold an in-flight record (the bit is fenced
+// before any record store to the line is staged), so the pass goes one
+// bitmap word (64 lines) at a time and sends only the dirty lines through
+// the predicate; clean lines are copied from their records' cur. A
+// checkpoint thus bounds the predicate, not the pass, which reads every
+// record either way. Without a valid region each partition is one
+// contiguous predicate run. The pass splits into contiguous partitions
+// replayed by run_recovery_partitions workers; every write depends only on
+// its own record, so the recovered image is byte-identical for any worker
+// count (tests/recovery_parallel_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -49,7 +54,7 @@ struct TxThreadState;
 /// What one recover() revert pass did.
 struct UndoRecoveryReport {
   bool bounded = false;             ///< dirty-bitmap-guided revert pass ran
-  std::uint64_t lines_scanned = 0;  ///< record lines the revert pass visited
+  std::uint64_t lines_scanned = 0;  ///< record lines the revert predicate visited
   std::uint64_t reverts = 0;        ///< in-flight records reverted
   int workers_used = 1;
 };
@@ -75,7 +80,8 @@ class UndoRecords {
   /// The persist phase of one transaction on `tid`, run while the write
   /// set's locks are held (the caller releases them afterwards):
   ///   1. under the checkpoint's persist-phase guard, durably publish the
-  ///      dirty bit of every record line `writes` touches;
+  ///      dirty bit of every record line `writes` touches (one staged store
+  ///      and flush per bitmap word not yet durable, one fence);
   ///   2. arm the allocator intent record under the pre-bump pVerNum;
   ///   3. per entry: record_write, flush_record, then publish the value
   ///      into the volatile image;

@@ -28,7 +28,7 @@ CheckpointManager::CheckpointManager(PmemPool& pool, TxAllocator* alloc)
     shadow_[w].store(0, std::memory_order_relaxed);
   word_locks_ = std::make_unique<std::atomic_flag[]>(kWordLocks);
   for (std::size_t i = 0; i < kWordLocks; ++i) word_locks_[i].clear();
-  pending_ = std::make_unique<PendingMarks[]>(kMaxThreads);
+  marks_ = std::make_unique<ThreadMarks[]>(kMaxThreads);
 
   if (pool_.attached_existing()) return;  // recover() adopts the durable state
 
@@ -51,32 +51,46 @@ bool CheckpointManager::mark(int tid, gaddr_t a) {
   const std::uint64_t bit = std::uint64_t{1} << (line % 64);
   if (shadow_[w].load(std::memory_order_acquire) & bit) return false;  // durably set
 
-  // Stage the bit (idempotent OR, serialized per word: independent slots
-  // of the same bitmap word can be marked concurrently).
-  std::atomic_flag& lk = word_locks_[w % kWordLocks];
-  while (lk.test_and_set(std::memory_order_acquire)) cpu_relax();
-  const std::uint64_t cur = pool_.raw_load(bitmap_word_idx(w));
-  if (!(cur & bit)) pool_.raw_store(tid, bitmap_word_idx(w), cur | bit);
-  lk.clear(std::memory_order_release);
-
-  // Always flush on OUR queue: another thread may have staged the bit, but
-  // its fence can land after our record store — durability of the bit must
-  // ride a fence we control and order before our stores.
-  pool_.flush_raw(tid, bitmap_word_idx(w));
-  pending_[tid].lines.push_back(line);
-  stat_marks_.fetch_add(1, std::memory_order_relaxed);
+  // Write sets walk a node's words in order, so the word is usually the
+  // last one pending.
+  auto& words = marks_[tid].words;
+  for (auto it = words.rbegin(); it != words.rend(); ++it) {
+    if (it->first == w) {
+      it->second |= bit;
+      return true;
+    }
+  }
+  words.emplace_back(w, bit);
   return true;
 }
 
-void CheckpointManager::commit_marks(int tid) {
-  auto& p = pending_[tid].lines;
-  if (p.empty()) return;
-  for (const std::size_t line : p) {
-    const std::size_t w = line / 64;
-    shadow_[w].fetch_or(std::uint64_t{1} << (line % 64), std::memory_order_acq_rel);
+void CheckpointManager::stage_marks(int tid) {
+  for (const auto& [w, bits] : marks_[tid].words) {
+    // Idempotent OR, serialized per word: other threads mark other lines
+    // of the same bitmap word concurrently.
+    std::atomic_flag& lk = word_locks_[w % kWordLocks];
+    while (lk.test_and_set(std::memory_order_acquire)) cpu_relax();
+    const std::uint64_t cur = pool_.raw_load(bitmap_word_idx(w));
+    if ((cur & bits) != bits) pool_.raw_store(tid, bitmap_word_idx(w), cur | bits);
+    lk.clear(std::memory_order_release);
+
+    // Always flush on OUR queue: another thread may have staged the bits,
+    // but its fence can land after our record stores — durability of the
+    // bits must ride a fence we control and order before our stores.
+    pool_.flush_raw(tid, bitmap_word_idx(w));
   }
-  p.clear();
-  stat_mark_fences_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void CheckpointManager::commit_marks(int tid) {
+  ThreadMarks& m = marks_[tid];
+  if (m.words.empty()) return;
+  std::uint64_t fresh = 0;
+  for (const auto& [w, bits] : m.words)
+    fresh += static_cast<std::uint64_t>(
+        std::popcount(bits & ~shadow_[w].fetch_or(bits, std::memory_order_acq_rel)));
+  m.words.clear();
+  bump(m.marks, fresh);
+  bump(m.mark_fences, 1);
 }
 
 void CheckpointManager::truncate_and_flip(int tid, std::uint64_t next_gen) {
@@ -114,7 +128,7 @@ void CheckpointManager::truncate_and_flip(int tid, std::uint64_t next_gen) {
 
   for (std::size_t w = 0; w < bitmap_words_; ++w)
     shadow_[w].store(0, std::memory_order_relaxed);
-  for (int t = 0; t < kMaxThreads; ++t) pending_[t].lines.clear();
+  for (int t = 0; t < kMaxThreads; ++t) marks_[t].words.clear();
   gen_.store(next_gen, std::memory_order_release);
   slot_ = next_slot;
   stat_checkpoints_.fetch_add(1, std::memory_order_relaxed);
@@ -134,8 +148,10 @@ CheckpointStats CheckpointManager::stats() const {
   CheckpointStats s;
   s.checkpoints = stat_checkpoints_.load(std::memory_order_relaxed);
   s.lines_retired = stat_lines_retired_.load(std::memory_order_relaxed);
-  s.marks = stat_marks_.load(std::memory_order_relaxed);
-  s.mark_fences = stat_mark_fences_.load(std::memory_order_relaxed);
+  for (int t = 0; t < kMaxThreads; ++t) {
+    s.marks += marks_[t].marks.load(std::memory_order_relaxed);
+    s.mark_fences += marks_[t].mark_fences.load(std::memory_order_relaxed);
+  }
   return s;
 }
 
@@ -156,8 +172,11 @@ std::uint64_t CheckpointManager::durable_generation() const {
 }
 
 bool CheckpointManager::durable_dirty(std::size_t rec_line) const {
-  const std::size_t w = rec_line / 64;
-  return (pool_.raw_load(bitmap_word_idx(w)) >> (rec_line % 64)) & 1;
+  return (durable_dirty_word(rec_line / 64) >> (rec_line % 64)) & 1;
+}
+
+std::uint64_t CheckpointManager::durable_dirty_word(std::size_t w) const {
+  return pool_.raw_load(bitmap_word_idx(w));
 }
 
 void CheckpointManager::recover(int tid) {

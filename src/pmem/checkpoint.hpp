@@ -1,17 +1,21 @@
-// Checkpoint/compaction subsystem (ROADMAP open item 4, DESIGN.md Sec. 13).
+// Checkpoint/compaction subsystem (DESIGN.md Sec. 13).
 //
 // NV-HALT and Trinity colocate their undo history with the data (per-word
-// {cur, old, pver} records), so unlike SPHT there is no log to replay —
-// but recovery still scans *every* record to decide which in-flight writes
-// to revert, an O(pool) pass no matter how little happened since the last
-// consistent point. This module bounds that pass by delta-since-checkpoint:
+// {cur, old, pver} records), so unlike SPHT there is no log to replay:
+// recovery reads every record once to rebuild the volatile image, and the
+// paper's revert predicate (Sec. 3.5) decides which in-flight writes to
+// undo. This module spares that predicate on the lines untouched since the
+// last consistent point; the read of every record stays (SPHT's replay is
+// what a checkpoint truly bounds):
 //
-//  * A persistent *dirty-line bitmap* over the record lines. Before a
-//    persist phase stages any record store to a line, it durably sets the
-//    line's bit (store + flush + fence, on the writing thread's own flush
-//    queue). The write-barrier invariant this buys: any record line the
-//    crash adversary can materialize has a durable dirty bit, so recovery
-//    may skip the revert scan for every clean line.
+//  * A persistent *dirty-line bitmap* over the record lines, 64 lines (128
+//    words) per bitmap word. Before a persist phase stages any record store
+//    to a line, the line's bit is durable: the writer ORs its lines' bits
+//    into per-word pending sets, stages and flushes each touched bitmap
+//    word once on its own flush queue, and fences. The write-barrier
+//    invariant this buys: any record line the crash adversary can
+//    materialize has a durable dirty bit, so recovery may skip the revert
+//    predicate on every clean line.
 //  * A *double-buffered checkpoint region*: two generation slot headers
 //    plus a single packed watermark word naming the active slot. A
 //    checkpoint drains all persist phases (writer-side shared lock,
@@ -33,15 +37,18 @@
 // generation; tests/checkpoint_test.cpp pins this with replayable
 // (hash, prefix, seed) triples.
 //
-// The steady-state cost is one bit-set + fence per line per checkpoint
-// interval: once a line's bit is durably set (tracked by a volatile shadow
-// bitmap), later writers skip it entirely, so hot lines pay nothing.
+// The steady-state cost is one staged store and one flush per bitmap word
+// a write set newly touches, plus one fence per such write set, once per
+// checkpoint interval: once a line's bit is durably set (tracked by a
+// volatile shadow bitmap), later writers skip it entirely, so hot lines
+// pay nothing.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
+#include <utility>
 #include <vector>
 
 #include "pmem/pmem_pool.hpp"
@@ -54,7 +61,7 @@ class TxAllocator;
 struct CheckpointStats {
   std::uint64_t checkpoints = 0;    ///< completed watermark flips
   std::uint64_t lines_retired = 0;  ///< dirty bits cleared by truncation
-  std::uint64_t marks = 0;          ///< dirty bits durably published
+  std::uint64_t marks = 0;          ///< dirty bits newly published, each line once
   std::uint64_t mark_fences = 0;    ///< extra fences paid publishing marks
 };
 
@@ -85,17 +92,22 @@ class CheckpointManager {
     return std::shared_lock<std::shared_mutex>(mu_);
   }
 
-  /// Stages the dirty bit covering word `a`'s record line and queues its
-  /// flush on `tid`'s own queue — even when another thread already staged
-  /// the bit, because that thread's fence may come later than our record
-  /// store. Returns true when the caller must fence (publishing the bit
-  /// durably) before staging any record store to the line; callers batch
-  /// marks for a whole write set and pay at most one such fence. Requires
-  /// a persist_phase() guard.
+  /// ORs the dirty bit covering word `a`'s record line into `tid`'s
+  /// pending (bitmap word, bits) set, unless the shadow bitmap says the bit
+  /// is already durable. Returns true when the caller owes a mark fence:
+  /// stage_marks(), fence, then commit_marks(), all before staging any
+  /// record store of the write set. Requires a persist_phase() guard.
   bool mark(int tid, gaddr_t a);
 
-  /// Publishes `tid`'s pending marks to the volatile shadow bitmap. Call
-  /// only after the fence that made those bitmap flushes durable.
+  /// Stages each of `tid`'s pending bitmap words once (an idempotent OR
+  /// under the word's hashed lock) and queues its flush on `tid`'s own
+  /// queue — even when another thread already staged the bits, because
+  /// that thread's fence may come later than our record stores.
+  void stage_marks(int tid);
+
+  /// Publishes `tid`'s pending marks to the volatile shadow bitmap, one
+  /// fetch_or per bitmap word, counting each newly published line once.
+  /// Call only after the fence that made the stage_marks() flushes durable.
   void commit_marks(int tid);
 
   // ---- Checkpoint -------------------------------------------------------
@@ -119,7 +131,15 @@ class CheckpointManager {
 
   /// Durable dirty bit of record line `rec_line` (= a / 2 for word a).
   bool durable_dirty(std::size_t rec_line) const;
+  /// Durable bitmap word `w`: the dirty bits of record lines [64w, 64w+64),
+  /// so of words [kWordsPerBitmapWord * w, kWordsPerBitmapWord * (w + 1)).
+  std::uint64_t durable_dirty_word(std::size_t w) const;
   std::size_t record_lines() const { return rec_lines_; }
+  std::size_t bitmap_words() const { return bitmap_words_; }
+  /// Raw index (= persistent word index) of bitmap word `w`.
+  std::size_t bitmap_word_idx(std::size_t w) const { return bitmap_base_ + w; }
+  /// Pool words whose record lines one bitmap word covers.
+  static constexpr std::size_t kWordsPerBitmapWord = 128;
 
   /// Post-recovery adoption: loads the durable generation (or reseeds an
   /// invalid region), then runs one checkpoint so the recovered image
@@ -143,7 +163,6 @@ class CheckpointManager {
   std::size_t slot_idx(int slot) const {
     return base_ + (1 + static_cast<std::size_t>(slot)) * kWordsPerLine;
   }
-  std::size_t bitmap_word_idx(std::size_t w) const { return bitmap_base_ + w; }
 
   /// Clears the staged+durable bitmap and flips to `next_gen`; caller
   /// holds mu_ exclusively (or is quiescent recovery).
@@ -168,19 +187,23 @@ class CheckpointManager {
   static constexpr std::size_t kWordLocks = 64;
   std::unique_ptr<std::atomic_flag[]> word_locks_;
 
-  /// Marks staged+flushed by a thread but not yet covered by its fence.
-  struct alignas(kCacheLineBytes) PendingMarks {
-    std::vector<std::size_t> lines;
+  /// One thread's write-barrier state. `words` holds the bitmap words and
+  /// bits marked but not yet published to the shadow; owner-only between
+  /// a persist phase's first mark() and its commit_marks(). The counters
+  /// are bumped only by the owner (relaxed load and store) and summed by
+  /// stats(), so the barrier adds no shared counter line.
+  struct alignas(kCacheLineBytes) ThreadMarks {
+    std::vector<std::pair<std::size_t, std::uint64_t>> words;
+    std::atomic<std::uint64_t> marks{0};
+    std::atomic<std::uint64_t> mark_fences{0};
   };
-  std::unique_ptr<PendingMarks[]> pending_;
+  std::unique_ptr<ThreadMarks[]> marks_;
 
   std::atomic<std::uint64_t> gen_{0};
   int slot_ = 0;
 
   std::atomic<std::uint64_t> stat_checkpoints_{0};
   std::atomic<std::uint64_t> stat_lines_retired_{0};
-  std::atomic<std::uint64_t> stat_marks_{0};
-  std::atomic<std::uint64_t> stat_mark_fences_{0};
 };
 
 }  // namespace nvhalt

@@ -21,11 +21,6 @@ inline void poll_crash(CrashCoordinator* c) {
   if (NVHALT_UNLIKELY(c != nullptr)) c->crash_point();
 }
 
-/// Owner-only counter bump: a relaxed load and store, no locked RMW.
-inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) {
-  c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-}
-
 double process_ticks_per_ns() {
   static const double tpn = telemetry::calibrate_ticks_per_us() / 1000.0;
   return tpn;

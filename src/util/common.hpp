@@ -58,4 +58,10 @@ inline void cpu_relax() {
 #endif
 }
 
+/// Bumps a counter that only the calling thread writes: a relaxed load and
+/// store, no locked RMW. Other threads may read it with relaxed loads.
+inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) {
+  c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
 }  // namespace nvhalt

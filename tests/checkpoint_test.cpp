@@ -1,5 +1,7 @@
 // Tests for the checkpoint/compaction subsystem (pmem/checkpoint.hpp,
 // DESIGN.md Sec. 13): dirty-line bitmap publication and truncation, the
+// write barrier's cost per bitmap word (read from the persistence journal)
+// and its counts under concurrent writers and checkpoints, the
 // double-buffered generation watermark, bounded (delta-since-checkpoint)
 // record recovery, SPHT's native log compaction, and the torn-checkpoint
 // window — a crash at any fence boundary between checkpoint publication
@@ -9,8 +11,13 @@
 // images.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <chrono>
+#include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -21,6 +28,7 @@
 #include "pmem/checkpoint.hpp"
 #include "pmem/crash_enum.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace nvhalt {
 namespace {
@@ -82,6 +90,105 @@ TEST(CheckpointBitmapTest, DisabledConfigHasNoManager) {
   TmRunner runner(crash_config(TmKind::kNvHalt, /*checkpoint=*/false));
   EXPECT_EQ(manager_of(runner.tm()), nullptr);
   EXPECT_FALSE(runner.tm().checkpoint(0));
+}
+
+TEST(CheckpointBitmapTest, TwoWordsOfOneRecordLineCountOneMark) {
+  TmRunner runner(crash_config(TmKind::kNvHalt, /*checkpoint=*/true));
+  auto& tm = runner.tm();
+  CheckpointManager* ckpt = manager_of(tm);
+  ASSERT_NE(ckpt, nullptr);
+  // An even a and a + 1 share one record line (two records per line), as a
+  // node's keys[i] and keys[i + 1] do.
+  const gaddr_t blk = runner.alloc().raw_alloc(0, 4);
+  const gaddr_t a = (blk + 1) & ~gaddr_t{1};
+  ASSERT_TRUE(tm.run(0, [&](Tx& tx) {
+    tx.write(a, 1);
+    tx.write(a + 1, 2);
+  }));
+  EXPECT_TRUE(ckpt->durable_dirty(a / 2));
+  EXPECT_EQ(ckpt->stats().marks, 1u) << "one newly published line counted twice";
+  EXPECT_EQ(ckpt->stats().mark_fences, 1u);
+}
+
+// The write barrier, read back from the persistence journal: a commit
+// stages each bitmap word it newly touches exactly once, however many of
+// that word's lines it writes, and every record store follows a fence of
+// its own thread that follows the bitmap store setting its line's bit.
+TEST(CheckpointBitmapTest, JournalShowsOneBitmapStorePerWordAndAFenceBeforeEachRecord) {
+  for (const TmKind kind : {TmKind::kNvHalt, TmKind::kTrinity}) {
+    SCOPED_TRACE(tm_kind_name(kind));
+    PersistJournal journal;
+    RunnerConfig cfg = crash_config(kind, /*checkpoint=*/true);
+    cfg.pmem.journal = &journal;
+    TmRunner runner(cfg);
+    auto& tm = runner.tm();
+    auto& pool = runner.pool();
+    CheckpointManager* ckpt = manager_of(tm);
+    ASSERT_NE(ckpt, nullptr);
+
+    constexpr gaddr_t kSpan = CheckpointManager::kWordsPerBitmapWord;
+    const gaddr_t blk = runner.alloc().raw_alloc_large(8 * kSpan);
+    const gaddr_t first = (blk + kSpan - 1) / kSpan * kSpan;  // a bitmap word's first word
+    const auto at = [&](gaddr_t word, gaddr_t off) { return first + word * kSpan + off; };
+    // Every write set writes lines no earlier one wrote, so each touched
+    // bitmap word owes one store. The first three stay under bitmap word
+    // 0 (k = 1, 3 and 8 lines, some with both of a line's words); the
+    // last two span two bitmap words.
+    const std::vector<std::vector<gaddr_t>> sets = {
+        {at(0, 0)},
+        {at(0, 10), at(0, 12), at(0, 15)},
+        {at(0, 20), at(0, 21), at(0, 22), at(0, 24), at(0, 26), at(0, 28), at(0, 29), at(0, 30),
+         at(0, 32), at(0, 34)},
+        {at(1, kSpan - 4), at(1, kSpan - 2), at(2, 0), at(2, 2)},
+        {at(3, 6), at(5, 8), at(3, 40), at(5, 9)},
+    };
+    const std::size_t bitmap_lo = ckpt->bitmap_word_idx(0);
+    const std::size_t bitmap_hi = ckpt->bitmap_word_idx(ckpt->bitmap_words());
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      const std::size_t j0 = journal.size();
+      ASSERT_TRUE(tm.run(0, [&](Tx& tx) {
+        for (const gaddr_t a : sets[i]) tx.write(a, 1000 + a);
+      }));
+      const auto events = journal.events();
+      std::map<std::size_t, int> stores;  // bitmap raw index -> staged stores
+      for (std::size_t j = j0; j < events.size(); ++j)
+        if (events[j].kind == PersistEventKind::kStore && events[j].word >= bitmap_lo &&
+            events[j].word < bitmap_hi)
+          ++stores[events[j].word];
+      std::map<std::size_t, int> want;
+      for (const gaddr_t a : sets[i]) want[ckpt->bitmap_word_idx(a / 2 / 64)] = 1;
+      EXPECT_EQ(stores, want) << "write set " << i;
+    }
+
+    // Replay the bitmap through the whole journal: where each line's bit
+    // was first staged, and each thread's latest fence.
+    const auto events = journal.events();
+    std::vector<std::uint64_t> bitmap(ckpt->bitmap_words(), 0);
+    std::map<std::size_t, std::size_t> bit_set_at;  // record line -> event index
+    std::map<int, std::size_t> last_fence;          // tid -> event index
+    std::size_t records = 0;
+    for (std::size_t j = 0; j < events.size(); ++j) {
+      const PersistEvent& ev = events[j];
+      if (ev.kind == PersistEventKind::kFence) last_fence[ev.tid] = j;
+      if (ev.kind != PersistEventKind::kStore) continue;
+      if (ev.word >= bitmap_lo && ev.word < bitmap_hi) {
+        const std::size_t w = ev.word - bitmap_lo;
+        for (std::uint64_t set = ev.value & ~bitmap[w]; set != 0; set &= set - 1)
+          bit_set_at.emplace(w * 64 + static_cast<std::size_t>(std::countr_zero(set)), j);
+        bitmap[w] = ev.value;
+      } else if (ev.word >= pool.raw_space_words()) {
+        const std::size_t line = (ev.word - pool.raw_space_words()) / 4 / 2;
+        const auto set = bit_set_at.find(line);
+        ASSERT_NE(set, bit_set_at.end()) << "record store " << j << " to an unmarked line";
+        const auto fence = last_fence.find(ev.tid);
+        ASSERT_TRUE(fence != last_fence.end() && fence->second > set->second)
+            << "record store " << j << " by tid " << ev.tid
+            << " not preceded by its own fence after bitmap store " << set->second;
+        ++records;
+      }
+    }
+    EXPECT_GT(records, 0u);
+  }
 }
 
 TEST(CheckpointBoundedRecoveryTest, RevertPassVisitsOnlyDeltaSinceCheckpoint) {
@@ -210,6 +317,89 @@ TEST_P(CheckpointTornWindowTest, EveryWindowBoundaryRecoversIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(Checkpoint, CheckpointTornWindowTest, testing::ValuesIn(all_kinds()),
                          kind_param_name);
+
+// ---- The write barrier under concurrency --------------------------------------
+// Four writers commit overlapping write sets whose lines share bitmap words
+// (and, within one write set, share lines) while a fifth thread
+// checkpoints every few milliseconds. Each newly published line must be
+// counted once, so the summed marks equal the lines every checkpoint
+// retired plus the lines still dirty; and every line a commit wrote after
+// the last checkpoint must be durably dirty. Runs under TSan in the
+// tsan-concurrency preset.
+TEST(CheckpointConcurrency, OverlappingWritersAndACheckpointerKeepTheBarrierExact) {
+  constexpr int kWriters = 4;
+  constexpr int kCheckpoints = 12;
+  constexpr gaddr_t kSpan = CheckpointManager::kWordsPerBitmapWord;
+  constexpr gaddr_t kWords = 4 * kSpan;  // four bitmap words, 256 record lines
+  RunnerConfig cfg = crash_config(TmKind::kNvHalt, /*checkpoint=*/true);
+  TmRunner runner(cfg);
+  auto& tm = runner.tm();
+  CheckpointManager* ckpt = manager_of(tm);
+  ASSERT_NE(ckpt, nullptr);
+  const gaddr_t blk = runner.alloc().raw_alloc_large(kWords + kSpan);
+  const gaddr_t first = (blk + kSpan - 1) / kSpan * kSpan;
+
+  struct Commit {
+    std::uint64_t gen;  // checkpoint generation read before the commit began
+    std::vector<gaddr_t> words;
+  };
+  std::vector<std::vector<Commit>> log(kWriters);
+  std::atomic<bool> stop{false};
+  std::atomic<int> ready{0};
+  const auto commit = [&](int w, Xoshiro256& rng) {
+    Commit c;
+    // Two adjacent words (often one record line) plus two anywhere in the
+    // shared range: lines and bitmap words overlap across the writers.
+    const gaddr_t a = first + rng.next_bounded(kWords - 1);
+    c.words = {a, a + 1, first + rng.next_bounded(kWords), first + rng.next_bounded(kWords)};
+    c.gen = ckpt->generation();
+    const int tid = 1 + w;
+    EXPECT_TRUE(tm.run(tid, [&](Tx& tx) {
+      for (const gaddr_t x : c.words) tx.write(x, tx.read(x) + 1);
+    }));
+    log[static_cast<std::size_t>(w)].push_back(std::move(c));
+  };
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      Xoshiro256 rng(0xC0FFEE + static_cast<std::uint64_t>(w));
+      ready.fetch_add(1);
+      while (!stop.load(std::memory_order_acquire)) commit(w, rng);
+      commit(w, rng);  // after the checkpointer stopped
+    });
+  }
+  while (ready.load() < kWriters) std::this_thread::yield();
+  for (int i = 0; i < kCheckpoints; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    ASSERT_TRUE(tm.checkpoint(0));
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& th : threads) th.join();
+
+  const std::uint64_t last_gen = ckpt->generation();
+  const CheckpointStats st = ckpt->stats();
+  EXPECT_EQ(st.checkpoints, static_cast<std::uint64_t>(kCheckpoints));
+  runner.pool().crash(CrashPolicy{});  // no write-back: only fenced bits survive
+  std::uint64_t dirty = 0;
+  for (std::size_t w = 0; w < ckpt->bitmap_words(); ++w)
+    dirty += static_cast<std::uint64_t>(std::popcount(ckpt->durable_dirty_word(w)));
+  EXPECT_EQ(st.marks, st.lines_retired + dirty)
+      << "marks must count each newly published line exactly once";
+
+  std::size_t late = 0;
+  for (const std::vector<Commit>& commits : log) {
+    ASSERT_FALSE(commits.empty());
+    for (const Commit& c : commits) {
+      if (c.gen != last_gen) continue;
+      ++late;
+      for (const gaddr_t x : c.words)
+        EXPECT_TRUE(ckpt->durable_dirty(x / 2)) << "word " << x << " committed after the last "
+                                                << "checkpoint without a durable dirty bit";
+    }
+  }
+  EXPECT_GE(late, static_cast<std::size_t>(kWriters));
+}
 
 // ---- One undo-record protocol ----------------------------------------------
 

@@ -13,15 +13,22 @@
 //       a later recovery keeps words that earlier epochs committed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <tuple>
 
+#include "crash_harness.hpp"
+#include "pmem/crash_enum.hpp"
 #include "pmem/crash_sim.hpp"
+#include "pmem/pmem_inspector.hpp"
 #include "structures/tm_abtree.hpp"
 #include "structures/tm_hashmap.hpp"
 #include "structures/tm_queue.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace nvhalt {
 namespace {
@@ -342,6 +349,119 @@ TEST(CrashRecoveryEdge, RecoveryIsIdempotent) {
   tm.run(0, [&](Tx& tx) { v = tx.read(a); });
   EXPECT_EQ(v, 9u);
 }
+
+// A power failure can strike recovery itself. Recovery persists only
+// idempotent repairs (reverts, allocator intent normalisation, the
+// checkpoint reset), so cutting it at its n-th crash point, losing power
+// with adversarial write-back and recovering again must end where one
+// clean recovery ends: the same volatile image and record values, and
+// with checkpointing off the same pool image byte for byte (a checkpoint
+// generation advances once per recovery that reaches it). Covers the
+// undo-record engine NV-HALT and Trinity share.
+class CrashInsideRecoveryTest
+    : public ::testing::TestWithParam<std::tuple<TmKind, bool, int>> {};
+
+/// The volatile image and every record's durable cur, word by word.
+std::vector<word_t> recovered_words(const PmemPool& pool) {
+  std::vector<word_t> v;
+  v.reserve(2 * pool.capacity_words());
+  for (gaddr_t a = 1; a < pool.capacity_words(); ++a) {
+    v.push_back(pool.load(a));
+    v.push_back(pool.read_durable_record(a).cur);
+  }
+  return v;
+}
+
+TEST_P(CrashInsideRecoveryTest, EveryCutRecoversLikeOneCleanRecovery) {
+  const auto [kind, checkpoint, workers] = GetParam();
+  constexpr std::uint64_t kSeed = 11;
+  RunnerConfig cfg = test::crash_config(kind, checkpoint);
+  cfg.pmem.track_store_order = true;  // the adversary cuts inside a line's store order
+  cfg.nvhalt.recovery_threads = cfg.trinity.recovery_threads = workers;
+
+  // The seeded single-thread history, journaled. The crash image cuts it
+  // after the last commit's write-set fence: that commit's records are
+  // durable and its pVerNum marker is not, so recovery has reverts to do.
+  PersistJournal journal;
+  {
+    RunnerConfig hcfg = cfg;
+    hcfg.pmem.journal = &journal;
+    TmRunner runner(hcfg);
+    TmAbTree tree(runner.tm());
+    Xoshiro256 rng(kSeed);
+    for (word_t i = 0; i < 300; ++i) {
+      const word_t key = rng.next_bounded(200) + 1;
+      if (i % 3 == 2)
+        tree.remove(0, key);
+      else
+        tree.insert(0, key, i);
+      if (checkpoint && i % 97 == 96) runner.tm().checkpoint(0);
+    }
+  }
+  const std::vector<PersistEvent> events = journal.events();
+  std::vector<std::size_t> fences;
+  for (std::size_t j = 0; j < events.size(); ++j)
+    if (events[j].kind == PersistEventKind::kFence) fences.push_back(j);
+  ASSERT_GE(fences.size(), 2u);
+  const CrashImage img = materialize_crash_image(events, fences[fences.size() - 2] + 1, 0);
+
+  TmRunner runner(cfg);
+  auto& pool = runner.pool();
+  auto& tm = runner.tm();
+  pool.install_crash_image(img.words);
+  ASSERT_GT(PmemInspector(pool).scan().in_flight_records, 0u)
+      << "the history left no in-flight record to revert";
+  tm.recover_data();
+  const std::vector<word_t> want = recovered_words(pool);
+  const std::uint64_t want_hash = pool.image_hash();
+
+  CrashCoordinator cc;
+  for (std::uint64_t n = 1;; ++n) {
+    ASSERT_LT(n, 100000u) << "recovery never completed untripped";
+    const std::uint64_t crash_seed = kSeed + n;
+    const std::string where = std::string(tm_kind_name(kind)) + " checkpoint=" +
+                              (checkpoint ? "on" : "off") + " workers=" +
+                              std::to_string(workers) + " n=" + std::to_string(n) +
+                              " seed=" + std::to_string(crash_seed);
+    pool.install_crash_image(img.words);
+    cc.reset();
+    cc.trip_after(n);
+    pool.set_crash_coordinator(&cc);
+    bool tripped = false;
+    try {
+      tm.recover_data();
+    } catch (const SimulatedPowerFailure&) {
+      tripped = true;
+    }
+    pool.set_crash_coordinator(nullptr);
+    if (tripped) {
+      pool.crash(CrashPolicy{0.5, crash_seed});
+      tm.recover_data();
+    }
+    const std::vector<word_t> got = recovered_words(pool);
+    const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+    ASSERT_TRUE(diff.first == got.end())
+        << where << ": word " << 1 + (diff.first - got.begin()) / 2
+        << ((diff.first - got.begin()) % 2 == 0 ? " (volatile)" : " (record cur)") << " reads "
+        << *diff.first << ", a clean recovery " << *diff.second;
+    if (!checkpoint) {
+      ASSERT_EQ(pool.image_hash(), want_hash) << where;
+    }
+    if (!tripped) break;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    UndoRecordTms, CrashInsideRecoveryTest,
+    ::testing::Combine(::testing::Values(TmKind::kNvHalt, TmKind::kTrinity), ::testing::Bool(),
+                       ::testing::Values(1, 2)),
+    [](const ::testing::TestParamInfo<std::tuple<TmKind, bool, int>>& info) {
+      std::string n = tm_kind_name(std::get<0>(info.param));
+      for (auto& c : n)
+        if (c == '-') c = '_';
+      return n + (std::get<1>(info.param) ? "_Checkpoint" : "_NoCheckpoint") + "_Workers" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 TEST(CrashRecoveryEdge, UnackedButDurablyCompleteTxnMayLegallySurvive) {
   // A transaction that finished persisting but crashed before returning is
