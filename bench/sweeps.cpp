@@ -46,7 +46,7 @@ struct Mixed {
   std::string workload;   // "<read_pct>ro", "-zipf" suffix for Zipf(0.99) keys
   TmKind kind = TmKind::kNvHalt;
   int threads = 1;
-  bool flushes = true, eadr = false, nvm_latency = true, persist = true;
+  bool eadr = false, nvm_latency = true, persist = true;
   double spurious = 0;
 };
 
@@ -115,7 +115,6 @@ Sample measure_mixed(const Mixed& p, const Scale& sc) {
     cfg.pmem.raw_words += static_cast<std::size_t>(cfg.spht.max_threads) *
                           (cfg.spht.log_words_per_thread + 2 * kWordsPerLine);
   }
-  cfg.pmem.flushes_enabled = p.flushes;
   cfg.pmem.eadr = p.eadr;
   cfg.pmem.flush_latency_ns = p.nvm_latency ? 150 : 0;
   cfg.pmem.fence_latency_ns = p.nvm_latency ? 80 : 0;
@@ -182,7 +181,7 @@ Sample measure_mixed(const Mixed& p, const Scale& sc) {
       spht ? static_cast<double>(spht->global_lock_held_ns()) / (w.seconds * 1e9) : 0.0;
   // SPHT replays its logs after the measured phase, as the paper does; the
   // replay's flushes stay out of the per-op counts above.
-  if (spht != nullptr) spht->replay(runner.config().spht.replay_threads);
+  if (spht != nullptr) spht->checkpoint(0);
 
   const TmStats st = tm.stats();
   s["commits"] = static_cast<double>(st.commits);
@@ -350,16 +349,15 @@ SweepSpec ablation_sweep() {
               {"level", "BASE", "ops_per_sec", "tm"}};
   for (const char* wl : {"99ro", "90ro", "50ro", "0ro"})
     for (const char* tm : {"NV-HALT-CL", "SPHT"})
-      // EADR goes beyond the paper's three levels: no flushes or fences,
-      // NVM store latency kept.
-      for (const char* lv : {"BASE", "EADR", "NO-FLUSH-FENCE", "NO-NVRAM", "NO-PERSIST-HTXN"})
+      // NO-FLUSH-FENCE is the eADR platform: no flushes or fences, NVM
+      // store latency kept.
+      for (const char* lv : {"BASE", "NO-FLUSH-FENCE", "NO-NVRAM", "NO-PERSIST-HTXN"})
         s.cells.push_back({{"workload", wl}, {"tm", tm}, {"level", lv}});
   s.measure = [](const Dims& d, const Scale& sc) {
     const std::string lv = dim(d, "level");
     Mixed p{"abtree", dim(d, "workload"), tm_kind_from_string(dim(d, "tm")), 4};
-    p.flushes = lv == "BASE";
-    p.eadr = lv == "EADR";
-    p.nvm_latency = lv == "BASE" || lv == "EADR" || lv == "NO-FLUSH-FENCE";
+    p.eadr = lv != "BASE";
+    p.nvm_latency = lv == "BASE" || lv == "NO-FLUSH-FENCE";
     p.persist = lv != "NO-PERSIST-HTXN";
     return measure_mixed(p, sc);
   };
@@ -590,7 +588,7 @@ double measure_recovery_ms(TmKind kind, std::size_t pool_words, int history, int
                            (log_words + 2 * kWordsPerLine) +
                        TxAllocator::metadata_words(pool_words) + (std::size_t{1} << 14);
   if (every > 0) {
-    cfg.nvhalt.checkpoint = cfg.trinity.checkpoint = cfg.spht.checkpoint = true;
+    cfg.nvhalt.checkpoint = cfg.trinity.checkpoint = true;
     cfg.pmem.raw_words += CheckpointManager::metadata_words(pool_words) + 2 * kWordsPerLine;
   }
   TmRunner runner(cfg);

@@ -3,17 +3,17 @@
 // The persistent logs are redo logs: the NVM heap image lags and must be
 // brought up to date by replaying records in timestamp order (only up to
 // the persistent marker). Replay is last-writer-wins per address, applied
-// by a configurable number of threads over disjoint address partitions —
-// the paper reports this phase scales poorly and uses 16 threads.
+// over disjoint address partitions by the shared recovery worker pool
+// (runtime::run_recovery_partitions) — the paper reports this phase
+// scales poorly and uses 16 threads. One body serves a full log, a
+// checkpoint and recovery.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "baselines/spht/spht_tm.hpp"
-#include "pmem/crash_sim.hpp"
 #include "runtime/recovery_pool.hpp"
 
 namespace nvhalt {
@@ -39,11 +39,7 @@ std::vector<std::pair<gaddr_t, word_t>> reduce_records(std::vector<SphtLog::TxnR
 }
 }  // namespace
 
-void SphtTm::replay(int nthreads) {
-  replay_impl(/*caller_tid=*/0, nthreads, /*durable_prefix_only=*/false);
-}
-
-void SphtTm::replay_impl(int caller_tid, int nthreads, bool durable_prefix_only) {
+void SphtTm::replay_impl(int caller_tid, bool durable_prefix_only) {
   std::vector<SphtLog::TxnRec> recs;
   // Checkpoint replays take every logged record, even above the volatile
   // marker: such a record belongs to a committed transaction whose owner
@@ -89,54 +85,29 @@ void SphtTm::replay_impl(int caller_tid, int nthreads, bool durable_prefix_only)
     }
   }
 
-  if (!final_writes.empty()) {
-    // Threads quiesced by the full-log path can still be flushing the
-    // marker line from persist_marker_until with their own pool tid, so
-    // replay workers must not share live threads' flush queues: they take
-    // dedicated tids from the top of the pool's range. With no spare tids
-    // (max_threads == kMaxThreads) replay runs on the caller's thread.
-    const int spare = kMaxThreads - cfg_.max_threads;
-    const int workers =
-        std::min<int>({nthreads, spare, static_cast<int>(final_writes.size())});
-    const auto apply_range = [&](int tid, std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const auto [a, v] = final_writes[i];
-        // The NVM heap image lives in the records' `cur` field; replay
-        // writes it and persists the line. `old`/`pver` are unused by
-        // SPHT (they are Trinity machinery) — the pver stamp is a fixed 0
-        // so the replayed image is byte-identical for any worker count
-        // (the partitioning decides which worker writes a record).
-        PRecord r = pool_.read_record(a);
-        pool_.record_write(tid, a, r.old, v, /*pver=*/0);
-        pool_.flush_record(tid, a);
-      }
-      pool_.fence(tid);
-    };
-    if (workers < 1) {
-      apply_range(caller_tid, 0, final_writes.size());
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<std::size_t>(workers));
-      const std::size_t per = (final_writes.size() + static_cast<std::size_t>(workers) - 1) /
-                              static_cast<std::size_t>(workers);
-      std::atomic<bool> power_failed{false};
-      for (int w = 0; w < workers; ++w) {
-        threads.emplace_back([&, w] {
-          try {
-            const std::size_t lo = static_cast<std::size_t>(w) * per;
-            const std::size_t hi = std::min(final_writes.size(), lo + per);
-            apply_range(kMaxThreads - 1 - w, lo, hi);
-          } catch (const SimulatedPowerFailure&) {
-            // Replay is idempotent redo: a power failure mid-replay simply
-            // means recovery replays again. Surfaced on the calling thread.
-            power_failed.store(true, std::memory_order_release);
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-      if (power_failed.load(std::memory_order_acquire)) throw SimulatedPowerFailure{};
-    }
-  }
+  // Threads quiesced by the full-log path can still be flushing the marker
+  // line from persist_marker_until with their own pool tid, so replay
+  // workers must not share live threads' flush queues: several workers
+  // take dedicated tids from the top of the pool's range, capped at the
+  // tids no SPHT thread owns. One worker (or none spare) runs inline on
+  // the caller's tid.
+  const int spare = kMaxThreads - cfg_.max_threads;
+  runtime::run_recovery_partitions(
+      final_writes.size(), std::min(cfg_.replay_threads, spare), caller_tid,
+      [&](int tid, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const auto [a, v] = final_writes[i];
+          // The NVM heap image lives in the records' `cur` field; replay
+          // writes it and persists the line. `old`/`pver` are unused by
+          // SPHT (they are Trinity machinery) — the pver stamp is a fixed
+          // 0 so the replayed image is byte-identical for any worker count
+          // (the partitioning decides which worker writes a record).
+          PRecord r = pool_.read_record(a);
+          pool_.record_write(tid, a, r.old, v, /*pver=*/0);
+          pool_.flush_record(tid, a);
+        }
+        pool_.fence(tid);
+      });
 
   // The heap image now holds every record up to `heap_upto`: all collected
   // records for a checkpoint, everything up to the durable marker for a
@@ -179,7 +150,7 @@ void SphtTm::replay_full_logs(int tid) {
     while (!((ts_pub_[t].value.load(std::memory_order_seq_cst) & 1) != 0))
       std::this_thread::yield();
   }
-  replay_impl(tid, cfg_.replay_threads, /*durable_prefix_only=*/false);
+  replay_impl(tid, /*durable_prefix_only=*/false);
   if (!already_held) {
     gl_held_ns_.value.fetch_add(
         static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -191,7 +162,7 @@ void SphtTm::replay_full_logs(int tid) {
 }
 
 bool SphtTm::checkpoint(int tid) {
-  if (!cfg_.checkpoint || !cfg_.persist_txns) return false;
+  if (!cfg_.persist_txns) return false;
   // SPHT's native compaction IS a full-log replay: every logged write is
   // folded into the NVM heap image, the durable marker advances over the
   // replayed timestamps, and the logs are truncated — after which recovery
@@ -212,7 +183,7 @@ void SphtTm::recover_data() {
   gpm_volatile_.value.store(pool_.raw_load(gpm_raw_idx_), std::memory_order_relaxed);
   gpm_durable_.value.store(gpm_volatile_.value.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);
-  replay_impl(/*caller_tid=*/0, cfg_.replay_threads, /*durable_prefix_only=*/true);
+  replay_impl(/*caller_tid=*/0, /*durable_prefix_only=*/true);
 
   // Volatile image rebuild: pure per-word loads/stores, partitioned across
   // the replay workers (byte-identical for any worker count).

@@ -58,9 +58,9 @@ SphtTm::SphtTm(const SphtConfig& cfg, PmemPool& pool, htm::SimHtm& htm, TxAlloca
   gpm_durable_.value.store(0, std::memory_order_relaxed);
   gl_held_ns_.value.store(0, std::memory_order_relaxed);
   gpm_raw_idx_ = pool_.alloc_raw(kWordsPerLine);
-  // Checkpoint generation word: allocated only when enabled so the default
-  // raw layout stays byte-identical.
-  if (cfg_.checkpoint) ckpt_gen_raw_idx_ = pool_.alloc_raw(kWordsPerLine);
+  // The checkpoint generation word is SPHT's last raw allocation and stays
+  // zero until the first checkpoint.
+  ckpt_gen_raw_idx_ = pool_.alloc_raw(kWordsPerLine);
 
   ts_pub_ = std::make_unique<CacheLinePadded<std::atomic<std::uint64_t>>[]>(
       static_cast<std::size_t>(cfg_.max_threads));

@@ -19,9 +19,12 @@
 //    when their data is disjoint — the overhead NV-HALT avoids.
 //  * The software fallback immediately takes the global lock, disabling
 //    all concurrency.
-//  * Logs are bounded and must be replayed into the NVM heap image; the
-//    benchmark replays after the measured phase, as the paper does
-//    (16 replay threads by default, following the paper's configuration).
+//  * Logs are bounded and must be replayed into the NVM heap image. One
+//    routine does it for a full log, a checkpoint and the benchmark's
+//    replay after the measured phase (the paper's setup); recovery runs
+//    the same body up to the durable marker. Its writes go through the
+//    shared recovery worker pool (16 replay threads by default, following
+//    the paper's configuration).
 //  * Memory allocation is a per-thread bump pointer with no freeing — the
 //    paper calls this out as artificially cheap but load-bearing for
 //    SPHT's log replay, so it is reproduced faithfully.
@@ -48,18 +51,11 @@ struct SphtConfig {
   /// Thread ids that may run transactions (sizes the registry, the log
   /// array and every per-thread structure). Clamped to [1, kMaxThreads].
   int max_threads = kMaxThreads;
-  /// Threads used by replay(); the paper uses 16.
+  /// Threads used by log replay and recovery; the paper uses 16.
   int replay_threads = 16;
   /// Ablation class 3 (NO-PERSISTENT-HTXN): disable logging, timestamp
   /// ordering and marker persistence — volatile-only transactions.
   bool persist_txns = true;
-
-  /// Checkpointing (DESIGN.md Sec. 13): checkpoint(tid) replays and
-  /// truncates the persistent logs (SPHT's native compaction — after it,
-  /// recovery replays only the delta logged since) and durably bumps a
-  /// generation counter. Off by default; the generation word is allocated
-  /// only when enabled so the raw layout stays byte-identical otherwise.
-  bool checkpoint = false;
 };
 
 class SphtTm final : public runtime::TmRuntime {
@@ -73,15 +69,16 @@ class SphtTm final : public runtime::TmRuntime {
   /// segment watermark.
   void rebuild_allocator(std::span<const LiveBlock> live) override;
 
-  /// Log replay + truncation as a checkpoint (cfg.checkpoint): bounded
-  /// recovery follows directly from SPHT's redo-log design — after the
-  /// truncation, recovery replays only the delta logged since. Returns
-  /// false when checkpointing is off or transactions are not persisted.
+  /// SPHT's native compaction (DESIGN.md Sec. 13): replays every logged
+  /// record into the NVM heap image, durably advances the marker over
+  /// them, truncates the logs and durably bumps the generation word. After
+  /// it, recovery replays only the delta logged since. Callable from any
+  /// registered thread between its transactions, or at full quiescence
+  /// (the benchmark's post-phase replay). Returns false when transactions
+  /// are not persisted.
   bool checkpoint(int tid) override;
-  /// Durable checkpoint generation (0 when cfg.checkpoint is off).
-  std::uint64_t checkpoint_generation() const {
-    return ckpt_gen_raw_idx_ == 0 ? 0 : pool_.raw_load(ckpt_gen_raw_idx_);
-  }
+  /// Durable checkpoint generation (0 until the first checkpoint).
+  std::uint64_t checkpoint_generation() const { return pool_.raw_load(ckpt_gen_raw_idx_); }
 
   /// Replays the durable log prefix into the heap image, rebuilds the
   /// volatile image and the carver, and resets the volatile ordering state.
@@ -97,13 +94,6 @@ class SphtTm final : public runtime::TmRuntime {
   /// SPHT has exactly one lock — the global fallback lock — so its
   /// contention observatory is a single stripe (stripe 0).
   const ContentionTable* contention() const override { return &contention_; }
-
-  /// Checkpoints every persisted log record into the NVM heap image,
-  /// durably advances the marker over the checkpointed timestamps, and
-  /// truncates the logs. Callable at full quiescence (benchmarks, as in
-  /// the paper's setup) or under the global fallback lock with the
-  /// log-persist phases drained (the full-log path).
-  void replay(int nthreads);
 
   std::uint64_t persistent_marker() const {
     return gpm_volatile_.value.load(std::memory_order_acquire);
@@ -170,8 +160,8 @@ class SphtTm final : public runtime::TmRuntime {
   /// (apply only records at or below the durable marker) over checkpoint
   /// semantics (apply every logged record, durably advancing the marker
   /// over them first). `caller_tid` is the invoking thread's pool tid,
-  /// used for all serial flush/fence work.
-  void replay_impl(int caller_tid, int nthreads, bool durable_prefix_only);
+  /// used for all serial flush/fence work and for a one-worker replay.
+  void replay_impl(int caller_tid, bool durable_prefix_only);
 
   gaddr_t bump_alloc(int tid, std::size_t nwords);
 
@@ -196,7 +186,7 @@ class SphtTm final : public runtime::TmRuntime {
   /// or below it is already applied in the NVM heap image. Every replay
   /// skips those records and raises the watermark before it truncates.
   std::size_t heap_watermark_idx() const { return gpm_raw_idx_ + 1; }
-  std::size_t ckpt_gen_raw_idx_ = 0;  // allocated only when cfg_.checkpoint
+  std::size_t ckpt_gen_raw_idx_;  // durable checkpoint generation
   std::mutex gpm_mu_;
   ContentionTable contention_{1};  // one stripe: the global fallback lock
 

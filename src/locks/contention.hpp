@@ -7,10 +7,6 @@
 // (acquire stalls, CAS failures, conflict aborts) — the same cost class as
 // the abort taxonomy, so it stays live at every telemetry level and the
 // level-0 bench gate doubles as its overhead check.
-//
-// The decayed top-K view: decay_halve() halves every counter (callers
-// invoke it at window boundaries — bench sampling loops, metrics scrapes),
-// so top_k() ranks stripes by *recent* heat rather than lifetime totals.
 #pragma once
 
 #include <algorithm>
@@ -103,17 +99,6 @@ class ContentionTable {
     return all;
   }
 
-  /// Halves every counter (window decay). Concurrent increments may be
-  /// halved or not — acceptable for a diagnostic heat view.
-  void decay_halve() {
-    for (std::size_t i = 0; i < n_; ++i) {
-      halve(cells_[i].stalls);
-      halve(cells_[i].stall_ticks);
-      halve(cells_[i].cas_failures);
-      halve(cells_[i].aborts);
-    }
-  }
-
   void reset() {
     for (std::size_t i = 0; i < n_; ++i) {
       cells_[i].stalls.store(0, std::memory_order_relaxed);
@@ -130,10 +115,6 @@ class ContentionTable {
     std::atomic<std::uint64_t> cas_failures{0};
     std::atomic<std::uint64_t> aborts{0};
   };
-  static void halve(std::atomic<std::uint64_t>& a) {
-    a.store(a.load(std::memory_order_relaxed) / 2, std::memory_order_relaxed);
-  }
-
   std::size_t n_;
   std::unique_ptr<Cell[]> cells_;
 };

@@ -12,8 +12,8 @@ std::size_t CheckpointManager::metadata_words(std::size_t capacity_words) {
   const std::size_t bitmap_words = (rec_lines + 63) / 64;
   const std::size_t bitmap_padded =
       (bitmap_words + kWordsPerLine - 1) / kWordsPerLine * kWordsPerLine;
-  // Watermark line + two generation slot-header lines + bitmap.
-  return 3 * kWordsPerLine + bitmap_padded;
+  // Generation word's line + bitmap.
+  return kWordsPerLine + bitmap_padded;
 }
 
 CheckpointManager::CheckpointManager(PmemPool& pool, TxAllocator* alloc)
@@ -21,26 +21,21 @@ CheckpointManager::CheckpointManager(PmemPool& pool, TxAllocator* alloc)
   rec_lines_ = (pool_.capacity_words() + 1) / 2;
   bitmap_words_ = (rec_lines_ + 63) / 64;
   base_ = pool_.alloc_raw(metadata_words(pool_.capacity_words()));
-  bitmap_base_ = base_ + 3 * kWordsPerLine;
+  bitmap_base_ = base_ + kWordsPerLine;
 
   shadow_ = std::make_unique<std::atomic<std::uint64_t>[]>(bitmap_words_);
   for (std::size_t w = 0; w < bitmap_words_; ++w)
     shadow_[w].store(0, std::memory_order_relaxed);
-  word_locks_ = std::make_unique<std::atomic_flag[]>(kWordLocks);
-  for (std::size_t i = 0; i < kWordLocks; ++i) word_locks_[i].clear();
+  word_locks_ = std::make_unique<CacheLinePadded<std::atomic_flag>[]>(kWordLocks);
   marks_ = std::make_unique<ThreadMarks[]>(kMaxThreads);
 
   if (pool_.attached_existing()) return;  // recover() adopts the durable state
 
-  // Seed generation 0 durably: slot 0 sealed, then the watermark. A crash
-  // before the final fence leaves an invalid watermark and recovery falls
-  // back to the full scan — never an unsound bounded one.
+  // Seed generation 0 durably. A crash before the fence leaves no magic
+  // and recovery falls back to the full scan — never an unsound bounded
+  // one.
   const int tid = 0;
-  pool_.raw_store(tid, slot_idx(0), kSlotComplete);
-  pool_.raw_store(tid, slot_idx(0) + 1, 0);
-  pool_.flush_raw(tid, slot_idx(0));
-  pool_.fence(tid);
-  pool_.raw_store(tid, base_, pack_wm(0, 0));
+  pool_.raw_store(tid, base_, pack_gen(0));
   pool_.flush_raw(tid, base_);
   pool_.fence(tid);
 }
@@ -68,7 +63,7 @@ void CheckpointManager::stage_marks(int tid) {
   for (const auto& [w, bits] : marks_[tid].words) {
     // Idempotent OR, serialized per word: other threads mark other lines
     // of the same bitmap word concurrently.
-    std::atomic_flag& lk = word_locks_[w % kWordLocks];
+    std::atomic_flag& lk = word_locks_[w % kWordLocks].value;
     while (lk.test_and_set(std::memory_order_acquire)) cpu_relax();
     const std::uint64_t cur = pool_.raw_load(bitmap_word_idx(w));
     if ((cur & bits) != bits) pool_.raw_store(tid, bitmap_word_idx(w), cur | bits);
@@ -93,19 +88,12 @@ void CheckpointManager::commit_marks(int tid) {
   bump(m.mark_fences, 1);
 }
 
-void CheckpointManager::truncate_and_flip(int tid, std::uint64_t next_gen) {
-  const int next_slot = slot_ ^ 1;
-
-  // (1) Open the inactive generation slot. The watermark still names the
-  // old generation, so a crash anywhere below recovers from it.
-  pool_.raw_store(tid, slot_idx(next_slot), kSlotInProgress);
-  pool_.raw_store(tid, slot_idx(next_slot) + 1, next_gen);
-  pool_.flush_raw(tid, slot_idx(next_slot));
-  pool_.fence(tid);
-
-  // (2) Truncation/compaction: clear the dirty-line bitmap. Sound even
+void CheckpointManager::truncate_and_advance(int tid, std::uint64_t next_gen) {
+  // (1) Truncation/compaction: clear the dirty-line bitmap. Sound even
   // half-done — persist phases are drained, so every bit cleared here
   // covered only durably-committed records the revert predicate skips.
+  // The generation word still names the old generation, so a crash
+  // anywhere below recovers from it.
   std::uint64_t retired = 0;
   for (std::size_t w = 0; w < bitmap_words_; ++w) {
     const std::uint64_t v = pool_.raw_load(bitmap_word_idx(w));
@@ -116,13 +104,8 @@ void CheckpointManager::truncate_and_flip(int tid, std::uint64_t next_gen) {
   }
   pool_.fence(tid);
 
-  // (3) Seal the slot, (4) flip the watermark. Two fences so the
-  // crash-prefix enumerator gets a boundary between "new generation
-  // sealed" and "new generation active" — the torn-checkpoint window.
-  pool_.raw_store(tid, slot_idx(next_slot), kSlotComplete);
-  pool_.flush_raw(tid, slot_idx(next_slot));
-  pool_.fence(tid);
-  pool_.raw_store(tid, base_, pack_wm(next_gen, next_slot));
+  // (2) Advance the generation: one word, so it cannot tear.
+  pool_.raw_store(tid, base_, pack_gen(next_gen));
   pool_.flush_raw(tid, base_);
   pool_.fence(tid);
 
@@ -130,7 +113,6 @@ void CheckpointManager::truncate_and_flip(int tid, std::uint64_t next_gen) {
     shadow_[w].store(0, std::memory_order_relaxed);
   for (int t = 0; t < kMaxThreads; ++t) marks_[t].words.clear();
   gen_.store(next_gen, std::memory_order_release);
-  slot_ = next_slot;
   stat_checkpoints_.fetch_add(1, std::memory_order_relaxed);
   stat_lines_retired_.fetch_add(retired, std::memory_order_relaxed);
 }
@@ -141,7 +123,7 @@ void CheckpointManager::checkpoint(int tid) {
   // transaction whose apply is durably fenced, so idling the records is
   // pure truncation (recovery would only have re-applied them).
   if (alloc_ != nullptr) alloc_->quiesce_intents(tid);
-  truncate_and_flip(tid, gen_.load(std::memory_order_relaxed) + 1);
+  truncate_and_advance(tid, gen_.load(std::memory_order_relaxed) + 1);
 }
 
 CheckpointStats CheckpointManager::stats() const {
@@ -156,19 +138,11 @@ CheckpointStats CheckpointManager::stats() const {
 }
 
 bool CheckpointManager::durable_valid() const {
-  const std::uint64_t wm = pool_.raw_load(base_);
-  if ((wm >> 32) != kWmMagic) return false;
-  // The watermark must name a sealed slot carrying the same generation
-  // (the flip is fenced after the seal, so a valid watermark implies this;
-  // checking anyway keeps a corrupted image on the full-scan path).
-  const int slot = static_cast<int>(wm & 1);
-  const std::uint64_t gen = (wm >> 1) & 0x7FFFFFFFULL;
-  return pool_.raw_load(slot_idx(slot)) == kSlotComplete &&
-         pool_.raw_load(slot_idx(slot) + 1) == gen;
+  return (pool_.raw_load(base_) >> 32) == kGenMagic;
 }
 
 std::uint64_t CheckpointManager::durable_generation() const {
-  return (pool_.raw_load(base_) >> 1) & 0x7FFFFFFFULL;
+  return pool_.raw_load(base_) & 0xFFFFFFFFULL;
 }
 
 bool CheckpointManager::durable_dirty(std::size_t rec_line) const {
@@ -184,16 +158,9 @@ void CheckpointManager::recover(int tid) {
   // crash predates initialization), then retire the recovered delta as a
   // fresh generation — recovery just reverted or confirmed every dirty
   // record, so the next crash starts from an empty dirty set.
-  std::uint64_t gen = 0;
-  if (durable_valid()) {
-    const std::uint64_t wm = pool_.raw_load(base_);
-    slot_ = static_cast<int>(wm & 1);
-    gen = (wm >> 1) & 0x7FFFFFFFULL;
-  } else {
-    slot_ = 1;  // truncate_and_flip seals slot 0 for the reseeded generation
-  }
+  const std::uint64_t gen = durable_valid() ? durable_generation() : 0;
   gen_.store(gen, std::memory_order_relaxed);
-  truncate_and_flip(tid, gen + 1);
+  truncate_and_advance(tid, gen + 1);
 }
 
 }  // namespace nvhalt

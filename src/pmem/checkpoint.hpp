@@ -16,26 +16,25 @@
 //    invariant this buys: any record line the crash adversary can
 //    materialize has a durable dirty bit, so recovery may skip the revert
 //    predicate on every clean line.
-//  * A *double-buffered checkpoint region*: two generation slot headers
-//    plus a single packed watermark word naming the active slot. A
-//    checkpoint drains all persist phases (writer-side shared lock,
-//    checkpoint-side exclusive), durably idles the allocator's armed
-//    intent records, opens the inactive slot, truncates the bitmap (the
+//  * One durable *generation word*: [63:32] magic "CPK1", [31:0] the
+//    generation. A checkpoint drains all persist phases (writer-side
+//    shared lock, checkpoint-side exclusive), durably idles the
+//    allocator's armed intent records, truncates the bitmap (the
 //    compaction step — cleared bits are exactly the revert obligations
-//    retired by the checkpoint), seals the slot, and finally flips the
-//    watermark. Every step is separated by the pool's normal flush/fence
-//    discipline, so the crash-prefix enumerator can place boundaries
-//    inside compaction and truncation like anywhere else.
+//    retired by the checkpoint), fences, then stores generation + 1 and
+//    fences again: two fences. The pool stores the word atomically, so
+//    the generation can never tear, and the crash-prefix enumerator can
+//    place boundaries inside truncation like anywhere else.
 //
 // Torn-checkpoint window: a crash between the bitmap truncation and the
-// watermark flip leaves the *old* generation named by the watermark with a
-// (partially) cleared bitmap. This is safe by construction — at truncation
-// time all persist phases were drained, so every record a cleared bit
-// covered belongs to a durably completed transaction (its pver is below
-// the owner's durable marker) which the revert predicate would skip
-// anyway. Recovery therefore reaches the same state from either
-// generation; tests/checkpoint_test.cpp pins this with replayable
-// (hash, prefix, seed) triples.
+// generation store leaves the *old* generation with a (partially)
+// cleared bitmap. This is safe by construction — at truncation time all
+// persist phases were drained, so every record a cleared bit covered
+// belongs to a durably completed transaction (its pver is below the
+// owner's durable marker) which the revert predicate would skip anyway.
+// Recovery therefore reaches the same state from either generation;
+// tests/checkpoint_test.cpp pins this with replayable (hash, prefix, seed)
+// triples.
 //
 // The steady-state cost is one staged store and one flush per bitmap word
 // a write set newly touches, plus one fence per such write set, once per
@@ -59,7 +58,7 @@ namespace nvhalt {
 class TxAllocator;
 
 struct CheckpointStats {
-  std::uint64_t checkpoints = 0;    ///< completed watermark flips
+  std::uint64_t checkpoints = 0;    ///< completed generation stores
   std::uint64_t lines_retired = 0;  ///< dirty bits cleared by truncation
   std::uint64_t marks = 0;          ///< dirty bits newly published, each line once
   std::uint64_t mark_fences = 0;    ///< extra fences paid publishing marks
@@ -78,10 +77,10 @@ class CheckpointManager {
   CheckpointManager& operator=(const CheckpointManager&) = delete;
 
   /// Raw persistent words of checkpoint metadata for a pool of
-  /// `capacity_words` (watermark line + two slot-header lines + the
-  /// dirty-line bitmap, line-padded). Pool sizing adds this to raw-region
-  /// budgets when checkpointing is enabled; disabled configurations
-  /// allocate nothing and keep a byte-identical raw layout.
+  /// `capacity_words` (the generation word's line + the dirty-line bitmap,
+  /// line-padded). Pool sizing adds this to raw-region budgets when
+  /// checkpointing is enabled; disabled configurations allocate nothing
+  /// and keep a byte-identical raw layout.
   static std::size_t metadata_words(std::size_t capacity_words);
 
   // ---- Writer side (persist phases) ------------------------------------
@@ -112,22 +111,24 @@ class CheckpointManager {
 
   // ---- Checkpoint -------------------------------------------------------
   /// Runs one checkpoint on behalf of `tid`: drains persist phases
-  /// (exclusive lock), durably idles armed allocator intents, advances the
-  /// double-buffered generation, truncates the dirty bitmap, and flips the
-  /// watermark. Safe to call from any registered thread between its own
-  /// transactions; concurrent committers block only for the duration.
+  /// (exclusive lock), durably idles armed allocator intents, truncates
+  /// the dirty bitmap, and durably stores the next generation. Safe to
+  /// call from any registered thread between its own transactions;
+  /// concurrent committers block only for the duration.
   void checkpoint(int tid);
 
   std::uint64_t generation() const { return gen_.load(std::memory_order_acquire); }
   CheckpointStats stats() const;
 
   // ---- Recovery side (quiescent) ---------------------------------------
-  /// True when the durable watermark names a sealed generation — the
-  /// precondition for the bounded (bitmap-guided) revert pass. False for
-  /// crash images predating the initialization fence; recovery then falls
-  /// back to the full scan.
+  /// True when the generation word carries its magic — the precondition
+  /// for the bounded (bitmap-guided) revert pass. False for crash images
+  /// predating the initialization fence; recovery then falls back to the
+  /// full scan.
   bool durable_valid() const;
   std::uint64_t durable_generation() const;
+  /// Raw index (= persistent word index) of the generation word.
+  std::size_t generation_word_idx() const { return base_; }
 
   /// Durable dirty bit of record line `rec_line` (= a / 2 for word a).
   bool durable_dirty(std::size_t rec_line) const;
@@ -148,31 +149,20 @@ class CheckpointManager {
   void recover(int tid);
 
  private:
-  static constexpr std::uint64_t kWmMagic = 0x43504B31;  // "CPK1"
-  static constexpr std::uint64_t kSlotEmpty = 0;
-  static constexpr std::uint64_t kSlotInProgress = 1;
-  static constexpr std::uint64_t kSlotComplete = 2;
-  // Watermark word: [63:32] magic, [31:1] generation, [0] active slot.
-  // One word, stored atomically by the pool, so the flip itself can never
-  // tear — the double-buffered slots carry everything else.
-  static std::uint64_t pack_wm(std::uint64_t gen, int slot) {
-    return (kWmMagic << 32) | ((gen & 0x7FFFFFFFULL) << 1) |
-           static_cast<std::uint64_t>(slot & 1);
+  static constexpr std::uint64_t kGenMagic = 0x43504B31;  // "CPK1"
+  static std::uint64_t pack_gen(std::uint64_t gen) {
+    return (kGenMagic << 32) | (gen & 0xFFFFFFFFULL);
   }
 
-  std::size_t slot_idx(int slot) const {
-    return base_ + (1 + static_cast<std::size_t>(slot)) * kWordsPerLine;
-  }
-
-  /// Clears the staged+durable bitmap and flips to `next_gen`; caller
-  /// holds mu_ exclusively (or is quiescent recovery).
-  void truncate_and_flip(int tid, std::uint64_t next_gen);
+  /// Clears the staged+durable bitmap, then durably stores `next_gen`;
+  /// caller holds mu_ exclusively (or is quiescent recovery).
+  void truncate_and_advance(int tid, std::uint64_t next_gen);
 
   PmemPool& pool_;
   TxAllocator* alloc_;
   std::size_t rec_lines_;
   std::size_t bitmap_words_;
-  std::size_t base_;         // raw index: watermark line
+  std::size_t base_;         // raw index: generation word
   std::size_t bitmap_base_;  // raw index: first bitmap word
 
   /// Persist phases shared, checkpoints exclusive.
@@ -183,9 +173,10 @@ class CheckpointManager {
   std::unique_ptr<std::atomic<std::uint64_t>[]> shadow_;
 
   /// Hashed spinlocks serializing staged read-modify-write of one bitmap
-  /// word (slots of different threads share bitmap words).
+  /// word (slots of different threads share bitmap words), one per cache
+  /// line so writers of different words do not bounce one line.
   static constexpr std::size_t kWordLocks = 64;
-  std::unique_ptr<std::atomic_flag[]> word_locks_;
+  std::unique_ptr<CacheLinePadded<std::atomic_flag>[]> word_locks_;
 
   /// One thread's write-barrier state. `words` holds the bitmap words and
   /// bits marked but not yet published to the shadow; owner-only between
@@ -200,7 +191,6 @@ class CheckpointManager {
   std::unique_ptr<ThreadMarks[]> marks_;
 
   std::atomic<std::uint64_t> gen_{0};
-  int slot_ = 0;
 
   std::atomic<std::uint64_t> stat_checkpoints_{0};
   std::atomic<std::uint64_t> stat_lines_retired_{0};

@@ -450,8 +450,6 @@ void PmemPool::persist_line_prefix(std::size_t line, Xoshiro256& rng) {
 }
 
 void PmemPool::crash(const CrashPolicy& policy) {
-  if (!cfg_.flushes_enabled && !cfg_.eadr)
-    throw TmLogicError("crash simulation requires flushes or eADR");
   Xoshiro256 rng(policy.seed);
   if (cfg_.eadr) {
     // eADR: the power-failure protection domain flushes the whole cache;

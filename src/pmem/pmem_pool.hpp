@@ -22,6 +22,10 @@
 //    crash keeps only the durable image plus an adversary-chosen subset of
 //    dirty lines (modelling spontaneous write-back), honouring x86's
 //    guarantee that stores to one cache line never persist out of order.
+//  * One switch for flush-free persistence, `eadr`: the eADR platform and
+//    Fig. 9's NO-FLUSH-FENCE level are the same program here. Flushes and
+//    fences write nothing back, a crash persists every staged line, and
+//    stores keep their latency and order.
 //
 // Simulated NVM latency knobs reproduce the *relative* cost of flush/fence
 // (ablation class 1) and of NVM-backed stores (ablation class 2). The
@@ -96,15 +100,11 @@ struct PmemConfig {
   std::size_t capacity_words = 1 << 20;
   /// Extra raw persistent words available via alloc_raw (for baseline logs).
   std::size_t raw_words = 1 << 16;
-  /// If false, flush/fence are no-ops (ablation NO-FLUSH-FENCE). Crash
-  /// simulation is unavailable in this mode unless `eadr` is set.
-  bool flushes_enabled = true;
-  /// eADR platform (paper Sec. 1): the cache is flushed to NVM by the
-  /// power-failure protection domain, so explicit flushes/fences are
-  /// unnecessary — on crash, *all* staged stores are durable. Write
-  /// ordering within the persistence protocol still matters and is still
-  /// exercised. Implies flush/fence are no-ops regardless of
-  /// flushes_enabled.
+  /// eADR platform (paper Sec. 1), which is also Fig. 9's NO-FLUSH-FENCE
+  /// level: the cache is flushed to NVM by the power-failure protection
+  /// domain, so flushes and fences write nothing back and a crash keeps
+  /// *all* staged stores. Store latency and write order within the
+  /// persistence protocol are kept.
   bool eadr = false;
   /// Delay billed per unique flushed line at the next fence, in nanoseconds.
   std::uint64_t flush_latency_ns = 0;
@@ -212,8 +212,8 @@ class PmemPool {
   /// sfence: blocks until all lines the calling thread flushed since its
   /// previous fence are durable. Bills, in one spin, the thread's store
   /// debt plus flush_latency_ns per unique line and fence_latency_ns when
-  /// it wrote back any line. With flushes disabled or eADR on it writes
-  /// back nothing and bills only the store debt.
+  /// it wrote back any line. With eADR on it writes back nothing and
+  /// bills only the store debt.
   void fence(int tid);
 
   // ---- Crash simulation ------------------------------------------------
@@ -287,8 +287,8 @@ class PmemPool {
   class CrashCoordinator* crash_coordinator() const { return crash_coord_; }
 
  private:
-  /// True when flushes/fences do real work (not disabled, not eADR).
-  bool flush_active() const { return cfg_.flushes_enabled && !cfg_.eadr; }
+  /// True when flushes/fences do real work (not eADR).
+  bool flush_active() const { return !cfg_.eadr; }
 
   static std::size_t line_of(std::size_t word) { return word / kWordsPerLine; }
   static PRecord load_record(const std::atomic<std::uint64_t>* rec) {

@@ -2,11 +2,12 @@
 //
 // Recovery work over the pool decomposes into disjoint contiguous
 // partitions (record ranges, dirty-line lists, log write sets, allocator
-// segments), each replayed by a dedicated worker. Workers take tids from
-// the TOP of the pool's thread range (kMaxThreads - 1 - w) — the same
-// convention SPHT's replay workers established in spht_replay.cpp — so
-// their flush queues can never collide with live threads' queues, and
-// each worker fences on its own tid.
+// segments), each replayed by a dedicated worker. It is the one worker
+// pool: the undo-record engine's revert pass, the allocator rebuild and
+// every SPHT log replay (recovery, checkpoint, full log) run through it.
+// Workers take tids from the TOP of the pool's thread range
+// (kMaxThreads - 1 - w), so their flush queues can never collide with
+// live threads' queues, and each worker fences on its own tid.
 //
 // The join below is the merge/quiesce barrier: run_partitioned returns
 // only once every partition is fully applied (or unwound), so callers may

@@ -273,7 +273,7 @@ std::string MetricsSnapshot::to_prometheus() const {
   out += "# HELP nvhalt_alloc_reclaim_latency_ns Retire-to-reclaim latency.\n";
   out += "# TYPE nvhalt_alloc_reclaim_latency_ns histogram\n";
   // Contention observatory counter families (per-TM totals plus a
-  // per-stripe gauge for the decayed top-K heat view).
+  // per-stripe gauge for the top-K heat view).
   out += "# HELP nvhalt_lock_stalls_total Lock-acquire stalls observed.\n";
   out += "# TYPE nvhalt_lock_stalls_total counter\n";
   out += "# HELP nvhalt_lock_stall_ticks_total Ticks spent stalled on locks.\n";

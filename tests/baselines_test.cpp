@@ -283,7 +283,7 @@ TEST(Spht, ReplayBringsNvmHeapUpToDate) {
   runner.tm().run(0, [&](Tx& tx) { tx.write(a, 6); });
   // Before replay the NVM heap image lags (redo-logging design)...
   EXPECT_EQ(runner.pool().read_record(a).cur, 0u);
-  spht.replay(2);
+  ASSERT_TRUE(spht.checkpoint(0));
   // ...afterwards it holds the last committed value.
   EXPECT_EQ(runner.pool().read_record(a).cur, 6u);
   EXPECT_EQ(runner.pool().read_durable_record(a).cur, 6u);
@@ -354,7 +354,7 @@ TEST(Spht, LogFullTriggersInlineReplay) {
   tm.run(0, [&](Tx& tx) { EXPECT_EQ(tx.read(a), 50u); });
   // The inline replays kept the NVM image close to the volatile one.
   auto& spht = dynamic_cast<SphtTm&>(tm);
-  spht.replay(1);
+  ASSERT_TRUE(spht.checkpoint(0));
   EXPECT_EQ(runner.pool().read_record(a).cur, 50u);
 }
 
@@ -366,7 +366,6 @@ TEST(Spht, LogFullTriggersInlineReplay) {
 TEST(Spht, FullLogCommitAndCheckpointBothFinish) {
   RunnerConfig cfg = small_config(TmKind::kSpht);
   cfg.spht.log_words_per_thread = 8;  // two one-write records fill a log
-  cfg.spht.checkpoint = true;
   TmRunner runner(cfg);
   auto& spht = dynamic_cast<SphtTm&>(runner.tm());
   const gaddr_t x = runner.alloc().raw_alloc(0, 1);
@@ -436,7 +435,6 @@ TEST(Spht, SnapshotsAreConsistentUnderConcurrency) {
 TEST(SphtSmallLogStress, CommittersAndCheckpointsFinishAndLoseNothing) {
   RunnerConfig cfg = small_config(TmKind::kSpht);
   cfg.spht.log_words_per_thread = 64;
-  cfg.spht.checkpoint = true;
   TmRunner runner(cfg);
   auto& spht = dynamic_cast<SphtTm&>(runner.tm());
   constexpr int kCommitters = 3, kTxns = 200;

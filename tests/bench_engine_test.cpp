@@ -78,7 +78,7 @@ TEST(BenchEngine, EverySweepAcceptsAValidFileAndRoundTripsIt) {
     EXPECT_EQ(from_json(to_json(f)), f) << spec.name;
   }
   EXPECT_EQ(find_sweep("grid")->cells.size(), 180u);
-  EXPECT_EQ(find_sweep("ablation")->cells.size(), 40u);
+  EXPECT_EQ(find_sweep("ablation")->cells.size(), 32u);
   EXPECT_EQ(find_sweep("abort")->cells.size(), 12u);
   EXPECT_EQ(find_sweep("livelock")->cells.size(), 4u);
   EXPECT_EQ(find_sweep("alloc")->cells.size(), 24u);
@@ -106,7 +106,7 @@ TEST(BenchEngine, CheckFailsOnEveryPlantedFaultAndNamesSweepAndCell) {
   const std::vector<Fault> faults = {
       {"grid", "hw abort causes sum to hw_aborts", grid_t2,
        [](BenchFile&, Cell& c) { c.metrics["conflict"].med += 1; }},
-      {"ablation", "ro abort causes sum to ro_aborts", {{"tm", "SPHT"}, {"level", "EADR"}},
+      {"ablation", "ro abort causes sum to ro_aborts", {{"tm", "SPHT"}, {"level", "NO-FLUSH-FENCE"}},
        [](BenchFile&, Cell& c) { c.metrics["ro_demotion"].best += 1; }},
       {"abort", "contention covers at least one stripe", {{"tm", "SPHT"}},
        [](BenchFile&, Cell& c) { c.metrics["lock_stripes"] = {0, 0}; }},

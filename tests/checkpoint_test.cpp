@@ -1,14 +1,14 @@
 // Tests for the checkpoint/compaction subsystem (pmem/checkpoint.hpp,
 // DESIGN.md Sec. 13): dirty-line bitmap publication and truncation, the
 // write barrier's cost per bitmap word (read from the persistence journal)
-// and its counts under concurrent writers and checkpoints, the
-// double-buffered generation watermark, bounded (delta-since-checkpoint)
-// record recovery, SPHT's native log compaction, and the torn-checkpoint
-// window — a crash at any fence boundary between checkpoint publication
-// and the watermark flip recovers identically from either generation,
-// pinned with replayable (hash, prefix, seed) triples — and the
-// undo-record protocol NV-HALT and Trinity share, pinned by identical pool
-// images.
+// and its counts under concurrent writers and checkpoints, the one-word
+// generation record and its two fences (also read from the journal),
+// bounded (delta-since-checkpoint) record recovery, SPHT's native log
+// compaction, and the torn-checkpoint window — a crash at any fence
+// boundary between the checkpoint's start and its generation store
+// recovers identically from either generation, pinned with replayable
+// (hash, prefix, seed) triples — and the undo-record protocol NV-HALT and
+// Trinity share, pinned by identical pool images.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -191,6 +191,59 @@ TEST(CheckpointBitmapTest, JournalShowsOneBitmapStorePerWordAndAFenceBeforeEachR
   }
 }
 
+// The checkpoint record, read back from the persistence journal. After
+// commits that arm no allocator intent, a checkpoint stores zero to each
+// bitmap word those commits set, fences, stores the next generation under
+// the "CPK1" magic to the generation word, and fences again. It stores no
+// other word, of the checkpoint region or anywhere else.
+TEST(CheckpointBitmapTest, JournalShowsBitmapClearsAFenceTheGenerationStoreAndAFence) {
+  PersistJournal journal;
+  RunnerConfig cfg = crash_config(TmKind::kNvHalt, /*checkpoint=*/true);
+  cfg.pmem.journal = &journal;
+  TmRunner runner(cfg);
+  auto& tm = runner.tm();
+  auto& pool = runner.pool();
+  CheckpointManager* ckpt = manager_of(tm);
+  ASSERT_NE(ckpt, nullptr);
+
+  // Raw-allocated words: the commits below only overwrite them, so they
+  // arm no allocator intent and the checkpoint has none to idle.
+  constexpr gaddr_t kSpan = CheckpointManager::kWordsPerBitmapWord;
+  const gaddr_t blk = runner.alloc().raw_alloc_large(4 * kSpan);
+  for (gaddr_t i = 0; i < 3; ++i)
+    ASSERT_TRUE(tm.run(0, [&](Tx& tx) { tx.write(blk + i * kSpan, 10 + i); }));
+  std::set<std::size_t> dirty;  // raw indices of the set bitmap words
+  for (std::size_t w = 0; w < ckpt->bitmap_words(); ++w)
+    if (pool.raw_load(ckpt->bitmap_word_idx(w)) != 0) dirty.insert(ckpt->bitmap_word_idx(w));
+  ASSERT_GE(dirty.size(), 2u);
+  const std::uint64_t gen = ckpt->generation();
+
+  const std::size_t j0 = journal.size();
+  ASSERT_TRUE(tm.checkpoint(0));
+  const auto events = journal.events();
+  std::vector<PersistEvent> seq;  // the checkpoint's stores and fences
+  for (std::size_t j = j0; j < events.size(); ++j)
+    if (events[j].kind == PersistEventKind::kStore || events[j].kind == PersistEventKind::kFence)
+      seq.push_back(events[j]);
+  ASSERT_EQ(seq.size(), dirty.size() + 3);
+
+  std::set<std::size_t> cleared;
+  for (std::size_t k = 0; k < dirty.size(); ++k) {
+    ASSERT_EQ(seq[k].kind, PersistEventKind::kStore) << "event " << k;
+    EXPECT_TRUE(dirty.count(seq[k].word)) << "store to word " << seq[k].word;
+    EXPECT_EQ(seq[k].value, 0u);
+    cleared.insert(seq[k].word);
+  }
+  EXPECT_EQ(cleared, dirty) << "each set bitmap word is cleared once";
+  const std::size_t n = dirty.size();
+  EXPECT_EQ(seq[n].kind, PersistEventKind::kFence);
+  ASSERT_EQ(seq[n + 1].kind, PersistEventKind::kStore);
+  EXPECT_EQ(seq[n + 1].word, ckpt->generation_word_idx());
+  EXPECT_EQ(seq[n + 1].value, (std::uint64_t{0x43504B31} << 32) | (gen + 1));
+  EXPECT_EQ(seq[n + 2].kind, PersistEventKind::kFence);
+  EXPECT_EQ(ckpt->durable_generation(), gen + 1);
+}
+
 TEST(CheckpointBoundedRecoveryTest, RevertPassVisitsOnlyDeltaSinceCheckpoint) {
   TmRunner runner(crash_config(TmKind::kNvHalt, /*checkpoint=*/true));
   auto& tm = runner.tm();
@@ -258,11 +311,11 @@ TEST(CheckpointTest, SphtCheckpointAdvancesGenerationAndRecovers) {
 
 // ---- The torn-checkpoint window ------------------------------------------
 // Enumerates every fence boundary between the instant a checkpoint starts
-// and the instant its watermark flip (or SPHT's generation bump) is
-// durable. The double-buffered protocol's claim: whichever generation the
-// crash leaves named — old with a partially cleared bitmap, or new — the
-// recovered user state is identical, because truncation only ever clears
-// bits covering durably committed records the revert predicate skips.
+// and the instant its generation store (or SPHT's generation bump) is
+// durable. The protocol's claim: whichever generation the crash leaves
+// durable — old with a partially cleared bitmap, or new — the recovered
+// user state is identical, because truncation only ever clears bits
+// covering durably committed records the revert predicate skips.
 class CheckpointTornWindowTest : public testing::TestWithParam<TmKind> {};
 
 TEST_P(CheckpointTornWindowTest, EveryWindowBoundaryRecoversIdentically) {
@@ -288,8 +341,8 @@ TEST_P(CheckpointTornWindowTest, EveryWindowBoundaryRecoversIdentically) {
   std::vector<std::size_t> window;
   for (const std::size_t b : en.boundaries())
     if (b >= j0 && b <= j1) window.push_back(b);
-  // The protocol is multi-fence by construction (open slot, truncate,
-  // seal, flip — or replay, marker, truncate, bump), so the enumerator
+  // The protocol is multi-fence by construction (truncate, then store the
+  // generation — or replay, marker, truncate, bump), so the enumerator
   // must be able to land strictly inside it.
   ASSERT_GE(window.size(), 3u) << "no fence boundary inside the checkpoint window";
 
@@ -308,9 +361,9 @@ TEST_P(CheckpointTornWindowTest, EveryWindowBoundaryRecoversIdentically) {
           << CrashTriple{en.trace_hash(), b, 0}.to_string();
     }
   }
-  // The flip really lands inside the window: boundaries before it name the
-  // old generation, boundaries after it the new one — and every one of
-  // them recovered to the same state above.
+  // The generation store really lands inside the window: boundaries
+  // before it hold the old generation, boundaries after it the new one —
+  // and every one of them recovered to the same state above.
   EXPECT_GE(generations.size(), 2u)
       << "checkpoint window did not span the generation flip";
 }

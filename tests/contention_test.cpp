@@ -1,5 +1,5 @@
 // Tests for the lock-contention observatory (locks/contention.hpp): cell
-// accounting, score-ranked top-K with decay, the LockSpace stripe mapping
+// accounting, score-ranked top-K and reset, the LockSpace stripe mapping
 // contract (same address -> same stripe; tallies survive lock reset), and
 // the TM-level surface every engine exposes through Tm::contention().
 #include <gtest/gtest.h>
@@ -57,15 +57,13 @@ TEST(ContentionTableTest, TopKRanksByScoreAndOmitsIdleStripes) {
   EXPECT_EQ(all.size(), 3u) << "idle stripes must be omitted";
 }
 
-TEST(ContentionTableTest, DecayHalvesAndResetClears) {
+TEST(ContentionTableTest, ResetClears) {
   ContentionTable ct(2);
   for (int i = 0; i < 8; ++i) ct.on_abort(0);
   ct.on_stall(1, 7);
-
-  ct.decay_halve();
   ContentionTotals t = ct.totals();
-  EXPECT_EQ(t.aborts, 4u);
-  EXPECT_EQ(t.stall_ticks, 3u);
+  EXPECT_EQ(t.aborts, 8u);
+  EXPECT_EQ(t.stall_ticks, 7u);
 
   ct.reset();
   t = ct.totals();

@@ -58,7 +58,7 @@ struct CrashHarnessOptions {
   /// truncation/compaction traffic with live commits — the crash-prefix
   /// enumerator then places boundaries inside those windows like anywhere
   /// else (including the torn-checkpoint window between the bitmap
-  /// truncation and the watermark flip). Enables the TMs' checkpoint
+  /// truncation and the generation store). Enables the TMs' checkpoint
   /// configuration, which changes the pool's raw layout; bundles record it
   /// so replays reconstruct the same geometry.
   int checkpoint_every = 0;
@@ -108,12 +108,11 @@ inline RunnerConfig crash_config(TmKind kind, bool checkpoint = false) {
   cfg.spht.log_words_per_thread = std::size_t{1} << 11;
   cfg.spht.replay_threads = 1;
   if (checkpoint) {
-    // Checkpointing changes the raw layout (dirty-line bitmap + watermark
-    // region, or SPHT's generation word), so the workload runner and the
-    // verifier must agree on this flag — the bundle records it.
+    // Checkpointing changes the raw layout (dirty-line bitmap + generation
+    // word), so the workload runner and the verifier must agree on this
+    // flag — the bundle records it. SPHT always compacts on checkpoint().
     cfg.nvhalt.checkpoint = true;
     cfg.trinity.checkpoint = true;
-    cfg.spht.checkpoint = true;
     cfg.pmem.raw_words +=
         CheckpointManager::metadata_words(cfg.pmem.capacity_words) + 2 * kWordsPerLine;
   }

@@ -274,17 +274,6 @@ TEST(PmemPool, EmptyQueueFenceIsANoOp) {
   EXPECT_EQ(pool.read_durable_record(3).cur, 0u);
 }
 
-TEST(PmemPool, DisabledFlushesAreNoOpsAndCrashIsRejected) {
-  PmemConfig cfg = small_cfg(false);
-  cfg.flushes_enabled = false;
-  PmemPool pool(cfg);
-  pool.record_write(0, 3, 0, 1, 1);
-  pool.flush_record(0, 3);
-  pool.fence(0);
-  EXPECT_EQ(pool.fence_count(), 0u);
-  EXPECT_THROW(pool.crash(CrashPolicy{}), TmLogicError);
-}
-
 bool line_aligned(const void* p) {
   return reinterpret_cast<std::uintptr_t>(p) % kCacheLineBytes == 0;
 }
@@ -442,22 +431,19 @@ TEST(PmemBilling, DuplicateFlushAddsNoTimeAndAnIdleFenceBillsNothing) {
 }
 
 TEST(PmemBilling, WithoutFlushesAFenceBillsOnlyStoreDebt) {
-  for (const bool eadr : {false, true}) {
-    PmemConfig cfg = billed_cfg();
-    cfg.flushes_enabled = eadr;  // eADR ignores it; otherwise flushes are off
-    cfg.eadr = eadr;
-    PmemPool pool(cfg);
-    pool.record_write(0, 2, 0, 20, 1);
-    pool.record_write(0, 8, 0, 80, 1);
-    pool.store_pver(0, 1);
-    pool.flush_record(0, 2);
-    pool.flush_record(0, 8);
-    pool.flush_pver(0);
-    pool.fence(0);
-    EXPECT_EQ(pool.billed_ns(), 3 * cfg.nvm_store_latency_ns) << "eadr=" << eadr;
-    EXPECT_EQ(pool.fence_count(), 0u) << "eadr=" << eadr;
-    EXPECT_EQ(pool.flush_count(), 0u) << "eadr=" << eadr;
-  }
+  PmemConfig cfg = billed_cfg();
+  cfg.eadr = true;  // also Fig. 9's NO-FLUSH-FENCE level
+  PmemPool pool(cfg);
+  pool.record_write(0, 2, 0, 20, 1);
+  pool.record_write(0, 8, 0, 80, 1);
+  pool.store_pver(0, 1);
+  pool.flush_record(0, 2);
+  pool.flush_record(0, 8);
+  pool.flush_pver(0);
+  pool.fence(0);
+  EXPECT_EQ(pool.billed_ns(), 3 * cfg.nvm_store_latency_ns);
+  EXPECT_EQ(pool.fence_count(), 0u);
+  EXPECT_EQ(pool.flush_count(), 0u);
 }
 
 TEST(PmemBilling, EachFenceTakesAtLeastItsBill) {

@@ -182,17 +182,10 @@ TEST(SphtRecoveryUnit, LogRecordsBeyondDurableMarkerAreDiscarded) {
   const std::uint64_t marker = spht.durable_marker();
   ASSERT_GT(marker, 0u);
 
-  // Hand-append a log record with a timestamp beyond the durable marker —
-  // the state a crash leaves when a transaction persisted its log but
-  // never finished the ordering protocol (it never returned to its
-  // caller, so dropping it is correct).
-  // We emulate it by writing a fresh value whose marker persistence we
-  // sabotage: crash immediately after the log append via the coordinator.
-  // Simpler: craft the log through a second committed txn, then roll the
-  // durable marker back in the raw image is not exposed; instead verify
-  // the filter using the volatile marker API on replay():
+  // A second commit, then a checkpoint: it replays both records into the
+  // NVM heap image, so the heap holds the second value.
   runner.tm().run(0, [&](Tx& tx) { tx.write(a, 2); });
-  spht.replay(1);
+  ASSERT_TRUE(spht.checkpoint(0));
   EXPECT_EQ(runner.pool().read_record(a).cur, 2u);
 
   // After a crash, recovery replays only up to the durable marker; since
