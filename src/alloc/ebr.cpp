@@ -1,16 +1,14 @@
 #include "alloc/ebr.hpp"
 
-#include "runtime/thread_registry.hpp"
-
 namespace nvhalt::alloc {
 
-int EpochService::scan_bound() const {
-  if (registry_ == nullptr) return kMaxThreads;
-  const int hw = registry_->high_water();
-  return hw < kMaxThreads ? hw : kMaxThreads;
-}
-
 void EpochService::quiesce_slow(int tid, std::uint64_t e) {
+  // Scans read the bound before any slot, so it must cover this tid
+  // before its announcement can be seen (ebr.hpp).
+  int hw = high_water_.load(std::memory_order_seq_cst);
+  while (hw <= tid &&
+         !high_water_.compare_exchange_weak(hw, tid + 1, std::memory_order_seq_cst)) {
+  }
   auto& r = slots_[static_cast<std::size_t>(tid)].value.epoch;
   // Announce-then-verify: publish a candidate epoch, then re-read the
   // global. If the global moved past the announcement a reclaimer may
@@ -28,19 +26,10 @@ void EpochService::quiesce_slow(int tid, std::uint64_t e) {
   }
 }
 
-void EpochService::unpin(int tid) {
-  slots_[static_cast<std::size_t>(tid)].value.epoch.store(kIdle, std::memory_order_seq_cst);
-}
-
 std::uint64_t EpochService::min_active() const {
   std::uint64_t m = kIdle;
-  const int bound = scan_bound();
+  const int bound = high_water_.load(std::memory_order_seq_cst);
   for (int s = 0; s < bound; ++s) {
-    // A released registry slot is outside any transaction, so its stale
-    // persistent reservation is dead weight and must not gate reclaim
-    // (the slot's next owner re-announces before touching shared nodes;
-    // a fresh snapshot cannot reach anything already retired).
-    if (registry_ != nullptr && !registry_->is_registered(s)) continue;
     const std::uint64_t e = slots_[static_cast<std::size_t>(s)].value.epoch.load(
         std::memory_order_seq_cst);
     if (e < m) m = e;
@@ -50,9 +39,8 @@ std::uint64_t EpochService::min_active() const {
 
 void EpochService::try_advance() {
   const std::uint64_t e = global_.load(std::memory_order_seq_cst);
-  const int bound = scan_bound();
+  const int bound = high_water_.load(std::memory_order_seq_cst);
   for (int s = 0; s < bound; ++s) {
-    if (registry_ != nullptr && !registry_->is_registered(s)) continue;
     const std::uint64_t r = slots_[static_cast<std::size_t>(s)].value.epoch.load(
         std::memory_order_seq_cst);
     if (r != kIdle && r != e) return;  // a straggler is still in an older epoch
@@ -94,6 +82,7 @@ void EpochService::reset() {
     l.latency_ns.reset();
   }
   for (auto& s : slots_) s.value.epoch.store(kIdle, std::memory_order_relaxed);
+  high_water_.store(0, std::memory_order_relaxed);
   global_.store(1, std::memory_order_relaxed);
 }
 

@@ -6,12 +6,12 @@
 // let the next insert recycle the node under the reader (the classic
 // use-after-free of Brown's HTM tree template, solved there — as here —
 // with epochs). EpochService defers *volatile* reuse of a freed slot until
-// every thread registered in the runtime's ThreadRegistry has passed the
-// retirement epoch.
+// every thread that has announced a reservation has passed the retirement
+// epoch.
 //
 // Protocol (QSBR-flavoured epochs: persistent reservations, quiescent
 // refresh at attempt boundaries):
-//   * a thread's per-slot reservation persists across transactions; every
+//   * a thread's per-tid reservation persists across transactions; every
 //     transaction attempt starts with quiesce(), which re-announces the
 //     reservation only when the global epoch has moved since the last
 //     announcement (the common case is two loads and a branch — the
@@ -20,11 +20,15 @@
 //   * committed frees retire into the owner thread's limbo list stamped
 //     with the current global epoch;
 //   * a limbo entry with retire epoch `re` is physically reusable once
-//     `re < min(active reservations)`; reservations of registry slots
-//     that have been released no longer count (a deregistered thread is
-//     outside any transaction, so its stale announcement is dead weight);
+//     `re < min(active reservations)`;
 //   * the global epoch advances (CAS, at retire time) whenever every
-//     active reservation has caught up with it.
+//     active reservation has caught up with it;
+//   * reservation scans stop at a high-water tid, one past the highest tid
+//     that has announced. quiesce raises it before its announcing store,
+//     so a scan that reads an older bound precedes that tid's first
+//     announcement in the seq_cst order, where its slot still read kIdle;
+//     the snapshot it announces for starts later and cannot reach a block
+//     that was already retired.
 //
 // The fence-free fast path is sound because the skipped store is exactly
 // the value already announced: the reservation was published with a
@@ -32,10 +36,9 @@
 // this thread could endanger carries an epoch >= the reservation, and a
 // retirement with a smaller epoch was unlinked before this attempt's
 // snapshot began and is unreachable from it. The liveness contract is
-// QSBR's: a registered thread that stops transacting without
-// deregistering stalls epoch advance (and therefore reclamation) until
-// its next attempt — ThreadHandle's RAII deregistration bounds this to
-// the handle's scope.
+// QSBR's: a tid that stops transacting keeps its last reservation, and
+// so gates epoch advance (and therefore reclamation) until it runs again
+// or recovery resets the service.
 //
 // Persistence is deliberately decoupled from synchronization (the
 // "Persistence and Synchronization: Friends or Foes?" argument): the
@@ -44,11 +47,11 @@
 // recovery may rebuild free lists directly from the durable bitmaps;
 // limbo lists are volatile and simply dropped.
 //
-// Thread-safety: quiesce/unpin/retire/reclaim on slot `tid` are owner-thread
-// operations; reservations and the global epoch are shared atomics. The
-// aggregate accessors (limbo_depth etc.) read relaxed per-slot counters
-// and may be called concurrently as gauges; the histogram accessor is
-// quiescent-only like the TM stats accessors.
+// Thread-safety: quiesce/retire/reclaim on `tid` are owner-thread
+// operations; reservations, the high-water tid and the global epoch are
+// shared atomics. The aggregate accessors (limbo_depth etc.) read relaxed
+// per-slot counters and may be called concurrently as gauges; the
+// histogram accessor is quiescent-only like the TM stats accessors.
 #pragma once
 
 #include <atomic>
@@ -60,24 +63,15 @@
 #include "telemetry/histogram.hpp"
 #include "util/common.hpp"
 
-namespace nvhalt::runtime {
-class ThreadRegistry;
-}
-
 namespace nvhalt::alloc {
 
 class EpochService {
  public:
-  /// Reservation value of an unpinned slot.
+  /// Reservation value of a tid that has not announced.
   static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
 
   /// Limbo-entry consumer: (addr, nwords) of a now-safe block.
   using ReclaimFn = std::function<void(gaddr_t, std::uint32_t)>;
-
-  /// Bounds reservation scans by the registry (high_water) and skips
-  /// released slots. Without one (allocators no TM owns, in unit tests)
-  /// scans cover every slot.
-  void attach_registry(const runtime::ThreadRegistry* reg) { registry_ = reg; }
 
   std::uint64_t global_epoch() const { return global_.load(std::memory_order_seq_cst); }
 
@@ -100,14 +94,6 @@ class EpochService {
   bool limbo_empty(int tid) const {
     return limbo_[static_cast<std::size_t>(tid)].value.entries.empty();
   }
-  /// Clears slot `tid`'s reservation. Only needed when a slot should stop
-  /// constraining reclamation without its registry slot being released
-  /// (scans already ignore released slots).
-  void unpin(int tid);
-  bool pinned(int tid) const {
-    return slots_[static_cast<std::size_t>(tid)].value.epoch.load(std::memory_order_acquire) !=
-           kIdle;
-  }
 
   /// Moves a committed free into `tid`'s limbo list stamped with the
   /// current epoch, then opportunistically tries to advance the epoch.
@@ -118,9 +104,10 @@ class EpochService {
   /// Returns the number of blocks reclaimed.
   std::size_t reclaim(int tid, const ReclaimFn& fn);
 
-  /// Drops all limbo entries without reclaiming (recovery: the crash
-  /// destroyed every reader, and the durable bitmaps already record the
-  /// frees — the rebuilt free lists own those slots now).
+  /// Drops all limbo entries and reservations without reclaiming
+  /// (recovery: the crash destroyed every reader, and the durable bitmaps
+  /// already record the frees — the rebuilt free lists own those slots
+  /// now).
   void reset();
 
   // ---- Telemetry (relaxed gauges; histogram is quiescent-only) ---------
@@ -148,12 +135,9 @@ class EpochService {
     telemetry::PowHistogram latency_ns;  // owner-thread write, quiescent read
   };
 
-  /// Announce-then-verify re-announcement: publish candidate epoch `e`,
-  /// re-read the global, chase until stable.
+  /// Raises the high-water tid over `tid`, then announce-then-verify:
+  /// publish candidate epoch `e`, re-read the global, chase until stable.
   void quiesce_slow(int tid, std::uint64_t e);
-
-  /// One past the highest slot that may hold a reservation.
-  int scan_bound() const;
 
   /// Smallest active reservation, or kIdle when nothing is pinned.
   std::uint64_t min_active() const;
@@ -167,8 +151,10 @@ class EpochService {
                                           .count());
   }
 
-  const runtime::ThreadRegistry* registry_ = nullptr;
   std::atomic<std::uint64_t> global_{1};
+  /// One past the highest tid that has announced: the bound of every
+  /// reservation scan. Only grows, until reset().
+  std::atomic<int> high_water_{0};
   CacheLinePadded<Reservation> slots_[kMaxThreads];
   CacheLinePadded<LimboList> limbo_[kMaxThreads];
 };

@@ -18,8 +18,8 @@
 //
 // Reuse safety: committed frees go through epoch-based reclamation
 // (alloc/ebr.hpp) so lock-free read-only snapshots never observe a
-// recycled node; the owning TM bounds the reservation scans by its
-// runtime ThreadRegistry. The durable allocation bit is still cleared at
+// recycled node; the reservation scans stop at the highest tid that has
+// announced. The durable allocation bit is still cleared at
 // commit — a crash destroys every reader, so persistence and
 // synchronization stay decoupled.
 //
@@ -171,11 +171,7 @@ class TxAllocator {
   gaddr_t raw_alloc_large(int tid, std::size_t nwords);
 
   // ---- Runtime integration ---------------------------------------------
-  /// Bounds epoch-based reclamation's reservation scans by the owning TM's
-  /// registry. Called once by the TM's constructor.
-  void attach_registry(const runtime::ThreadRegistry* reg) { ebr_.attach_registry(reg); }
-
-  /// Epoch service (transaction attempts pin/unpin through this).
+  /// Epoch service (every transaction attempt quiesces through this).
   alloc::EpochService& epochs() { return ebr_; }
   const alloc::EpochService& epochs() const { return ebr_; }
 

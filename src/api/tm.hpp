@@ -10,6 +10,11 @@
 //     tx.write(b, v + 1);
 //   });
 //
+// `tid` is the only name a thread has: a dense id the caller assigns, the
+// same id that owns the thread's persistent version-number slot (paper
+// Sec. 3.2). One OS thread uses an id at a time; handing it to another OS
+// thread needs a happens-before edge between them (join, then start).
+//
 // The body may be executed multiple times (aborted attempts are retried),
 // so it must not have side effects other than through the Tx handle.
 #pragma once
@@ -19,18 +24,12 @@
 #include "alloc/tx_allocator.hpp"
 #include "core/tm_stats.hpp"
 #include "pmem/pmem_pool.hpp"
-#include "runtime/thread_registry.hpp"
 #include "util/common.hpp"
 #include "util/function_ref.hpp"
 
 namespace nvhalt {
 
 class ContentionTable;  // locks/contention.hpp
-
-// Thread identity is managed by the runtime layer's registry; the handle
-// and registry types are part of the public TM surface.
-using runtime::ThreadHandle;
-using runtime::ThreadRegistry;
 
 /// The five systems of the paper's evaluation (Fig. 8/9).
 enum class TmKind { kNvHalt, kNvHaltCl, kNvHaltSp, kTrinity, kSpht };
@@ -86,44 +85,26 @@ class TransactionalMemory {
  public:
   virtual ~TransactionalMemory() = default;
 
-  /// Executes `body` as one atomic durable transaction on behalf of the
-  /// thread slot `tid` (a dense id in [0, registry().capacity())). Retries
-  /// internally on conflicts/aborts. Returns true if the transaction
-  /// committed, false if the body voluntarily aborted.
-  ///
-  /// Compatibility shim over the registry: the first use of a tid pins its
-  /// slot permanently (the caller manages the id's lifetime, as all
-  /// pre-registry code did). New code should prefer register_thread() and
-  /// the ThreadHandle overload, which reclaim slots on handle destruction.
-  virtual bool run(int tid, TxBody body) = 0;
+  /// Executes `body` as one atomic durable transaction on behalf of thread
+  /// `tid`. A thread is named only by this dense id, in [0, kMaxThreads)
+  /// (SPHT: [0, SphtConfig::max_threads)); an id belongs to one OS thread
+  /// at a time (DESIGN.md Sec. 7). `mode` is the caller's access-pattern
+  /// hint (TxMode::kReadOnly routes to a TM's read-only fast path where one
+  /// exists). Retries internally on conflicts/aborts. Returns true if the
+  /// transaction committed, false if the body voluntarily aborted. Throws
+  /// TmLogicError on a tid outside the range.
+  virtual bool run(int tid, TxMode mode, TxBody body) = 0;
 
-  /// run() with an access-pattern hint (TxMode::kReadOnly routes to a TM's
-  /// read-only fast path where one exists). The default ignores the hint.
-  virtual bool run(int tid, TxMode mode, TxBody body) {
-    (void)mode;
-    return run(tid, body);
-  }
-
-  /// Runs `body` on behalf of a dynamically registered thread.
-  bool run(ThreadHandle& h, TxBody body) { return run(h.tid(), body); }
-  bool run(ThreadHandle& h, TxMode mode, TxBody body) { return run(h.tid(), mode, body); }
-
-  /// This TM's thread registry (slot lifetime, capacity, churn counters).
-  virtual ThreadRegistry& registry() = 0;
-
-  /// Claims a slot for the calling thread; released when the handle dies.
-  ThreadHandle register_thread() { return ThreadHandle(registry()); }
+  /// run() on the general path.
+  bool run(int tid, TxBody body) { return run(tid, TxMode::kUpdate, body); }
 
   /// Durably retires the revert/replay obligations accumulated so far — a
   /// checkpoint — so the next recovery is bounded by the delta since this
-  /// call (DESIGN.md Sec. 13). Callable from any registered thread between
-  /// its own transactions; concurrent committers block only for the
-  /// duration. Returns false when this TM (or its configuration) does not
-  /// checkpoint; the default is that no-op.
-  virtual bool checkpoint(int tid) {
-    (void)tid;
-    return false;
-  }
+  /// call (DESIGN.md Sec. 13). Callable from any thread between its own
+  /// transactions, under its own tid (range-checked as in run());
+  /// concurrent committers block only for the duration. Returns false when
+  /// this TM's configuration does not checkpoint.
+  virtual bool checkpoint(int tid) = 0;
 
   /// Post-crash recovery: restores the volatile image from the durable
   /// state (reverting in-flight transactions / replaying logs), resets

@@ -162,6 +162,7 @@ void SphtTm::replay_full_logs(int tid) {
 }
 
 bool SphtTm::checkpoint(int tid) {
+  check_tid(tid);
   if (!cfg_.persist_txns) return false;
   // SPHT's native compaction IS a full-log replay: every logged write is
   // folded into the NVM heap image, the durable marker advances over the

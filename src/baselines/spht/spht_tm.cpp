@@ -24,7 +24,7 @@ inline std::uint64_t pub_pack(std::uint64_t ts, bool persisted) {
 inline std::uint64_t pub_ts(std::uint64_t v) { return v >> 1; }
 inline bool pub_persisted(std::uint64_t v) { return (v & 1) != 0; }
 
-/// One bound for everything per-thread: registry capacity, log array,
+/// One bound for everything per-thread: the tid range, log array,
 /// timestamp publication array, bump states, contexts, stats aggregation.
 /// (The seed validated tids against cfg.max_threads but sized and iterated
 /// some of these with kMaxThreads — they now all agree by construction.)
@@ -74,11 +74,6 @@ SphtTm::SphtTm(const SphtConfig& cfg, PmemPool& pool, htm::SimHtm& htm, TxAlloca
     // reallocate on the hot path.
     ctx_[t].redo.reserve(128);
   }
-  // TM-managed carver: bump chunks are carved as durably-recorded large
-  // extents, so recovery can rebuild the watermark from the pool alone.
-  // SPHT never frees, so the epoch machinery stays idle (no pins needed)
-  // and no per-transaction allocator intents are ever armed.
-  alloc_iface_.attach_registry(&registry_);
 }
 
 SphtTm::~SphtTm() = default;
@@ -393,7 +388,7 @@ SphtTm::AttemptResult SphtTm::attempt_sw(int tid, TxBody body) {
   return result;
 }
 
-bool SphtTm::run_registered(int tid, TxMode mode, TxBody body) {
+bool SphtTm::run_checked(int tid, TxMode mode, TxBody body) {
   (void)mode;  // no read-only fast path in the SPHT baseline
   ThreadCtx& ctx = ctx_[tid];
 

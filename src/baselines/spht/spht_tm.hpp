@@ -48,8 +48,9 @@ struct SphtConfig {
   int htm_attempts = 10;
   /// Persistent log words per thread.
   std::size_t log_words_per_thread = std::size_t{1} << 16;
-  /// Thread ids that may run transactions (sizes the registry, the log
-  /// array and every per-thread structure). Clamped to [1, kMaxThreads].
+  /// Thread ids that may run transactions: run() and checkpoint() accept
+  /// tids in [0, max_threads), which also sizes the log array and every
+  /// per-thread structure. Clamped to [1, kMaxThreads].
   int max_threads = kMaxThreads;
   /// Threads used by log replay and recovery; the paper uses 16.
   int replay_threads = 16;
@@ -73,9 +74,9 @@ class SphtTm final : public runtime::TmRuntime {
   /// record into the NVM heap image, durably advances the marker over
   /// them, truncates the logs and durably bumps the generation word. After
   /// it, recovery replays only the delta logged since. Callable from any
-  /// registered thread between its transactions, or at full quiescence
-  /// (the benchmark's post-phase replay). Returns false when transactions
-  /// are not persisted.
+  /// thread, under its own tid in [0, max_threads), between its
+  /// transactions, or at full quiescence (the benchmark's post-phase
+  /// replay). Returns false when transactions are not persisted.
   bool checkpoint(int tid) override;
   /// Durable checkpoint generation (0 until the first checkpoint).
   std::uint64_t checkpoint_generation() const { return pool_.raw_load(ckpt_gen_raw_idx_); }
@@ -117,7 +118,7 @@ class SphtTm final : public runtime::TmRuntime {
   /// preceded by a wait for the global fallback lock to clear, failed
   /// attempts back off (SPHT's historical behaviour), and the software
   /// fallback runs under the global lock.
-  bool run_registered(int tid, TxMode mode, TxBody body) override;
+  bool run_checked(int tid, TxMode mode, TxBody body) override;
 
  private:
   friend class SphtHwTx;

@@ -50,13 +50,14 @@ TrinityTm::TrinityTm(const TrinityConfig& cfg, PmemPool& pool, TxAllocator& allo
     ctx_[t].held.reserve(64);
     ctx_[t].persist_buf.reserve(64);
   }
-  // Epoch-based reclamation bounded by this registry.
-  alloc_.attach_registry(&registry_);
 }
 
 TrinityTm::~TrinityTm() = default;
 
-bool TrinityTm::checkpoint(int tid) { return undo_.checkpoint(tid); }
+bool TrinityTm::checkpoint(int tid) {
+  check_tid(tid);
+  return undo_.checkpoint(tid);
+}
 
 /// Tx handle for one TL2 attempt.
 class TrinityTx final : public Tx {
@@ -236,7 +237,7 @@ TrinityTm::AttemptResult TrinityTm::attempt(int tid, TxBody body) {
   return AttemptResult::kCommitted;
 }
 
-bool TrinityTm::run_registered(int tid, TxMode mode, TxBody body) {
+bool TrinityTm::run_checked(int tid, TxMode mode, TxBody body) {
   (void)mode;  // no read-only fast path: Trinity reads are already plain loads
   ThreadCtx& ctx = ctx_[tid];
   ensure_pver(pool_, tid, ctx);

@@ -73,7 +73,7 @@ class TrinityTm final : public runtime::TmRuntime {
  protected:
   /// Software-only instantiation of the unified retry loop (htm_attempts
   /// is pinned to 0: Trinity has no hardware path).
-  bool run_registered(int tid, TxMode mode, TxBody body) override;
+  bool run_checked(int tid, TxMode mode, TxBody body) override;
 
  private:
   friend class TrinityTx;

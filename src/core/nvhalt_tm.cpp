@@ -27,8 +27,6 @@ NvHaltTm::NvHaltTm(TmKind kind, const NvHaltConfig& cfg, PmemPool& pool, htm::Si
     ctx_[t].rng.reseed(0xC0FFEE + static_cast<std::uint64_t>(t));
     ctx_[t].reserve_scratch();
   }
-  // Epoch-based reclamation bounded by this registry.
-  alloc_.attach_registry(&registry_);
 }
 
 NvHaltTm::~NvHaltTm() = default;
@@ -45,7 +43,10 @@ void NvHaltTm::reset_stats() {
   locks_.contention().reset();
 }
 
-bool NvHaltTm::checkpoint(int tid) { return undo_.checkpoint(tid); }
+bool NvHaltTm::checkpoint(int tid) {
+  check_tid(tid);
+  return undo_.checkpoint(tid);
+}
 
 void NvHaltTm::recover_data() {
   // Paper Sec. 3.5: revert every record whose persistent version number is
@@ -70,7 +71,7 @@ void NvHaltTm::recover_data() {
   });
 }
 
-bool NvHaltTm::run_registered(int tid, TxMode mode, TxBody body) {
+bool NvHaltTm::run_checked(int tid, TxMode mode, TxBody body) {
   ThreadCtx& ctx = ctx_[tid];
   ensure_pver(pool_, tid, ctx);
 
@@ -106,13 +107,13 @@ bool NvHaltTm::run_registered(int tid, TxMode mode, TxBody body) {
 }
 
 bool NvHaltTm::attempt_hw_once(int tid, TxBody body) {
-  registry().ensure_registered(tid);
+  check_tid(tid);
   ensure_pver(pool_, tid, ctx_[tid]);
   return attempt_hw(tid, body) == AttemptResult::kCommitted;
 }
 
 bool NvHaltTm::attempt_sw_once(int tid, TxBody body) {
-  registry().ensure_registered(tid);
+  check_tid(tid);
   ensure_pver(pool_, tid, ctx_[tid]);
   return attempt_sw(tid, body) == AttemptResult::kCommitted;
 }

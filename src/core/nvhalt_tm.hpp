@@ -139,7 +139,7 @@ class NvHaltTm final : public runtime::TmRuntime {
   /// The unified retry loop (runtime/retry_policy.hpp) with this TM's
   /// hardware/software attempts plugged in, preceded by the read-only
   /// fast path when the caller hinted TxMode::kReadOnly.
-  bool run_registered(int tid, TxMode mode, TxBody body) override;
+  bool run_checked(int tid, TxMode mode, TxBody body) override;
 
  private:
   friend class NvHaltSwTx;

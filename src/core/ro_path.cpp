@@ -207,7 +207,7 @@ NvHaltTm::RoAttemptOutcome NvHaltTm::run_ro(int tid, TxBody body) {
 }
 
 NvHaltTm::RoAttemptOutcome NvHaltTm::attempt_ro_sw_once(int tid, TxBody body) {
-  registry().ensure_registered(tid);
+  check_tid(tid);
   ensure_pver(pool_, tid, ctx_[tid]);
   return attempt_ro_sw(tid, body);
 }

@@ -113,8 +113,9 @@ class CheckpointManager {
   /// Runs one checkpoint on behalf of `tid`: drains persist phases
   /// (exclusive lock), durably idles armed allocator intents, truncates
   /// the dirty bitmap, and durably stores the next generation. Safe to
-  /// call from any registered thread between its own transactions;
-  /// concurrent committers block only for the duration.
+  /// call from any thread, under its own in-range tid (the TM checks it),
+  /// between its own transactions; concurrent committers block only for
+  /// the duration.
   void checkpoint(int tid);
 
   std::uint64_t generation() const { return gen_.load(std::memory_order_acquire); }

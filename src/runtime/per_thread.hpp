@@ -7,7 +7,7 @@
 //
 // PerThread<Ctx> replaces the hand-rolled `make_unique<ThreadCtx[]>` blocks:
 // a fixed-size array of cache-line-aligned per-slot contexts indexed by
-// registry slot id, with the stats aggregation/reset helpers all five TMs
+// the dense tid, with the stats aggregation/reset helpers all five TMs
 // previously duplicated (and in one case sized inconsistently).
 #pragma once
 
@@ -20,7 +20,7 @@
 
 namespace nvhalt::runtime {
 
-/// Per-registry-slot runtime state shared by every TM's thread context.
+/// Per-tid runtime state shared by every TM's thread context.
 struct TxThreadState {
   /// This thread's outcome record (counters, abort causes, histograms).
   TmStats stats;
@@ -52,7 +52,7 @@ struct TxThreadState {
 };
 
 /// Fixed-size array of cache-line-aligned per-slot contexts, indexed by the
-/// dense slot ids a ThreadRegistry hands out.
+/// dense tid.
 template <typename Ctx>
 class PerThread {
  public:

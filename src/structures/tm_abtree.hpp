@@ -33,14 +33,6 @@ class TmAbTree {
   bool remove(int tid, word_t key);              // false if key absent
   bool contains(int tid, word_t key, word_t* out = nullptr);
 
-  // Registry-aware conveniences: accept the RAII handle from
-  // TransactionalMemory::register_thread() instead of a raw dense tid.
-  bool insert(ThreadHandle& h, word_t key, word_t val) { return insert(h.tid(), key, val); }
-  bool remove(ThreadHandle& h, word_t key) { return remove(h.tid(), key); }
-  bool contains(ThreadHandle& h, word_t key, word_t* out = nullptr) {
-    return contains(h.tid(), key, out);
-  }
-
   // ---- Composable operations (inside a caller transaction) --------------
   bool insert_in(Tx& tx, word_t key, word_t val);
   bool remove_in(Tx& tx, word_t key);
@@ -49,9 +41,6 @@ class TmAbTree {
   /// Transactionally collects all (key, value) pairs with lo <= key <= hi,
   /// in ascending key order — a consistent range snapshot.
   std::vector<std::pair<word_t, word_t>> range(int tid, word_t lo, word_t hi);
-  std::vector<std::pair<word_t, word_t>> range(ThreadHandle& h, word_t lo, word_t hi) {
-    return range(h.tid(), lo, hi);
-  }
   void range_in(Tx& tx, word_t lo, word_t hi,
                 std::vector<std::pair<word_t, word_t>>& out) const;
 

@@ -34,14 +34,6 @@ class TmHashMap {
   /// Returns true and sets *out (if non-null) when key is present.
   bool contains(int tid, word_t key, word_t* out = nullptr);
 
-  // Registry-aware conveniences: accept the RAII handle from
-  // TransactionalMemory::register_thread() instead of a raw dense tid.
-  bool insert(ThreadHandle& h, word_t key, word_t val) { return insert(h.tid(), key, val); }
-  bool remove(ThreadHandle& h, word_t key) { return remove(h.tid(), key); }
-  bool contains(ThreadHandle& h, word_t key, word_t* out = nullptr) {
-    return contains(h.tid(), key, out);
-  }
-
   // ---- Composable operations (inside a caller transaction) --------------
   bool insert_in(Tx& tx, word_t key, word_t val);
   bool remove_in(Tx& tx, word_t key);

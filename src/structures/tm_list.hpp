@@ -22,21 +22,12 @@ class TmList {
   bool remove(int tid, word_t key);
   bool contains(int tid, word_t key, word_t* out = nullptr);
 
-  // Registry-aware conveniences: accept the RAII handle from
-  // TransactionalMemory::register_thread() instead of a raw dense tid.
-  bool insert(ThreadHandle& h, word_t key, word_t val) { return insert(h.tid(), key, val); }
-  bool remove(ThreadHandle& h, word_t key) { return remove(h.tid(), key); }
-  bool contains(ThreadHandle& h, word_t key, word_t* out = nullptr) {
-    return contains(h.tid(), key, out);
-  }
-
   bool insert_in(Tx& tx, word_t key, word_t val);
   bool remove_in(Tx& tx, word_t key);
   bool contains_in(Tx& tx, word_t key, word_t* out = nullptr);
 
   /// Sum of all values, in one transaction (snapshot consistency tests).
   word_t sum_values(int tid);
-  word_t sum_values(ThreadHandle& h) { return sum_values(h.tid()); }
 
   std::size_t size_slow() const;
   std::vector<LiveBlock> collect_live_blocks() const;

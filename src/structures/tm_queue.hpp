@@ -24,17 +24,11 @@ class TmQueue {
   /// Dequeues into *out; returns false when empty.
   bool dequeue(int tid, word_t* out);
 
-  // Registry-aware conveniences: accept the RAII handle from
-  // TransactionalMemory::register_thread() instead of a raw dense tid.
-  bool enqueue(ThreadHandle& h, word_t v) { return enqueue(h.tid(), v); }
-  bool dequeue(ThreadHandle& h, word_t* out) { return dequeue(h.tid(), out); }
-
   bool enqueue_in(Tx& tx, word_t v);
   bool dequeue_in(Tx& tx, word_t* out);
 
   /// Size observed in its own transaction.
   std::size_t size(int tid);
-  std::size_t size(ThreadHandle& h) { return size(h.tid()); }
 
   std::size_t size_slow() const;
   std::size_t capacity() const { return capacity_; }

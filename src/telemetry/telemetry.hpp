@@ -199,7 +199,7 @@ struct ThreadTrace {
 /// tid. Rings are tid-indexed, not TM-indexed: tids are dense pool slots,
 /// and the harness/bench drivers run one TM at a time, so a tid's ring holds
 /// that thread's interleaved lifecycle. Each ring still has exactly one
-/// producer (the thread registered at that tid), which is all TraceRing
+/// producer (the one OS thread using that tid), which is all TraceRing
 /// requires.
 class TraceBuffer {
  public:

@@ -1,7 +1,7 @@
 // Unit tests for the transaction-aware allocator: size classes, txn
 // commit/abort hooks, segment recycling, large blocks, HTM interaction and
 // the verify_rebuild cross-check of a live-block set against the
-// persistent metadata.
+// persistent metadata, and the epoch service that defers reuse of frees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -195,6 +195,64 @@ TEST(TxAllocator, StatsCountAllocsAndSegments) {
   const AllocStats s = alloc.stats();
   EXPECT_EQ(s.allocs, 2u);
   EXPECT_GE(s.segments_acquired, 1u);
+}
+
+// ---- EpochService: the reservation scan stops at the highest announced tid
+
+/// Addresses `tid`'s reclaim hands back, in order.
+std::vector<gaddr_t> reclaim_all(alloc::EpochService& ebr, int tid) {
+  std::vector<gaddr_t> out;
+  ebr.reclaim(tid, [&out](gaddr_t a, std::uint32_t) { out.push_back(a); });
+  return out;
+}
+
+TEST(EpochService, RetiredBlockWaitsForEveryAnnouncedSlot) {
+  alloc::EpochService ebr;
+  ebr.quiesce(0);
+  ebr.quiesce(5);
+  const std::uint64_t e = ebr.global_epoch();
+  ebr.retire(0, 100, 4);  // stamped e; both reservations equal e, so it advances
+  ASSERT_EQ(ebr.global_epoch(), e + 1);
+  EXPECT_TRUE(reclaim_all(ebr, 0).empty());
+
+  // Slot 0 passes e; slot 5, the highest announced slot, still holds it.
+  ebr.quiesce(0);
+  EXPECT_TRUE(reclaim_all(ebr, 0).empty());
+  EXPECT_FALSE(ebr.limbo_empty(0));
+
+  ebr.quiesce(5);
+  EXPECT_EQ(reclaim_all(ebr, 0), std::vector<gaddr_t>{100});
+  EXPECT_TRUE(ebr.limbo_empty(0));
+}
+
+TEST(EpochService, SlotThatNeverAnnouncedDoesNotHoldTheEpochBack) {
+  alloc::EpochService ebr;
+  // Slots 1..4 lie below the scan bound that slot 5 raised, and stay idle.
+  ebr.quiesce(0);
+  ebr.quiesce(5);
+  const std::uint64_t e = ebr.global_epoch();
+  ebr.retire(0, 100, 4);
+  EXPECT_EQ(ebr.global_epoch(), e + 1);
+  ebr.quiesce(0);
+  ebr.quiesce(5);
+  EXPECT_EQ(reclaim_all(ebr, 0), std::vector<gaddr_t>{100});
+}
+
+TEST(EpochService, LedgerBalancesAfterAPartialReclaim) {
+  alloc::EpochService ebr;
+  ebr.quiesce(0);
+  ebr.quiesce(1);
+  ebr.retire(0, 100, 4);  // epoch e; the global moves to e + 1
+  ebr.quiesce(0);
+  ebr.retire(0, 200, 4);  // epoch e + 1; slot 1 still announces e
+  ebr.quiesce(1);
+  // Both slots announce e + 1: the first block is safe, the second is not.
+  EXPECT_EQ(reclaim_all(ebr, 0), std::vector<gaddr_t>{100});
+  EXPECT_EQ(ebr.retired_total(), 2u);
+  EXPECT_EQ(ebr.reclaimed_total(), 1u);
+  EXPECT_EQ(ebr.limbo_depth(), 1u);
+  EXPECT_EQ(ebr.retired_total(), ebr.reclaimed_total() + ebr.limbo_depth());
+  EXPECT_EQ(ebr.reclaim_latency_ns().count(), 1u);
 }
 
 }  // namespace

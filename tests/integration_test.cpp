@@ -20,6 +20,7 @@ namespace {
 using test::all_kinds;
 using test::run_threads;
 using test::small_config;
+using test::tid_limit;
 
 class IntegrationTest : public ::testing::TestWithParam<TmKind> {};
 
@@ -270,8 +271,34 @@ TEST(Integration, InvalidConfigurationsAreRejected) {
 
 TEST_P(IntegrationTest, OutOfRangeThreadIdIsRejected) {
   TmRunner runner(small_config(GetParam()));
-  EXPECT_THROW(runner.tm().run(kMaxThreads + 1, [](Tx&) {}), TmLogicError);
-  EXPECT_THROW(runner.tm().run(-1, [](Tx&) {}), TmLogicError);
+  TransactionalMemory& tm = runner.tm();
+  const int max = tid_limit(GetParam());
+  EXPECT_THROW(tm.run(max, [](Tx&) {}), TmLogicError);
+  EXPECT_THROW(tm.run(max, TxMode::kReadOnly, [](Tx&) {}), TmLogicError);
+  EXPECT_THROW(tm.run(kMaxThreads + 1, [](Tx&) {}), TmLogicError);
+  EXPECT_THROW(tm.run(-1, [](Tx&) {}), TmLogicError);
+  // The highest in-range tid commits.
+  EXPECT_TRUE(tm.run(max - 1, [](Tx&) {}));
+}
+
+TEST_P(IntegrationTest, OutOfRangeCheckpointTidIsRejected) {
+  RunnerConfig cfg = small_config(GetParam());
+  cfg.nvhalt.checkpoint = cfg.trinity.checkpoint = true;
+  TmRunner runner(cfg);
+  TransactionalMemory& tm = runner.tm();
+  const int max = tid_limit(GetParam());
+  const gaddr_t a = runner.alloc().raw_alloc(0, 1);
+  EXPECT_TRUE(tm.run(0, [&](Tx& tx) { tx.write(a, 1); }));
+
+  EXPECT_THROW(tm.checkpoint(-1), TmLogicError);
+  EXPECT_THROW(tm.checkpoint(max), TmLogicError);
+
+  // The TM is still usable, and the highest in-range tid checkpoints.
+  EXPECT_TRUE(tm.run(1, [&](Tx& tx) { tx.write(a, tx.read(a) + 1); }));
+  EXPECT_TRUE(tm.checkpoint(max - 1));
+  word_t v = 0;
+  EXPECT_TRUE(tm.run(0, [&](Tx& tx) { v = tx.read(a); }));
+  EXPECT_EQ(v, 2u);
 }
 
 TEST(Integration, StructureAttachWithoutCreateThrows) {

@@ -357,5 +357,18 @@ TEST(NvHaltTm, RunIsReenterableAcrossManyThreadsAndSlots) {
   EXPECT_EQ(total, 0);
 }
 
+TEST(NvHaltTm, SingleAttemptHooksRejectOutOfRangeTids) {
+  TmRunner runner(small_config(TmKind::kNvHalt));
+  auto& nv = dynamic_cast<NvHaltTm&>(runner.tm());
+  for (int tid : {-1, kMaxThreads}) {
+    EXPECT_THROW(nv.attempt_hw_once(tid, [](Tx&) {}), TmLogicError);
+    EXPECT_THROW(nv.attempt_sw_once(tid, [](Tx&) {}), TmLogicError);
+    EXPECT_THROW(nv.attempt_ro_sw_once(tid, [](Tx&) {}), TmLogicError);
+  }
+  EXPECT_TRUE(nv.attempt_sw_once(kMaxThreads - 1, [](Tx&) {}));
+  EXPECT_EQ(nv.attempt_ro_sw_once(kMaxThreads - 1, [](Tx&) {}),
+            NvHaltTm::RoAttemptOutcome::kCommitted);
+}
+
 }  // namespace
 }  // namespace nvhalt

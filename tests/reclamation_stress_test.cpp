@@ -1,8 +1,8 @@
 // Sanitizer stress for epoch-based reclamation (alloc/ebr.hpp): thread
 // churn x delete-heavy churn. Every round spawns fresh OS threads that
-// register/deregister through the runtime ThreadRegistry while hammering a
-// sorted list with 50/50 insert/remove over a small hot key range, so
-// nodes cycle continuously through free -> limbo -> reclaim -> realloc.
+// reuse dense tids 0..7 while hammering a sorted list with 50/50
+// insert/remove over a small hot key range, so nodes cycle continuously
+// through free -> limbo -> reclaim -> realloc.
 // Concurrent readers walk the chains the writers are freeing: a block
 // recycled before its epoch is safe is a use-after-free under ASan and a
 // data race under TSan (the tsan-concurrency preset includes this suite).
@@ -39,33 +39,29 @@ TEST_P(ReclamationStressTest, ThreadChurnDeleteHeavyNeverRecyclesUnderReaders) {
   TmRunner runner(test::small_config(GetParam()));
   TransactionalMemory& tm = runner.tm();
   TmList list(tm);
-  {
-    ThreadHandle h = tm.register_thread();
-    for (int i = 0; i < kKeys; i += 2) {
-      const word_t k = kKeyBase + static_cast<word_t>(i);
-      ASSERT_TRUE(list.insert(h, k, k));
-    }
+  for (int i = 0; i < kKeys; i += 2) {
+    const word_t k = kKeyBase + static_cast<word_t>(i);
+    ASSERT_TRUE(list.insert(0, k, k));
   }
 
   for (int round = 0; round < kRounds; ++round) {
-    // Fresh OS threads (and recycled registry slots) every round: the
-    // reclamation epoch bound comes from the registry's reservation scan,
-    // which must stay correct across register/deregister churn.
+    // Fresh OS threads every round on the same tids: each inherits its
+    // tid's reservation and limbo list from an unrelated, joined thread,
+    // and the reservation scan must stay correct across that handover.
     test::run_threads(kWriters + kReaders, [&](int t) {
-      ThreadHandle h = tm.register_thread();
       Xoshiro256 rng(static_cast<std::uint64_t>(round) * 131 +
                      static_cast<std::uint64_t>(t) + 1);
       for (int iter = 0; iter < kItersPerThread; ++iter) {
         const word_t key = kKeyBase + static_cast<word_t>(rng.next_bounded(kKeys));
         if (t < kWriters) {
           if (rng.next_bounded(2) == 0) {
-            list.insert(h, key, key);
+            list.insert(t, key, key);
           } else {
-            list.remove(h, key);  // the committed free retires into limbo
+            list.remove(t, key);  // the committed free retires into limbo
           }
         } else {
           word_t v = 0;
-          if (list.contains(h, key, &v)) {
+          if (list.contains(t, key, &v)) {
             EXPECT_EQ(v, key);
           }
         }
@@ -79,11 +75,10 @@ TEST_P(ReclamationStressTest, ThreadChurnDeleteHeavyNeverRecyclesUnderReaders) {
   EXPECT_GT(st.frees, 0u);
   EXPECT_GT(st.retired, 0u);
   EXPECT_EQ(st.retired, st.reclaimed + st.limbo);
-  ThreadHandle h = tm.register_thread();
   for (int i = 0; i < kKeys; ++i) {
     const word_t k = kKeyBase + static_cast<word_t>(i);
     word_t v = 0;
-    if (list.contains(h, k, &v)) {
+    if (list.contains(0, k, &v)) {
       EXPECT_EQ(v, k);
     }
   }

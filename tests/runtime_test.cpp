@@ -1,126 +1,15 @@
-// Unit tests for the shared TM runtime layer: ThreadRegistry / ThreadHandle
-// slot lifecycle and the unified retry loop driven through a scripted Env.
+// Unit tests for the shared TM runtime layer: the unified retry loop driven
+// through a scripted Env, and PerThread stats aggregation.
 #include <gtest/gtest.h>
 
-#include <utility>
 #include <vector>
 
 #include "runtime/per_thread.hpp"
 #include "runtime/retry_policy.hpp"
-#include "runtime/thread_registry.hpp"
 #include "util/rng.hpp"
 
 namespace nvhalt::runtime {
 namespace {
-
-// ---------------------------------------------------------------- registry
-
-TEST(ThreadRegistry, AcquiresLowestFreeSlotFirst) {
-  ThreadRegistry reg(8);
-  EXPECT_EQ(reg.acquire(), 0);
-  EXPECT_EQ(reg.acquire(), 1);
-  EXPECT_EQ(reg.acquire(), 2);
-  reg.release(1);
-  EXPECT_EQ(reg.acquire(), 1);  // reclaimed slot is reused before slot 3
-  EXPECT_EQ(reg.acquire(), 3);
-}
-
-TEST(ThreadRegistry, CapacityExhaustionThrows) {
-  ThreadRegistry reg(2);
-  reg.acquire();
-  reg.acquire();
-  EXPECT_THROW(reg.acquire(), TmLogicError);
-  reg.release(0);
-  EXPECT_EQ(reg.acquire(), 0);  // space again after a release
-}
-
-TEST(ThreadRegistry, CapacityIsClampedToValidRange) {
-  EXPECT_EQ(ThreadRegistry(0).capacity(), 1);
-  EXPECT_EQ(ThreadRegistry(-5).capacity(), 1);
-  EXPECT_EQ(ThreadRegistry(kMaxThreads * 4).capacity(), kMaxThreads);
-  EXPECT_EQ(ThreadRegistry(7).capacity(), 7);
-}
-
-TEST(ThreadRegistry, ReleaseOfFreeSlotThrows) {
-  ThreadRegistry reg(4);
-  EXPECT_THROW(reg.release(0), TmLogicError);
-  EXPECT_THROW(reg.release(-1), TmLogicError);
-  EXPECT_THROW(reg.release(4), TmLogicError);
-}
-
-TEST(ThreadRegistry, EnsureRegisteredPinsSlot) {
-  ThreadRegistry reg(4);
-  reg.ensure_registered(2);
-  EXPECT_TRUE(reg.is_registered(2));
-  reg.ensure_registered(2);  // idempotent
-  EXPECT_EQ(reg.active(), 1);
-
-  // Dynamic acquisition skips the pinned slot.
-  EXPECT_EQ(reg.acquire(), 0);
-  EXPECT_EQ(reg.acquire(), 1);
-  EXPECT_EQ(reg.acquire(), 3);
-
-  // Pinned slots are caller-managed forever: releasing one is a bug.
-  EXPECT_THROW(reg.release(2), TmLogicError);
-  EXPECT_THROW(reg.ensure_registered(4), TmLogicError);
-  EXPECT_THROW(reg.ensure_registered(-1), TmLogicError);
-}
-
-TEST(ThreadRegistry, CountersTrackLifecycle) {
-  ThreadRegistry reg(4);
-  EXPECT_EQ(reg.active(), 0);
-  EXPECT_EQ(reg.high_water(), 0);
-  EXPECT_EQ(reg.total_registrations(), 0u);
-
-  reg.acquire();
-  reg.acquire();
-  EXPECT_EQ(reg.active(), 2);
-  EXPECT_EQ(reg.high_water(), 2);
-
-  reg.release(0);
-  EXPECT_EQ(reg.active(), 1);
-  EXPECT_EQ(reg.high_water(), 2);  // high water never recedes
-
-  reg.acquire();  // reuses slot 0
-  reg.ensure_registered(3);
-  EXPECT_EQ(reg.active(), 3);
-  EXPECT_EQ(reg.high_water(), 4);
-  EXPECT_EQ(reg.total_registrations(), 4u);  // 3 acquires + 1 pin
-}
-
-TEST(ThreadHandle, RaiiReleasesOnDestruction) {
-  ThreadRegistry reg(4);
-  {
-    ThreadHandle h(reg);
-    EXPECT_TRUE(h.valid());
-    EXPECT_EQ(h.tid(), 0);
-    EXPECT_EQ(reg.active(), 1);
-  }
-  EXPECT_EQ(reg.active(), 0);
-  EXPECT_FALSE(reg.is_registered(0));
-}
-
-TEST(ThreadHandle, MoveTransfersOwnership) {
-  ThreadRegistry reg(4);
-  ThreadHandle a(reg);
-  const int tid = a.tid();
-
-  ThreadHandle b(std::move(a));
-  EXPECT_FALSE(a.valid());  // NOLINT(bugprone-use-after-move): moved-from query
-  EXPECT_THROW(a.tid(), TmLogicError);
-  EXPECT_EQ(b.tid(), tid);
-  EXPECT_EQ(reg.active(), 1);
-
-  ThreadHandle c;
-  c = std::move(b);
-  EXPECT_EQ(c.tid(), tid);
-  EXPECT_EQ(reg.active(), 1);
-
-  c.reset();
-  EXPECT_FALSE(c.valid());
-  EXPECT_EQ(reg.active(), 0);
-  c.reset();  // idempotent
-}
 
 // ------------------------------------------------------------- retry loop
 

@@ -31,6 +31,11 @@ inline RunnerConfig small_config(TmKind kind) {
   return cfg;
 }
 
+/// One past the highest tid a small_config runner accepts.
+inline int tid_limit(TmKind kind) {
+  return kind == TmKind::kSpht ? small_config(kind).spht.max_threads : kMaxThreads;
+}
+
 /// All five evaluated TM kinds, for parameterized suites.
 inline std::vector<TmKind> all_kinds() {
   return {TmKind::kNvHalt, TmKind::kNvHaltCl, TmKind::kNvHaltSp, TmKind::kTrinity, TmKind::kSpht};

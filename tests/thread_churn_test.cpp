@@ -1,13 +1,13 @@
-// Thread-churn stress: many short-lived worker threads register, transact
-// and deregister against every TM, cycling through far more registrations
-// than the registry has slots. Exercises slot reclaim/reuse, per-slot
-// context reuse across unrelated OS threads, the zero-sum integrity of
-// concurrent transfers across churn generations, and stats aggregation.
+// Thread-churn stress: many generations of short-lived OS threads transact
+// against every TM under the same dense tids 0..7. Each generation is
+// joined before the next starts, and the join/start edge is all that
+// orders one OS thread's use of a tid before the next's. Exercises
+// per-tid context reuse across unrelated OS threads, the zero-sum
+// integrity of concurrent transfers across generations, and stats
+// aggregation.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <thread>
-#include <vector>
 
 #include "test_helpers.hpp"
 
@@ -19,15 +19,15 @@ class ThreadChurnTest : public testing::TestWithParam<TmKind> {};
 constexpr int kAccounts = 64;
 constexpr word_t kInitialBalance = 1000;
 
-// Concurrency per round stays within the smallest registry in the suite
-// (SPHT runs with max_threads = 16 in small_config).
+// Concurrency per generation stays within the smallest tid range in the
+// suite (SPHT runs with max_threads = 16 in small_config).
 constexpr int kConcurrent = 8;
+constexpr int kGenerations = 18;  // 144 OS threads share tids 0..7
 constexpr int kItersPerThread = 40;
 
 gaddr_t setup_accounts(TransactionalMemory& tm) {
   gaddr_t arr = kNullAddr;
-  ThreadHandle h = tm.register_thread();
-  EXPECT_TRUE(tm.run(h, [&](Tx& tx) {
+  EXPECT_TRUE(tm.run(0, [&](Tx& tx) {
     arr = tx.alloc(kAccounts);
     for (int i = 0; i < kAccounts; ++i)
       tx.write(arr + static_cast<gaddr_t>(i), kInitialBalance);
@@ -37,8 +37,7 @@ gaddr_t setup_accounts(TransactionalMemory& tm) {
 
 word_t sum_accounts(TransactionalMemory& tm, gaddr_t arr) {
   word_t sum = 0;
-  ThreadHandle h = tm.register_thread();
-  EXPECT_TRUE(tm.run(h, [&](Tx& tx) {
+  EXPECT_TRUE(tm.run(0, [&](Tx& tx) {
     sum = 0;
     for (int i = 0; i < kAccounts; ++i) sum += tx.read(arr + static_cast<gaddr_t>(i));
   }));
@@ -50,26 +49,15 @@ TEST_P(ThreadChurnTest, SlotReuseAcrossManyGenerationsKeepsZeroSum) {
   TransactionalMemory& tm = runner.tm();
   const gaddr_t arr = setup_accounts(tm);
 
-  // Enough generations that lifetime registrations exceed every slot count
-  // in play (kMaxThreads = 128 dense slots, 16 for SPHT).
-  const int rounds =
-      static_cast<int>(kMaxThreads) / kConcurrent + 2;  // 18 * 8 = 144 workers
-
   tm.reset_stats();
   std::atomic<std::uint64_t> committed{0};
-  std::atomic<int> max_tid_seen{-1};
 
-  for (int round = 0; round < rounds; ++round) {
-    test::run_threads(kConcurrent, [&](int t) {
-      ThreadHandle h = tm.register_thread();
-      int cur = max_tid_seen.load(std::memory_order_relaxed);
-      while (h.tid() > cur &&
-             !max_tid_seen.compare_exchange_weak(cur, h.tid(), std::memory_order_relaxed)) {
-      }
+  for (int gen = 0; gen < kGenerations; ++gen) {
+    test::run_threads(kConcurrent, [&](int tid) {
       for (int iter = 0; iter < kItersPerThread; ++iter) {
-        const gaddr_t from = arr + static_cast<gaddr_t>((t * 7 + iter) % kAccounts);
-        const gaddr_t to = arr + static_cast<gaddr_t>((t * 7 + iter + 1) % kAccounts);
-        const bool ok = tm.run(h, [&](Tx& tx) {
+        const gaddr_t from = arr + static_cast<gaddr_t>((tid * 7 + iter) % kAccounts);
+        const gaddr_t to = arr + static_cast<gaddr_t>((tid * 7 + iter + 1) % kAccounts);
+        const bool ok = tm.run(tid, [&](Tx& tx) {
           const word_t a = tx.read(from);
           const word_t b = tx.read(to);
           tx.write(from, a - 1);
@@ -78,17 +66,8 @@ TEST_P(ThreadChurnTest, SlotReuseAcrossManyGenerationsKeepsZeroSum) {
         EXPECT_TRUE(ok);
         if (ok) committed.fetch_add(1, std::memory_order_relaxed);
       }
-      // Handle destruction releases the slot for the next generation.
     });
   }
-
-  // Churn actually recycled slots: the registry saw more lifetime
-  // registrations than it has capacity, while handing out only low ids.
-  ThreadRegistry& reg = tm.registry();
-  EXPECT_GT(reg.total_registrations(), static_cast<std::uint64_t>(kMaxThreads));
-  EXPECT_LT(max_tid_seen.load(), kConcurrent + 1);
-  EXPECT_EQ(reg.active(), 0);
-  EXPECT_LE(reg.high_water(), kConcurrent + 1);
 
   // Transfers are zero-sum across all generations.
   EXPECT_EQ(sum_accounts(tm, arr),
@@ -104,11 +83,10 @@ TEST_P(ThreadChurnTest, ResetStatsClearsAcrossReusedSlots) {
   TransactionalMemory& tm = runner.tm();
   const gaddr_t arr = setup_accounts(tm);
 
-  test::run_threads(4, [&](int t) {
-    ThreadHandle h = tm.register_thread();
+  test::run_threads(4, [&](int tid) {
     for (int i = 0; i < 10; ++i) {
-      EXPECT_TRUE(tm.run(h, [&](Tx& tx) {
-        const gaddr_t a = arr + static_cast<gaddr_t>(t);
+      EXPECT_TRUE(tm.run(tid, [&](Tx& tx) {
+        const gaddr_t a = arr + static_cast<gaddr_t>(tid);
         tx.write(a, tx.read(a) + 1);
       }));
     }
@@ -118,11 +96,10 @@ TEST_P(ThreadChurnTest, ResetStatsClearsAcrossReusedSlots) {
   tm.reset_stats();
   EXPECT_EQ(tm.stats().commits, 0u);
 
-  // New generation on the recycled slots accumulates from zero.
-  test::run_threads(2, [&](int t) {
-    ThreadHandle h = tm.register_thread();
-    EXPECT_TRUE(tm.run(h, [&](Tx& tx) {
-      const gaddr_t a = arr + static_cast<gaddr_t>(t);
+  // A new generation of OS threads on the reused tids accumulates from zero.
+  test::run_threads(2, [&](int tid) {
+    EXPECT_TRUE(tm.run(tid, [&](Tx& tx) {
+      const gaddr_t a = arr + static_cast<gaddr_t>(tid);
       tx.write(a, tx.read(a) + 1);
     }));
   });
@@ -132,13 +109,15 @@ TEST_P(ThreadChurnTest, ResetStatsClearsAcrossReusedSlots) {
 TEST_P(ThreadChurnTest, DenseTidBeyondRegistryCapacityThrows) {
   TmRunner runner(test::small_config(GetParam()));
   TransactionalMemory& tm = runner.tm();
-  const int cap = tm.registry().capacity();
+  const int max = test::tid_limit(GetParam());
 
-  EXPECT_THROW(tm.run(cap, [](Tx&) {}), TmLogicError);
-  EXPECT_THROW(tm.run(-1, [](Tx&) {}), TmLogicError);
-  // The highest in-range dense tid pins its slot and works.
-  EXPECT_TRUE(tm.run(cap - 1, [](Tx&) {}));
-  EXPECT_TRUE(tm.registry().is_registered(cap - 1));
+  // A fresh OS thread names itself by tid alone: the tid range is the
+  // TM's whole thread capacity, with no registration step in front of it.
+  test::run_threads(1, [&](int) {
+    EXPECT_THROW(tm.run(max, [](Tx&) {}), TmLogicError);
+    EXPECT_THROW(tm.run(-1, [](Tx&) {}), TmLogicError);
+    EXPECT_TRUE(tm.run(max - 1, [](Tx&) {}));
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTms, ThreadChurnTest, testing::ValuesIn(test::all_kinds()),
