@@ -616,6 +616,9 @@ SweepSpec recovery_sweep() {
   // while SPHT's checkpoint-off replay grows with the log), and worker
   // counts on every pool size with checkpointing off. The NV-HALT variants
   // share NV-HALT's recovery code, so only the three engines are swept.
+  // Recovery reads only the carved heap, so it tracks the cells' write
+  // block of min(pool_words / 4, 2^16) words, not pool_words: 4 segments
+  // at both 2^18 and 2^20 words, 1 at 2^16.
   SweepSpec s{"recovery", "crash recovery time vs history, checkpointing and workers",
               {{"recover_ms", Better::kLower, true}}, {}, {}, nullptr,
               {"workers", "1", "recover_ms", ""}};

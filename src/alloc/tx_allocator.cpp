@@ -144,6 +144,8 @@ void TxAllocator::acquire_segment(int tid, int cls) {
     }
     // Durable carve: class header (and watermark, for fresh segments)
     // are fenced before any slot of the segment can be handed out.
+    // Recovery reads records only below the carved end, so a watermark
+    // fenced after the hand-out would lose the segment's records.
     persist_carve(tid, seg, 1 + static_cast<std::uint64_t>(cls), 0);
     if (fresh) meta_store(tid, meta_base_ + 1, seg_bump_);
     pool_.fence(tid);
@@ -184,7 +186,14 @@ gaddr_t TxAllocator::tx_alloc(int tid, std::size_t nwords) {
   return alloc_impl(tid, nwords, /*in_txn=*/true);
 }
 
+void TxAllocator::check_tid(int tid) {
+  if (static_cast<unsigned>(tid) >= static_cast<unsigned>(kMaxThreads))
+    throw TmLogicError("allocator thread id " + std::to_string(tid) + " out of range [0, " +
+                       std::to_string(kMaxThreads) + ")");
+}
+
 gaddr_t TxAllocator::raw_alloc(int tid, std::size_t nwords) {
+  check_tid(tid);
   const gaddr_t a = alloc_impl(tid, nwords, /*in_txn=*/false);
   // Non-transactional setup allocation: persist the bit eagerly.
   write_slot_bit(tid, a, static_cast<std::uint32_t>(nwords), true);
@@ -193,6 +202,7 @@ gaddr_t TxAllocator::raw_alloc(int tid, std::size_t nwords) {
 }
 
 gaddr_t TxAllocator::raw_alloc_large(int tid, std::size_t nwords) {
+  check_tid(tid);
   if (htm::in_hw_txn()) throw htm::HtmAbort{htm::AbortCause::kExplicit, kAllocAbortCode};
   const std::size_t nsegs = (nwords + kSegmentWords - 1) / kSegmentWords;
   std::lock_guard<std::mutex> g(global_mu_);
@@ -224,6 +234,7 @@ void TxAllocator::tx_free(int tid, gaddr_t a, std::size_t nwords) {
 }
 
 void TxAllocator::raw_free(int tid, gaddr_t a, std::size_t nwords) {
+  check_tid(tid);
   write_slot_bit(tid, a, static_cast<std::uint32_t>(nwords), false);
   pool_.fence(tid);
   push_free(tid, a, nwords);
@@ -314,6 +325,12 @@ void TxAllocator::reset() {
 
 std::uint64_t TxAllocator::durable_watermark() const {
   return pool_.raw_load(meta_base_ + 1);
+}
+
+gaddr_t TxAllocator::carved_end() const {
+  if (!metadata_present()) return space_.heap_begin;
+  return space_.segment_base(static_cast<std::size_t>(
+      std::min<std::uint64_t>(durable_watermark(), space_.segment_count)));
 }
 
 bool TxAllocator::slot_bit(gaddr_t a, std::uint32_t nwords) const {

@@ -36,6 +36,13 @@
 // interleave with transactional traffic on the same addresses — a stale
 // intent record re-applied at recovery would win over a later raw_free of
 // the same slot.
+//
+// Recovery's bound: acquire_segment and raw_alloc_large fence the segment
+// watermark before they hand out any slot of a fresh segment, and nothing
+// lowers it, so no record at or past carved_end() can ever have been
+// written. Recovery (the undo-record pass and SPHT's rebuild) therefore
+// reads the carved heap alone; a word the allocator never handed out is
+// not persistent.
 #pragma once
 
 #include <cstdint>
@@ -214,6 +221,11 @@ class TxAllocator {
 
   std::size_t meta_base() const { return meta_base_; }
   std::uint64_t durable_watermark() const;
+  /// The carved end: the first word past the last segment the durable
+  /// watermark covers, or heap_begin when the metadata header is absent.
+  /// Every word a transaction can write lies below it. Read quiescently
+  /// (recovery, or a crash image just installed).
+  gaddr_t carved_end() const;
   /// Durable allocation bit of the slot holding `a` (class segments only).
   bool slot_bit(gaddr_t a, std::uint32_t nwords) const;
 
@@ -265,6 +277,10 @@ class TxAllocator {
 
   gaddr_t alloc_impl(int tid, std::size_t nwords, bool in_txn);
   void push_free(int tid, gaddr_t a, std::size_t nwords);
+
+  /// Throws TmLogicError unless tid is in [0, kMaxThreads): the raw entry
+  /// points index heaps_ and the pool's flush queues with it.
+  static void check_tid(int tid);
 
   // ---- Persistent metadata helpers -------------------------------------
   std::size_t intent_base(int tid) const {

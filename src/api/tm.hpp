@@ -59,7 +59,10 @@ class Tx {
   /// Transactional read of one word.
   virtual word_t read(gaddr_t a) = 0;
 
-  /// Transactional write of one word.
+  /// Transactional write of one word. Only words the allocator handed out
+  /// (tx.alloc, raw_alloc, raw_alloc_large) are persistent: recovery reads
+  /// the carved heap alone (TxAllocator::carved_end), so a write to any
+  /// other word does not survive a crash.
   virtual void write(gaddr_t a, word_t v) = 0;
 
   /// Allocates nwords within this transaction (undone on abort).

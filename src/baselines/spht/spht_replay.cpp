@@ -186,10 +186,12 @@ void SphtTm::recover_data() {
                            std::memory_order_relaxed);
   replay_impl(/*caller_tid=*/0, /*durable_prefix_only=*/true);
 
-  // Volatile image rebuild: pure per-word loads/stores, partitioned across
-  // the replay workers (byte-identical for any worker count).
+  // Volatile image rebuild over the carved heap, words [1, carved end):
+  // replay writes only allocated words, and lose_power() zeroed the rest.
+  // Pure per-word loads/stores, partitioned across the replay workers
+  // (byte-identical for any worker count).
   runtime::run_recovery_partitions(
-      pool_.capacity_words() - 1, cfg_.replay_threads, /*serial_tid=*/0,
+      alloc_iface_.carved_end() - 1, cfg_.replay_threads, /*serial_tid=*/0,
       [&](int /*tid*/, std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           const gaddr_t a = static_cast<gaddr_t>(1 + i);
@@ -219,8 +221,7 @@ void SphtTm::rebuild_allocator(std::span<const LiveBlock> live) {
   // cross-check only. Blocks leaked by aborted transactions stay
   // unreachable — the artificially cheap allocator the paper calls out
   // has no free path to sweep them into.
-  const gaddr_t wm_end = alloc_iface_.heap_begin() +
-                         static_cast<gaddr_t>(alloc_iface_.durable_watermark()) * kSegmentWords;
+  const gaddr_t wm_end = alloc_iface_.carved_end();
   for (const LiveBlock& b : live) {
     if (b.addr < alloc_iface_.heap_begin() || b.addr + b.nwords > wm_end)
       throw TmLogicError("SPHT live block outside the durably carved heap");

@@ -58,6 +58,8 @@ class TrinityTm final : public runtime::TmRuntime {
   /// Undo-record recovery, then a reset of the TL2 clock and locks.
   void recover_data() override;
 
+  /// The undo-record durability engine (persist, checkpoint, recovery).
+  UndoRecords& undo_records() { return undo_; }
   /// Checkpoint subsystem, or null when cfg.checkpoint is off (tests).
   CheckpointManager* checkpoint_manager() { return undo_.checkpoint_manager(); }
 

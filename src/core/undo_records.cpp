@@ -16,17 +16,15 @@ namespace nvhalt {
 
 namespace {
 
-/// Reverts every in-flight record among words [lo, hi) of record lines —
-/// pver at or above its owner's durable marker — persisting each revert on
-/// `tid`'s queue (idempotent, so a crash mid-recovery just means recovery
-/// runs again), and stores the (possibly reverted) value into the volatile
-/// image. `skip_nth` >= 0 leaves that in-flight record torn, counting in
-/// `seen`. Returns the number of reverts.
+/// Reverts every in-flight record among words [lo, hi) — pver at or above
+/// its owner's durable marker — persisting each revert on `tid`'s queue
+/// (idempotent, so a crash mid-recovery just means recovery runs again),
+/// and stores the (possibly reverted) value into the volatile image.
+/// `skip_nth` >= 0 leaves that in-flight record torn, counting in `seen`.
+/// Returns the number of reverts.
 std::uint64_t revert_words(PmemPool& pool, const std::uint64_t* durable_pver, int tid,
                            gaddr_t lo, gaddr_t hi, int skip_nth, int& seen) {
-  // Word 0 is never handed out; an odd capacity leaves the last line half
-  // used.
-  hi = std::min<gaddr_t>(hi, pool.capacity_words());
+  // Word 0 is never handed out.
   std::uint64_t n = 0;
   for (gaddr_t a = std::max<gaddr_t>(lo, 1); a < hi; ++a) {
     PRecord r = pool.read_record(a);
@@ -44,20 +42,21 @@ std::uint64_t revert_words(PmemPool& pool, const std::uint64_t* durable_pver, in
 /// Rebuilds the volatile image of words [lo, hi) from their records'
 /// durably committed values: no predicate, no persistence.
 void rebuild_words(PmemPool& pool, gaddr_t lo, gaddr_t hi) {
-  hi = std::min<gaddr_t>(hi, pool.capacity_words());
   for (gaddr_t a = std::max<gaddr_t>(lo, 1); a < hi; ++a) pool.store(a, pool.read_record(a).cur);
 }
 
 /// The revert pass and the volatile image rebuild, in one pass over the
-/// record lines. With a durably valid checkpoint region only lines whose
+/// words below `end`, the allocator's carved end: no record at or past it
+/// was ever written, and lose_power() has already zeroed the volatile
+/// image there. With a durably valid checkpoint region only lines whose
 /// durable dirty bit is set can hold an in-flight record, so the pass walks
-/// the record space one bitmap word (64 lines) at a time: a clean line is
+/// the carved heap one bitmap word (64 lines) at a time: a clean line is
 /// rebuilt from its records' cur, a dirty one goes through revert_words.
 /// Without one (checkpointing off, or a crash that predates the region's
 /// seeding fence) each partition is one contiguous revert_words run.
 UndoRecoveryReport revert_records(PmemPool& pool, CheckpointManager* ckpt,
-                                  const std::uint64_t* durable_pver, int rtid, int workers,
-                                  int skip_nth) {
+                                  const std::uint64_t* durable_pver, gaddr_t end, int rtid,
+                                  int workers, int skip_nth) {
   UndoRecoveryReport rep;
   rep.bounded = ckpt != nullptr && ckpt->durable_valid();
   // The fault hook counts reverts in address order, which only a single
@@ -66,22 +65,25 @@ UndoRecoveryReport revert_records(PmemPool& pool, CheckpointManager* ckpt,
   int seen = 0;
   std::atomic<std::uint64_t> reverts{0};
   if (!rep.bounded) {
-    rep.lines_scanned = pool.record_lines();
+    rep.lines_scanned = (end + 1) / 2;
     rep.workers_used = runtime::run_recovery_partitions(
         rep.lines_scanned, workers, rtid, [&](int tid, std::size_t lo, std::size_t hi) {
-          const std::uint64_t n =
-              revert_words(pool, durable_pver, tid, lo * 2, hi * 2, skip_nth, seen);
+          const std::uint64_t n = revert_words(pool, durable_pver, tid, lo * 2,
+                                               std::min<gaddr_t>(hi * 2, end), skip_nth, seen);
           pool.fence(tid);
           reverts.fetch_add(n, std::memory_order_relaxed);
         });
   } else {
     constexpr gaddr_t kSpan = CheckpointManager::kWordsPerBitmapWord;
     std::atomic<std::uint64_t> dirty_lines{0};
+    // The last bitmap word walked is the one covering the carved end; no
+    // line past it is dirty, since no record there was ever written.
     rep.workers_used = runtime::run_recovery_partitions(
-        ckpt->bitmap_words(), workers, rtid, [&](int tid, std::size_t lo, std::size_t hi) {
+        (end + kSpan - 1) / kSpan, workers, rtid, [&](int tid, std::size_t lo, std::size_t hi) {
           std::uint64_t n = 0, lines = 0;
           for (std::size_t w = lo; w < hi; ++w) {
             const gaddr_t base = static_cast<gaddr_t>(w) * kSpan;
+            const gaddr_t top = std::min<gaddr_t>(base + kSpan, end);
             gaddr_t next = base;  // first word not yet rebuilt or reverted
             for (std::uint64_t dirty = ckpt->durable_dirty_word(w); dirty != 0;
                  dirty &= dirty - 1) {
@@ -92,7 +94,7 @@ UndoRecoveryReport revert_records(PmemPool& pool, CheckpointManager* ckpt,
               next = a + 2;
               ++lines;
             }
-            rebuild_words(pool, next, base + kSpan);
+            rebuild_words(pool, next, top);
           }
           pool.fence(tid);
           reverts.fetch_add(n, std::memory_order_relaxed);
@@ -180,8 +182,9 @@ UndoRecoveryReport UndoRecords::recover(int rtid, int workers, int skip_nth_reve
   std::uint64_t durable_pver[kMaxThreads];
   for (int t = 0; t < kMaxThreads; ++t) durable_pver[t] = pool_.load_pver(t);
 
-  const UndoRecoveryReport rep =
-      revert_records(pool_, ckpt_.get(), durable_pver, rtid, workers, skip_nth_revert);
+  const UndoRecoveryReport rep = revert_records(pool_, ckpt_.get(), durable_pver,
+                                                alloc_.carved_end(), rtid, workers,
+                                                skip_nth_revert);
 
   // Allocator state is reconstructed from the pool's own persistent
   // metadata: armed intent records are normalized (applied iff the owning

@@ -18,19 +18,22 @@
 //    the checkpoint adoption, in that order, under one committed-ness
 //    predicate.
 //
-// Recovery (DESIGN.md Sec. 13) is one pass over the record space that
-// rebuilds the volatile image from every record and applies the revert
-// predicate. With a durably valid checkpoint region only record lines whose
-// durable dirty bit is set can hold an in-flight record (the bit is fenced
-// before any record store to the line is staged), so the pass goes one
-// bitmap word (64 lines) at a time and sends only the dirty lines through
-// the predicate; clean lines are copied from their records' cur. A
-// checkpoint thus bounds the predicate, not the pass, which reads every
-// record either way. Without a valid region each partition is one
-// contiguous predicate run. The pass splits into contiguous partitions
-// replayed by run_recovery_partitions workers; every write depends only on
-// its own record, so the recovered image is byte-identical for any worker
-// count (tests/recovery_parallel_test.cpp).
+// Recovery (DESIGN.md Sec. 13) is one pass over the carved heap, the
+// words below TxAllocator::carved_end(): the allocator fences its segment
+// watermark before it hands out any slot of a fresh segment, so no record
+// past it was ever written. The pass rebuilds the volatile image from
+// every carved record and applies the revert predicate. With a durably
+// valid checkpoint region only record lines whose durable dirty bit is set
+// can hold an in-flight record (the bit is fenced before any record store
+// to the line is staged), so the pass goes one bitmap word (64 lines) at a
+// time and sends only the dirty lines through the predicate; clean lines
+// are copied from their records' cur. A checkpoint thus bounds the
+// predicate, not the pass, which reads every carved record either way.
+// Without a valid region each partition is one contiguous predicate run.
+// The pass splits into contiguous partitions replayed by
+// run_recovery_partitions workers; every write depends only on its own
+// record, so the recovered image is byte-identical for any worker count
+// (tests/recovery_parallel_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -54,7 +57,7 @@ struct TxThreadState;
 /// What one recover() revert pass did.
 struct UndoRecoveryReport {
   bool bounded = false;             ///< dirty-bitmap-guided revert pass ran
-  std::uint64_t lines_scanned = 0;  ///< record lines the revert predicate visited
+  std::uint64_t lines_scanned = 0;  ///< carved record lines the revert predicate visited
   std::uint64_t reverts = 0;        ///< in-flight records reverted
   int workers_used = 1;
 };
@@ -100,10 +103,11 @@ class UndoRecords {
   /// not configured.
   bool checkpoint(int tid);
 
-  /// Post-crash recovery on `rtid` (quiescent): reverts every record whose
-  /// pver is at or above its owner's durable marker and rebuilds the
-  /// volatile image, then normalizes the allocator metadata with the same
-  /// committed-ness predicate, then adopts a fresh checkpoint generation.
+  /// Post-crash recovery on `rtid` (quiescent): reverts every carved
+  /// record whose pver is at or above its owner's durable marker and
+  /// rebuilds the volatile image of the carved heap, then normalizes the
+  /// allocator metadata with the same committed-ness predicate, then
+  /// adopts a fresh checkpoint generation.
   /// `skip_nth_revert` >= 0 is fault injection for the crash-enumeration
   /// mutation tests: that revert (in address order) is left torn, and the
   /// pass runs on one worker so the order is defined.

@@ -2,11 +2,12 @@
 //
 // NV-HALT and Trinity colocate their undo history with the data (per-word
 // {cur, old, pver} records), so unlike SPHT there is no log to replay:
-// recovery reads every record once to rebuild the volatile image, and the
-// paper's revert predicate (Sec. 3.5) decides which in-flight writes to
-// undo. This module spares that predicate on the lines untouched since the
-// last consistent point; the read of every record stays (SPHT's replay is
-// what a checkpoint truly bounds):
+// recovery reads every carved record (the words below the allocator's
+// carved end) once to rebuild the volatile image, and the paper's revert
+// predicate (Sec. 3.5) decides which in-flight writes to undo. This module
+// spares that predicate on the lines untouched since the last consistent
+// point; the read of every carved record stays (SPHT's replay is what a
+// checkpoint truly bounds):
 //
 //  * A persistent *dirty-line bitmap* over the record lines, 64 lines (128
 //    words) per bitmap word. Before a persist phase stages any record store

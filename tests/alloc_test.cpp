@@ -197,6 +197,41 @@ TEST(TxAllocator, StatsCountAllocsAndSegments) {
   EXPECT_GE(s.segments_acquired, 1u);
 }
 
+// The raw entry points index the per-thread heaps and the pool's flush
+// queues with their tid, so they take only tids in [0, kMaxThreads).
+TEST(TxAllocator, RawEntryPointsRejectOutOfRangeTids) {
+  PmemPool pool(pool_cfg());
+  TxAllocator alloc(pool);
+  const gaddr_t a = alloc.raw_alloc(0, 8);
+  for (const int tid : {-1, kMaxThreads}) {
+    EXPECT_THROW(alloc.raw_alloc(tid, 8), TmLogicError) << "tid " << tid;
+    EXPECT_THROW(alloc.raw_free(tid, a, 8), TmLogicError) << "tid " << tid;
+    EXPECT_THROW(alloc.raw_alloc_large(tid, kSegmentWords), TmLogicError) << "tid " << tid;
+  }
+  EXPECT_TRUE(alloc.slot_bit(a, 8)) << "a rejected raw_free cleared the block's bit";
+  const gaddr_t b = alloc.raw_alloc(kMaxThreads - 1, 8);
+  EXPECT_NE(b, kNullAddr);
+  EXPECT_TRUE(alloc.slot_bit(b, 8));
+}
+
+// The carved end follows the durable watermark: heap_begin with nothing
+// carved, one segment past each segment carved, unchanged by a crash (the
+// watermark is fenced before any slot is handed out), and heap_begin
+// again for an image that predates the metadata header.
+TEST(TxAllocator, CarvedEndFollowsTheDurableWatermark) {
+  PmemPool pool(pool_cfg());
+  TxAllocator alloc(pool);
+  EXPECT_EQ(alloc.carved_end(), alloc.heap_begin());
+  alloc.raw_alloc(0, 8);
+  EXPECT_EQ(alloc.carved_end(), alloc.heap_begin() + kSegmentWords);
+  const gaddr_t big = alloc.raw_alloc_large(2 * kSegmentWords);
+  EXPECT_EQ(alloc.carved_end(), big + 2 * kSegmentWords);
+  pool.crash(CrashPolicy{});
+  EXPECT_EQ(alloc.carved_end(), big + 2 * kSegmentWords);
+  pool.install_crash_image({});
+  EXPECT_EQ(alloc.carved_end(), alloc.heap_begin());
+}
+
 // ---- EpochService: the reservation scan stops at the highest announced tid
 
 /// Addresses `tid`'s reclaim hands back, in order.

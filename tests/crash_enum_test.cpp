@@ -544,6 +544,54 @@ TEST(CrashEnumAllocTest, TornRearmKeepsLiveBlockAllocated) {
   }
 }
 
+// Recovery reads records only below the carved end, which rests on the
+// allocator fencing its watermark before it hands out a slot of a fresh
+// segment. Tid 1 takes a block of a fresh segment and stages a record
+// there, and tid 2 commits (so fence boundaries fall) before tid 1 fences.
+// No image cut in that window may hold the record without the watermark
+// that covers it; CrashImageVerifier checks that premise on every image.
+// The bundle carries no harness workload, so the premise is the only
+// invariant at stake.
+TEST(CrashEnumAllocTest, FreshSegmentRecordNeverOutrunsTheWatermark) {
+  for (const TmKind kind : all_kinds()) {
+    SCOPED_TRACE(tm_kind_name(kind));
+    PersistJournal journal;
+    RunnerConfig cfg = crash_config(kind);
+    cfg.pmem.journal = &journal;
+    TmRunner runner(cfg);
+    const gaddr_t x = runner.alloc().raw_alloc(0, 1);
+    const gaddr_t node = runner.alloc().tx_alloc(1, 4);
+    ASSERT_GE(node, runner.alloc().heap_begin() + kSegmentWords) << "not a fresh segment";
+    const std::size_t staged = journal.size();
+    runner.pool().record_write(1, node, 0x0D, 0xAB, pack_pver(1, 5));
+    runner.pool().flush_record(1, node);
+    ASSERT_TRUE(runner.tm().run(2, [&](Tx& tx) { tx.write(x, 5); }));
+    const std::size_t fenced = journal.size();
+    runner.pool().fence(1);
+    runner.alloc().on_abort(1);
+
+    CrashTraceBundle tr;
+    tr.opt.kind = kind;
+    tr.opt.transfer_threads = tr.opt.counter_threads = tr.opt.map_threads = 0;
+    tr.opt.accounts = 0;
+    tr.events = journal.events();
+    tr.trace_hash = PersistJournal::hash(tr.events);
+    tr.prefill_bound = tr.events.size() + 1;
+
+    CrashEnumOptions eopt;
+    eopt.subset_seeds_per_prefix = 8;
+    CrashEnumerator en(tr.events, eopt);
+    ASSERT_TRUE(std::any_of(en.boundaries().begin(), en.boundaries().end(),
+                            [&](std::size_t b) { return b > staged && b <= fenced; }))
+        << "no fence boundary between the record store and its fence";
+    CrashImageVerifier verifier(tr);
+    const auto failure = en.run(verifier.checker());
+    ASSERT_FALSE(failure.has_value())
+        << "record outran the watermark at " << failure->triple.to_string() << ": "
+        << failure->why;
+  }
+}
+
 // ---- SPHT log replay -------------------------------------------------------
 
 // An SPHT checkpoint folds the redo logs into the heap image, then resets

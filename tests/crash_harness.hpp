@@ -11,6 +11,11 @@
 //     reflected by every crash prefix >= B;
 //   * no resurrection — values beyond the last attempt never appear.
 //
+// Before recovery it checks the premise recovery's bound rests on: no
+// record at or past the image's own carved end (TxAllocator::carved_end)
+// is nonzero, because the allocator fences its segment watermark before it
+// hands out a slot of a fresh segment.
+//
 // Used by crash_enum_test.cpp (unit + acceptance cases) and the crash_sweep
 // CLI tool the CI crash-sweep job runs. Trace bundles round-trip through a
 // binary file so a CI failure triple can be replayed locally.
@@ -93,8 +98,8 @@ struct CrashTraceBundle {
   word_t map_key_base = 5000;
 };
 
-/// Small, enumeration-friendly geometry: recovery scans the full record
-/// space per materialized image, so the pool is kept compact.
+/// Small, enumeration-friendly geometry: installing a materialized image
+/// rewrites the whole persistent space, so the pool is kept compact.
 inline RunnerConfig crash_config(TmKind kind, bool checkpoint = false) {
   RunnerConfig cfg;
   cfg.kind = kind;
@@ -309,6 +314,18 @@ class CrashImageVerifier {
     auto& tm = runner_.tm();
     auto& pool = runner_.pool();
     pool.install_crash_image(img.words);
+
+    // ---- 0. Recovery's premise: nothing durable past the carved end ----
+    // Recovery reads records only below the carved end, so a record there
+    // would be lost. Records follow the raw space, four words each.
+    const gaddr_t carved_end = runner_.alloc().carved_end();
+    const std::uint64_t first_past = pool.record_word_base(carved_end);
+    for (const auto& [word, value] : img.words) {
+      if (word >= first_past && value != 0)
+        return fail(why, prefix, "record of word ", (word - pool.raw_space_words()) / 4,
+                    " durable at or past the carved end ", carved_end);
+    }
+
     tm.recover_data();
 
     std::vector<LiveBlock> live;

@@ -1,12 +1,17 @@
 // Record-level recovery unit tests: persistent states are constructed by
 // hand (as a crash could leave them) and recovery's revert/keep decisions
 // are checked word by word — pinning Sec. 3.5's rule: revert exactly the
-// records whose {tid, seq} is at/above the owning thread's durable pVerNum.
+// records whose {tid, seq} is at/above the owning thread's durable pVerNum —
+// and the pass's bound: it reads the carved heap to its last word.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "baselines/spht/spht_tm.hpp"
+#include "baselines/trinity/trinity_tm.hpp"
 #include "core/nvhalt_tm.hpp"
 #include "core/undo_records.hpp"
+#include "pmem/checkpoint.hpp"
 #include "pmem/crash_sim.hpp"
 #include "pmem/pmem_inspector.hpp"
 #include "test_helpers.hpp"
@@ -21,6 +26,10 @@ class RecoveryUnitTest : public ::testing::Test {
   void SetUp() override {
     runner_ = std::make_unique<TmRunner>(small_config(TmKind::kNvHalt));
     pool_ = &runner_->pool();
+    // Recovery reads only the carved heap, so the hand-built records at
+    // words 100-200 live in a carved block: on a fresh pool this one
+    // starts at the heap's first word and spans a whole segment.
+    ASSERT_EQ(runner_->alloc().raw_alloc_large(256), kWordsPerLine);
   }
 
   /// Writes a committed-looking record set for `tid` at seq and makes it
@@ -169,6 +178,77 @@ TEST_F(RecoveryUnitTest, UntouchedWordsRemainZero) {
   pool_->crash(CrashPolicy{0.0, 6});
   runner_->tm().recover_data();
   for (gaddr_t a = 101; a < 140; ++a) EXPECT_EQ(pool_->load(a), 0u);
+}
+
+UndoRecords& undo_of(TransactionalMemory& tm) {
+  if (auto* n = dynamic_cast<NvHaltTm*>(&tm)) return n->undo_records();
+  return dynamic_cast<TrinityTm&>(tm).undo_records();
+}
+
+// The pass ends at the allocator's carved end and not a word earlier. The
+// pool's one block is two whole segments, so its last word is the word
+// just before the carved end: a committed write there must survive, and a
+// hand-built in-flight record at its first word must be reverted. With
+// checkpointing on, a checkpoint leaves the last word's line clean, so it
+// comes back through the clean-line rebuild rather than the predicate.
+class CarvedEndRecoveryTest : public ::testing::TestWithParam<std::tuple<TmKind, bool>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    UndoRecordTms, CarvedEndRecoveryTest,
+    ::testing::Combine(::testing::Values(TmKind::kNvHalt, TmKind::kTrinity), ::testing::Bool()),
+    [](const auto& info) {
+      std::string n = test::kind_param_name({std::get<0>(info.param), info.index});
+      return n + (std::get<1>(info.param) ? "_ckpt" : "_plain");
+    });
+
+TEST_P(CarvedEndRecoveryTest, PassEndsAtTheCarvedEnd) {
+  const auto [kind, checkpoint] = GetParam();
+  RunnerConfig cfg = small_config(kind);
+  cfg.pmem.capacity_words = std::size_t{1} << 20;
+  cfg.nvhalt.checkpoint = cfg.trinity.checkpoint = checkpoint;
+  TmRunner runner(cfg);
+  PmemPool& pool = runner.pool();
+  UndoRecords& undo = undo_of(runner.tm());
+
+  const gaddr_t first = runner.alloc().raw_alloc_large(2 * kSegmentWords);
+  const gaddr_t last = first + 2 * kSegmentWords - 1;
+  ASSERT_EQ(runner.alloc().carved_end(), last + 1);
+  ASSERT_TRUE(runner.tm().run(0, [&](Tx& tx) {
+    tx.write(first, 7);
+    tx.write(last, 0x1A57);
+  }));
+  if (checkpoint) {
+    ASSERT_TRUE(runner.tm().checkpoint(0));
+  }
+
+  // In flight on tid 3, whose durable marker never moved: the record is
+  // durable, its commit is not. With checkpointing on, its line's dirty bit
+  // is fenced first, as the write barrier does.
+  constexpr int kTid = 3;
+  if (CheckpointManager* ckpt = undo.checkpoint_manager()) {
+    const auto phase = ckpt->persist_phase();
+    if (ckpt->mark(kTid, first)) {
+      ckpt->stage_marks(kTid);
+      pool.fence(kTid);
+      ckpt->commit_marks(kTid);
+    }
+  }
+  pool.record_write(kTid, first, 7, 99, pack_pver(kTid, 0));
+  pool.flush_record(kTid, first);
+  pool.fence(kTid);
+
+  pool.crash(CrashPolicy{});
+  const UndoRecoveryReport rep = undo.recover(/*rtid=*/0, /*workers=*/1);
+  EXPECT_EQ(pool.load(last), 0x1A57u) << "the carved heap's last word was not recovered";
+  EXPECT_EQ(pool.load(first), 7u);
+  EXPECT_EQ(pool.read_durable_record(first).cur, 7u);
+  EXPECT_EQ(rep.reverts, 1u);
+  EXPECT_EQ(rep.bounded, checkpoint);
+  if (!checkpoint) {
+    // The carved lines: the heap's first line up to the block's end.
+    EXPECT_EQ(rep.lines_scanned, (last + 1) / 2);
+    EXPECT_LT(rep.lines_scanned, pool.record_lines() / 16);
+  }
 }
 
 TEST(SphtRecoveryUnit, LogRecordsBeyondDurableMarkerAreDiscarded) {
